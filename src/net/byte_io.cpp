@@ -4,35 +4,6 @@
 
 namespace cgctx::net {
 
-bool ByteReader::require(std::size_t n) {
-  if (failed_ || data_.size() - offset_ < n) {
-    failed_ = true;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t ByteReader::read_u8() {
-  if (!require(1)) return 0;
-  return data_[offset_++];
-}
-
-std::uint16_t ByteReader::read_u16_be() {
-  if (!require(2)) return 0;
-  const auto hi = static_cast<std::uint16_t>(data_[offset_]);
-  const auto lo = static_cast<std::uint16_t>(data_[offset_ + 1]);
-  offset_ += 2;
-  return static_cast<std::uint16_t>(hi << 8 | lo);
-}
-
-std::uint32_t ByteReader::read_u32_be() {
-  if (!require(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = v << 8 | data_[offset_ + i];
-  offset_ += 4;
-  return v;
-}
-
 std::uint16_t ByteReader::read_u16_le() {
   if (!require(2)) return 0;
   const auto lo = static_cast<std::uint16_t>(data_[offset_]);
@@ -55,10 +26,6 @@ std::vector<std::uint8_t> ByteReader::read_bytes(std::size_t n) {
                                 data_.begin() + static_cast<std::ptrdiff_t>(offset_ + n));
   offset_ += n;
   return out;
-}
-
-void ByteReader::skip(std::size_t n) {
-  if (require(n)) offset_ += n;
 }
 
 void ByteWriter::write_u8(std::uint8_t v) { buf_.push_back(v); }

@@ -28,9 +28,27 @@ class ByteReader {
     return failed_ ? 0 : data_.size() - offset_;
   }
 
-  std::uint8_t read_u8();
-  std::uint16_t read_u16_be();
-  std::uint32_t read_u32_be();
+  std::uint8_t read_u8() {
+    if (!require(1)) return 0;
+    return data_[offset_++];
+  }
+
+  std::uint16_t read_u16_be() {
+    if (!require(2)) return 0;
+    const auto hi = static_cast<std::uint16_t>(data_[offset_]);
+    const auto lo = static_cast<std::uint16_t>(data_[offset_ + 1]);
+    offset_ += 2;
+    return static_cast<std::uint16_t>(hi << 8 | lo);
+  }
+
+  std::uint32_t read_u32_be() {
+    if (!require(4)) return 0;
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) v = v << 8 | data_[offset_ + i];
+    offset_ += 4;
+    return v;
+  }
+
   std::uint16_t read_u16_le();
   std::uint32_t read_u32_le();
 
@@ -38,10 +56,18 @@ class ByteReader {
   std::vector<std::uint8_t> read_bytes(std::size_t n);
 
   /// Skips `n` bytes.
-  void skip(std::size_t n);
+  void skip(std::size_t n) {
+    if (require(n)) offset_ += n;
+  }
 
  private:
-  [[nodiscard]] bool require(std::size_t n);
+  [[nodiscard]] bool require(std::size_t n) {
+    if (failed_ || data_.size() - offset_ < n) {
+      failed_ = true;
+      return false;
+    }
+    return true;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t offset_ = 0;

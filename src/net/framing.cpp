@@ -89,11 +89,10 @@ std::optional<DecodedFrame> decode_udp_frame(std::span<const std::uint8_t> frame
   // Cross-check IP total length.
   if (total_len != ihl_bytes + udp_len) return std::nullopt;
 
-  DecodedFrame out;
-  out.tuple = FiveTuple{Ipv4Addr{src_ip}, Ipv4Addr{dst_ip}, src_port, dst_port, 17};
-  out.payload = r.read_bytes(payload_len);
-  if (!r.ok()) return std::nullopt;
-  return out;
+  if (r.remaining() < payload_len) return std::nullopt;
+  return DecodedFrame{
+      FiveTuple{Ipv4Addr{src_ip}, Ipv4Addr{dst_ip}, src_port, dst_port, 17},
+      frame.subspan(r.offset(), payload_len)};
 }
 
 std::vector<std::uint8_t> build_payload(const PacketRecord& pkt) {

@@ -20,10 +20,12 @@ namespace cgctx::net {
 inline constexpr std::uint8_t kClientMac[6] = {0x02, 0x00, 0x00, 0x00, 0x00, 0x01};
 inline constexpr std::uint8_t kServerMac[6] = {0x02, 0x00, 0x00, 0x00, 0x00, 0x02};
 
-/// A decoded Ethernet/IPv4/UDP frame. `payload` is the UDP payload bytes.
+/// A decoded Ethernet/IPv4/UDP frame. `payload` views the UDP payload
+/// bytes inside the decoded frame, so it is valid only while that frame's
+/// bytes live and are not modified.
 struct DecodedFrame {
   FiveTuple tuple;
-  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> payload;
 };
 
 /// Builds a full Ethernet II + IPv4 + UDP frame around `payload`.
@@ -32,7 +34,8 @@ struct DecodedFrame {
 std::vector<std::uint8_t> encode_udp_frame(const FiveTuple& tuple,
                                            std::span<const std::uint8_t> payload);
 
-/// Decodes an Ethernet II + IPv4 + UDP frame. Returns nullopt for non-IPv4
+/// Decodes an Ethernet II + IPv4 + UDP frame without copying it: the
+/// result's payload views `frame`. Returns nullopt for non-IPv4
 /// ethertypes, non-UDP protocols, truncated headers, fragmented datagrams,
 /// or a bad IPv4 header checksum.
 std::optional<DecodedFrame> decode_udp_frame(std::span<const std::uint8_t> frame);

@@ -1,7 +1,5 @@
 #include "net/pcap.hpp"
 
-#include <array>
-#include <bit>
 #include <stdexcept>
 
 #include "net/byte_io.hpp"
@@ -16,14 +14,11 @@ constexpr std::uint32_t kMagicNano = 0xa1b23c4d;
 constexpr std::uint32_t kMagicMicroSwapped = 0xd4c3b2a1;
 constexpr std::uint32_t kMagicNanoSwapped = 0x4d3cb2a1;
 constexpr std::uint32_t kLinkTypeEthernet = 1;
-
-std::uint32_t byteswap32(std::uint32_t v) {
-  return v >> 24 | (v >> 8 & 0xff00) | (v << 8 & 0xff0000) | v << 24;
-}
-
-std::uint16_t byteswap16(std::uint16_t v) {
-  return static_cast<std::uint16_t>(v >> 8 | v << 8);
-}
+constexpr std::size_t kFileHeaderSize = 24;
+constexpr std::size_t kRecordHeaderSize = 16;
+/// Longest record accepted, whatever the file's snaplen claims; it also
+/// bounds how far the read buffer can grow.
+constexpr std::uint32_t kMaxRecordLength = 1u << 20;
 
 }  // namespace
 
@@ -80,63 +75,45 @@ void PcapWriter::close() {
   }
 }
 
-PcapReader::PcapReader(const std::filesystem::path& path)
-    : in_(path, std::ios::binary) {
-  if (!in_) throw std::runtime_error("PcapReader: cannot open " + path.string());
-  const std::uint32_t magic = read_u32();
-  switch (magic) {
+PcapReader::PcapReader(const std::filesystem::path& path) : in_(path) {
+  if (!in_.is_open())
+    throw std::runtime_error("PcapReader: cannot open " + path.string());
+  const auto header = in_.take(kFileHeaderSize);
+  // The magic is read little-endian; a big-endian file shows it swapped.
+  switch (header.size() < 4 ? 0 : load_u32(header, 0, false)) {
     case kMagicMicro: break;
     case kMagicNano: nanosecond_ = true; break;
-    case kMagicMicroSwapped: swap_ = true; break;
-    case kMagicNanoSwapped: swap_ = true; nanosecond_ = true; break;
+    case kMagicMicroSwapped: big_endian_ = true; break;
+    case kMagicNanoSwapped: big_endian_ = true; nanosecond_ = true; break;
     default: throw std::runtime_error("PcapReader: not a classic pcap file");
   }
-  read_u16();  // version major
-  read_u16();  // version minor
-  read_u32();  // thiszone
-  read_u32();  // sigfigs
-  snaplen_ = read_u32();
-  const std::uint32_t linktype = read_u32();
-  if (!in_) throw std::runtime_error("PcapReader: truncated file header");
-  if (linktype != kLinkTypeEthernet)
+  if (header.size() < kFileHeaderSize)
+    throw std::runtime_error("PcapReader: truncated file header");
+  // Skipped: version major/minor (u16 each), thiszone, sigfigs.
+  snaplen_ = load_u32(header, 16, big_endian_);
+  if (load_u32(header, 20, big_endian_) != kLinkTypeEthernet)
     throw std::runtime_error("PcapReader: unsupported link type");
 }
 
-std::uint32_t PcapReader::read_u32() {
-  std::array<char, 4> raw{};
-  in_.read(raw.data(), 4);
-  std::uint32_t v = 0;
-  // File values are stored in the writer's native order; we assemble
-  // little-endian and swap if the magic said otherwise.
-  for (int i = 3; i >= 0; --i)
-    v = v << 8 | static_cast<std::uint8_t>(raw[static_cast<std::size_t>(i)]);
-  return swap_ ? byteswap32(v) : v;
-}
-
-std::uint16_t PcapReader::read_u16() {
-  std::array<char, 2> raw{};
-  in_.read(raw.data(), 2);
-  auto v = static_cast<std::uint16_t>(static_cast<std::uint8_t>(raw[0]) |
-                                      static_cast<std::uint8_t>(raw[1]) << 8);
-  return swap_ ? byteswap16(v) : v;
-}
-
 std::optional<CapturedFrame> PcapReader::next() {
-  const std::uint32_t ts_sec = read_u32();
-  if (in_.eof()) return std::nullopt;
-  const std::uint32_t ts_frac = read_u32();
-  const std::uint32_t incl_len = read_u32();
-  const std::uint32_t orig_len = read_u32();
-  if (!in_) throw std::runtime_error("PcapReader: truncated record header");
-  if (incl_len > snaplen_ && incl_len > (1u << 20))
+  const auto header = in_.take(kRecordHeaderSize);
+  if (header.empty()) return std::nullopt;
+  if (header.size() < kRecordHeaderSize)
+    throw std::runtime_error("PcapReader: truncated record header");
+  const std::uint32_t ts_sec = load_u32(header, 0, big_endian_);
+  const std::uint32_t ts_frac = load_u32(header, 4, big_endian_);
+  const std::uint32_t incl_len = load_u32(header, 8, big_endian_);
+  const std::uint32_t orig_len = load_u32(header, 12, big_endian_);
+  if (incl_len > kMaxRecordLength)
     throw std::runtime_error("PcapReader: implausible record length");
+  const auto body = in_.take(incl_len);
+  if (body.size() < incl_len)
+    throw std::runtime_error("PcapReader: truncated record body");
   CapturedFrame frame;
   frame.timestamp = static_cast<Timestamp>(ts_sec) * kNanosPerSecond +
                     (nanosecond_ ? ts_frac : static_cast<Timestamp>(ts_frac) * 1000);
   frame.original_length = orig_len;
-  frame.bytes.resize(incl_len);
-  in_.read(reinterpret_cast<char*>(frame.bytes.data()), incl_len);
-  if (!in_) throw std::runtime_error("PcapReader: truncated record body");
+  frame.bytes.assign(body.begin(), body.end());
   return frame;
 }
 

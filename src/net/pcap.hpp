@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/read_buffer.hpp"
 #include "net/time.hpp"
 
 namespace cgctx::net {
@@ -55,15 +56,17 @@ class PcapWriter {
 };
 
 /// Reads frames from a pcap file. Handles both endiannesses and both
-/// microsecond/nanosecond timestamp resolutions.
+/// microsecond/nanosecond timestamp resolutions. Records are parsed out of
+/// one bounded ReadBuffer; each frame costs one allocation, its `bytes`.
 class PcapReader {
  public:
   /// Opens `path`; throws std::runtime_error when the file cannot be read
   /// or is not a classic pcap capture of Ethernet link type.
   explicit PcapReader(const std::filesystem::path& path);
 
-  /// Returns the next frame or nullopt at end of file. Throws on a
-  /// corrupt/truncated record.
+  /// Returns the next frame, or nullopt when the file ends exactly at a
+  /// record boundary. Throws on a corrupt or truncated record, including a
+  /// partial record header.
   std::optional<CapturedFrame> next();
 
   /// Convenience: reads every remaining frame.
@@ -72,13 +75,10 @@ class PcapReader {
   [[nodiscard]] std::uint32_t snaplen() const { return snaplen_; }
 
  private:
-  std::ifstream in_;
-  bool swap_ = false;       ///< file endianness differs from host order we read in
+  ReadBuffer in_;
+  bool big_endian_ = false; ///< file fields are big-endian
   bool nanosecond_ = false; ///< timestamp fraction is ns rather than us
   std::uint32_t snaplen_ = 0;
-
-  std::uint32_t read_u32();
-  std::uint16_t read_u16();
 };
 
 /// Writes a whole session's PacketRecords as an Ethernet pcap, framing each

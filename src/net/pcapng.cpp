@@ -1,7 +1,6 @@
 #include "net/pcapng.hpp"
 
-#include <array>
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
 
 #include "net/byte_io.hpp"
@@ -21,15 +20,26 @@ constexpr std::uint16_t kLinkEthernet = 1;
 constexpr std::uint16_t kOptTsResol = 9;
 constexpr std::uint16_t kOptEnd = 0;
 
-std::uint32_t byteswap32(std::uint32_t v) {
-  return v >> 24 | (v >> 8 & 0xff00) | (v << 8 & 0xff0000) | v << 24;
-}
-
-std::uint16_t byteswap16(std::uint16_t v) {
-  return static_cast<std::uint16_t>(v >> 8 | v << 8);
-}
+constexpr std::size_t kBlockHeaderSize = 8;   // type + total length
+constexpr std::size_t kBlockOverhead = 12;    // header + trailing length
+constexpr std::size_t kEpbFixedSize = 20;     // interface id .. original length
+constexpr std::uint32_t kMaxBlockLength = 1u << 26;
 
 std::size_t padded4(std::size_t n) { return (n + 3) & ~std::size_t{3}; }
+
+/// Converts interface timestamp ticks to nanoseconds.
+Timestamp ticks_to_ns(std::uint64_t ticks, std::uint64_t ticks_per_second) {
+  constexpr auto kNs = static_cast<std::uint64_t>(kNanosPerSecond);
+  if (kNs % ticks_per_second == 0)
+    return static_cast<Timestamp>(ticks * (kNs / ticks_per_second));
+  // A tick is not a whole number of nanoseconds: whole seconds stay exact
+  // and only the sub-second rest goes through double, rounded down and
+  // kept under one second so the conversion stays in range.
+  const double rest = static_cast<double>(ticks % ticks_per_second) /
+                      static_cast<double>(ticks_per_second);
+  const auto rest_ns = std::min(static_cast<std::uint64_t>(rest * 1e9), kNs - 1);
+  return static_cast<Timestamp>(ticks / ticks_per_second * kNs + rest_ns);
+}
 
 void write_block(std::ofstream& out, std::uint32_t type,
                  const std::vector<std::uint8_t>& body) {
@@ -118,70 +128,48 @@ void PcapngWriter::close() {
   }
 }
 
-PcapngReader::PcapngReader(const std::filesystem::path& path)
-    : in_(path, std::ios::binary) {
-  if (!in_)
+PcapngReader::PcapngReader(const std::filesystem::path& path) : in_(path) {
+  if (!in_.is_open())
     throw std::runtime_error("PcapngReader: cannot open " + path.string());
-  // The SHB begins with its type; endianness is discovered from the
-  // byte-order magic inside.
-  const std::uint32_t type = read_u32();
-  if (type != kShbType)
+  // The SHB type reads the same in both byte orders; endianness is
+  // discovered from the byte-order magic inside.
+  const auto head = in_.take(kBlockHeaderSize + 4);
+  if (head.size() < 4 || load_u32(head, 0, false) != kShbType)
     throw std::runtime_error("PcapngReader: not a pcapng file");
-  const std::uint32_t total_length_raw = read_u32();
-  const std::uint32_t magic_raw = read_u32();
-  if (magic_raw == kByteOrderMagicSwapped) {
-    swap_ = true;
-  } else if (magic_raw != kByteOrderMagic) {
+  if (head.size() < kBlockHeaderSize + 4)
+    throw std::runtime_error("PcapngReader: truncated SHB");
+  const std::uint32_t magic = load_u32(head, 8, false);
+  if (magic == kByteOrderMagicSwapped) {
+    big_endian_ = true;
+  } else if (magic != kByteOrderMagic) {
     throw std::runtime_error("PcapngReader: bad byte-order magic");
   }
-  const std::uint32_t total_length =
-      swap_ ? byteswap32(total_length_raw) : total_length_raw;
+  const std::uint32_t total_length = load_u32(head, 4, big_endian_);
   if (total_length < 28)
     throw std::runtime_error("PcapngReader: SHB too short");
   // Skip the rest of the SHB (version, section length, options, trailer).
-  in_.seekg(static_cast<std::streamoff>(total_length - 12),
-            std::ios::cur);
-  if (!in_) throw std::runtime_error("PcapngReader: truncated SHB");
-}
-
-std::uint32_t PcapngReader::read_u32() {
-  std::array<char, 4> raw{};
-  in_.read(raw.data(), 4);
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i)
-    v = v << 8 | static_cast<std::uint8_t>(raw[static_cast<std::size_t>(i)]);
-  return swap_ ? byteswap32(v) : v;
-}
-
-std::uint16_t PcapngReader::read_u16() {
-  std::array<char, 2> raw{};
-  in_.read(raw.data(), 2);
-  auto v = static_cast<std::uint16_t>(static_cast<std::uint8_t>(raw[0]) |
-                                      static_cast<std::uint8_t>(raw[1]) << 8);
-  return swap_ ? byteswap16(v) : v;
+  const std::uint64_t rest = total_length - (kBlockHeaderSize + 4);
+  if (in_.skip(rest) < rest)
+    throw std::runtime_error("PcapngReader: truncated SHB");
 }
 
 void PcapngReader::parse_idb_options(std::span<const std::uint8_t> options) {
   std::size_t offset = 0;
   while (offset + 4 <= options.size()) {
-    auto code = static_cast<std::uint16_t>(options[offset] |
-                                           options[offset + 1] << 8);
-    auto length = static_cast<std::uint16_t>(options[offset + 2] |
-                                             options[offset + 3] << 8);
-    if (swap_) {
-      code = byteswap16(code);
-      length = byteswap16(length);
-    }
+    const std::uint16_t code = load_u16(options, offset, big_endian_);
+    const std::uint16_t length = load_u16(options, offset + 2, big_endian_);
     offset += 4;
     if (code == kOptEnd) break;
     if (code == kOptTsResol && length >= 1 && offset < options.size()) {
+      // High bit set: ticks are 2^-exponent s, otherwise 10^-exponent s.
+      // Larger exponents would not fit 64-bit ticks per second.
       const std::uint8_t resol = options[offset];
-      if ((resol & 0x80) != 0) {
-        ticks_per_second_ = 1ull << (resol & 0x7f);
-      } else {
-        ticks_per_second_ = 1;
-        for (int i = 0; i < (resol & 0x7f); ++i) ticks_per_second_ *= 10;
-      }
+      const int exponent = resol & 0x7f;
+      const bool binary = (resol & 0x80) != 0;
+      if (exponent > (binary ? 63 : 19))
+        throw std::runtime_error("PcapngReader: unsupported if_tsresol");
+      ticks_per_second_ = 1;
+      for (int i = 0; i < exponent; ++i) ticks_per_second_ *= binary ? 2 : 10;
     }
     offset += padded4(length);
   }
@@ -189,78 +177,57 @@ void PcapngReader::parse_idb_options(std::span<const std::uint8_t> options) {
 
 std::optional<CapturedFrame> PcapngReader::next() {
   while (true) {
-    const std::uint32_t type = read_u32();
-    if (in_.eof()) return std::nullopt;
-    const std::uint32_t total_length = read_u32();
-    if (!in_) return std::nullopt;
-    if (total_length < 12 || total_length % 4 != 0 ||
-        total_length > (1u << 26))
+    const auto head = in_.take(kBlockHeaderSize);
+    if (head.empty()) return std::nullopt;
+    if (head.size() < kBlockHeaderSize)
+      throw std::runtime_error("PcapngReader: truncated block header");
+    const std::uint32_t type = load_u32(head, 0, big_endian_);
+    const std::uint32_t total_length = load_u32(head, 4, big_endian_);
+    if (total_length < kBlockOverhead || total_length % 4 != 0 ||
+        total_length > kMaxBlockLength)
       throw std::runtime_error("PcapngReader: implausible block length");
-    const std::size_t body_length = total_length - 12;
+    const std::size_t body_length = total_length - kBlockOverhead;
 
-    std::vector<std::uint8_t> body(body_length);
-    in_.read(reinterpret_cast<char*>(body.data()),
-             static_cast<std::streamsize>(body_length));
-    const std::uint32_t trailer = read_u32();
-    if (!in_) throw std::runtime_error("PcapngReader: truncated block");
-    if (trailer != total_length)
+    // Blocks the reader does not parse are skipped without being buffered
+    // whole; a parsed block's body is viewed together with its trailer.
+    const bool parsed = type == kEpbType || (type == kIdbType && !idb_seen_);
+    if (!parsed && in_.skip(body_length) < body_length)
+      throw std::runtime_error("PcapngReader: truncated block");
+    const std::size_t wanted = parsed ? body_length + 4 : 4;
+    const auto rest = in_.take(wanted);
+    if (rest.size() < wanted)
+      throw std::runtime_error("PcapngReader: truncated block");
+    const auto body = rest.first(wanted - 4);
+    if (load_u32(rest, body.size(), big_endian_) != total_length)
       throw std::runtime_error("PcapngReader: block trailer mismatch");
+    if (!parsed) continue;
 
-    if (type == kIdbType && !idb_seen_) {
+    if (type == kIdbType) {
       idb_seen_ = true;
       if (body.size() < 8)
         throw std::runtime_error("PcapngReader: IDB too short");
-      auto linktype = static_cast<std::uint16_t>(body[0] | body[1] << 8);
-      if (swap_) linktype = byteswap16(linktype);
-      if (linktype != kLinkEthernet)
+      if (load_u16(body, 0, big_endian_) != kLinkEthernet)
         throw std::runtime_error("PcapngReader: unsupported link type");
-      parse_idb_options(std::span<const std::uint8_t>(body).subspan(8));
+      parse_idb_options(body.subspan(8));
       continue;
     }
-    if (type != kEpbType) continue;  // skip unknown/auxiliary blocks
 
-    if (body.size() < 20)
+    if (body.size() < kEpbFixedSize)
       throw std::runtime_error("PcapngReader: EPB too short");
-    ByteReader r(body);
-    r.skip(4);  // interface id
-    std::uint32_t ts_high = 0;
-    std::uint32_t ts_low = 0;
-    if (swap_) {
-      ts_high = byteswap32([&] {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(body[4 + i]) << (8 * i);
-        return v;
-      }());
-      ts_low = byteswap32([&] {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(body[8 + i]) << (8 * i);
-        return v;
-      }());
-      r.skip(8);
-    } else {
-      ts_high = r.read_u32_le();
-      ts_low = r.read_u32_le();
-    }
-    std::uint32_t captured = r.read_u32_le();
-    std::uint32_t original = r.read_u32_le();
-    if (swap_) {
-      captured = byteswap32(captured);
-      original = byteswap32(original);
-    }
-    if (!r.ok() || r.remaining() < captured)
+    // Skipped: interface id at offset 0.
+    const std::uint32_t ts_high = load_u32(body, 4, big_endian_);
+    const std::uint32_t ts_low = load_u32(body, 8, big_endian_);
+    const std::uint32_t captured = load_u32(body, 12, big_endian_);
+    const std::uint32_t original = load_u32(body, 16, big_endian_);
+    if (captured > body.size() - kEpbFixedSize)
       throw std::runtime_error("PcapngReader: EPB payload truncated");
 
     CapturedFrame frame;
-    const std::uint64_t ticks =
-        static_cast<std::uint64_t>(ts_high) << 32 | ts_low;
-    // Convert interface ticks to nanoseconds.
-    frame.timestamp = ticks_per_second_ == 1'000'000'000
-                          ? static_cast<Timestamp>(ticks)
-                          : static_cast<Timestamp>(
-                                static_cast<double>(ticks) * 1e9 /
-                                static_cast<double>(ticks_per_second_));
+    frame.timestamp = ticks_to_ns(
+        static_cast<std::uint64_t>(ts_high) << 32 | ts_low, ticks_per_second_);
     frame.original_length = original;
-    frame.bytes = r.read_bytes(captured);
+    const auto payload = body.subspan(kEpbFixedSize, captured);
+    frame.bytes.assign(payload.begin(), payload.end());
     return frame;
   }
 }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "net/pcap.hpp"  // CapturedFrame
+#include "net/read_buffer.hpp"
 
 namespace cgctx::net {
 
@@ -51,20 +52,20 @@ class PcapngReader {
   /// the file is not pcapng or the first interface is not Ethernet.
   explicit PcapngReader(const std::filesystem::path& path);
 
-  /// Next packet frame, or nullopt at end of section/file. Non-packet
-  /// blocks are skipped. Throws on structural corruption.
+  /// Next packet frame, or nullopt when the file ends exactly at a block
+  /// boundary. Non-packet blocks are skipped. Throws on structural
+  /// corruption, including a partial block header.
   std::optional<CapturedFrame> next();
 
   std::vector<CapturedFrame> read_all();
 
  private:
-  std::uint32_t read_u32();
-  std::uint16_t read_u16();
   /// Parses the interface's if_tsresol option into ticks-per-second.
+  /// Throws when the resolution does not fit 64-bit ticks per second.
   void parse_idb_options(std::span<const std::uint8_t> options);
 
-  std::ifstream in_;
-  bool swap_ = false;
+  ReadBuffer in_;
+  bool big_endian_ = false;  ///< file fields are big-endian
   bool idb_seen_ = false;
   /// Timestamp ticks per second for interface 0 (default 1e6 per spec).
   std::uint64_t ticks_per_second_ = 1'000'000;
