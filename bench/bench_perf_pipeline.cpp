@@ -2,10 +2,10 @@
 // per-slot costs that determine whether the method runs in real time at
 // an operator vantage point — flow-table accounting, RTP parsing, packet
 // group labeling, launch-attribute extraction, model inference, the
-// end-to-end per-session pipeline, and the SessionEngine steady-state
-// hot path (which must not touch the heap — asserted, not just
-// reported: the binary exits non-zero if a steady-state bench
-// allocates).
+// end-to-end per-session pipeline, and the SessionEngine and
+// MultiSessionProbe steady-state hot paths (which must not touch the
+// heap — asserted, not just reported: the binary exits non-zero if a
+// steady-state bench allocates).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -16,6 +16,7 @@
 #include <new>
 
 #include "common/bench_support.hpp"
+#include "core/multi_session_probe.hpp"
 #include "core/pipeline_metrics.hpp"
 #include "core/session_engine.hpp"
 #include "core/trace_sink.hpp"
@@ -24,6 +25,7 @@
 #include "net/framing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/fleet.hpp"
 #include "sim/session.hpp"
 
 // --- Heap allocation counter -------------------------------------------
@@ -289,6 +291,38 @@ void BM_EngineTelemetrySessionSteadyState(benchmark::State& state) {
                           static_cast<std::int64_t>(session.slots.size()));
 }
 BENCHMARK(BM_EngineTelemetrySessionSteadyState);
+
+void BM_ProbeCrossTrafficSteadyState(benchmark::State& state) {
+  // Undetected cross traffic through a probe whose flow table already
+  // holds every flow: each op is one VoIP/web/video packet stamped 1 ms
+  // after the last, so the probe demuxes, accounts, rejects and ages its
+  // lookback as at a vantage point. None of it may touch the heap.
+  const auto& suite = bench::bench_models();
+  sim::FleetReplayOptions options;
+  options.sessions = 0;
+  options.cross_traffic_flows = 12;
+  options.start_spread_s = 0.0;
+  options.cross_traffic_duration_s = 2.0;
+  std::vector<net::PacketRecord> packets = sim::build_fleet_replay(options).wire;
+  packets.resize(kPacketPool);
+
+  core::MultiSessionProbe probe(
+      suite.models(),
+      core::MultiSessionProbeParams{core::default_pipeline_params()}, {});
+  net::Timestamp now = packets.front().timestamp;
+  std::size_t next = 0;
+  const auto push_next = [&] {
+    net::PacketRecord pkt = packets[next];
+    pkt.timestamp = now;
+    now += net::kNanosPerSecond / 1000;
+    probe.push(pkt);
+    next = (next + 1) & (kPacketPool - 1);
+  };
+  for (std::size_t i = 0; i < kPacketPool; ++i) push_next();  // warm-up
+  run_zero_alloc(state, push_next);
+  benchmark::DoNotOptimize(probe.flow_table_size());
+}
+BENCHMARK(BM_ProbeCrossTrafficSteadyState);
 
 // --- Instrumented steady state -----------------------------------------
 // Same hot paths with the full telemetry plane enabled: a registry-bound

@@ -27,6 +27,12 @@ std::optional<Platform> platform_for_port(std::uint16_t port) {
 
 }  // namespace
 
+bool CloudGamingFlowDetector::is_candidate(const net::FiveTuple& canonical) {
+  return canonical.protocol == 17 &&
+         (platform_for_port(canonical.dst_port) ||
+          platform_for_port(canonical.src_port));
+}
+
 std::optional<DetectionResult> CloudGamingFlowDetector::detect(
     const net::FlowState& flow) const {
   // Observation floor: don't judge a flow from its first handful of
@@ -34,14 +40,11 @@ std::optional<DetectionResult> CloudGamingFlowDetector::detect(
   if (flow.total_packets() < params_.min_packets) return std::nullopt;
   if (flow.age() < params_.min_age) return std::nullopt;
 
-  // UDP only.
-  if (flow.key.protocol != 17) return std::nullopt;
-
-  // One endpoint must sit on a known platform streaming port. The
+  // UDP with one endpoint on a known platform streaming port. The
   // canonical tuple may have either orientation.
+  if (!is_candidate(flow.key)) return std::nullopt;
   std::optional<Platform> platform = platform_for_port(flow.key.dst_port);
   if (!platform) platform = platform_for_port(flow.key.src_port);
-  if (!platform) return std::nullopt;
 
   // Downstream must be a consistent RTP video stream at gaming rates
   // containing MTU-limited packets; upstream must exist (player inputs).

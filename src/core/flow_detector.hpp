@@ -57,6 +57,12 @@ class CloudGamingFlowDetector {
   [[nodiscard]] std::optional<DetectionResult> detect(
       const net::FlowState& flow) const;
 
+  /// Whether detect() could ever accept a flow with this canonical tuple:
+  /// UDP with either port in a platform streaming range. Depends on the
+  /// tuple alone, so front-ends use it to decide which undetected packets
+  /// are worth buffering for replay; detect() applies the same test.
+  [[nodiscard]] static bool is_candidate(const net::FiveTuple& canonical);
+
   [[nodiscard]] const FlowDetectorParams& params() const { return params_; }
 
  private:

@@ -1,5 +1,6 @@
 #include "core/multi_session_probe.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -126,11 +127,17 @@ void MultiSessionProbe::push(const net::PacketRecord& pkt) {
     return;
   }
 
-  // Undetected traffic: account and keep a lookback window.
-  lookback_.push_back(pkt);
+  // Undetected traffic: account it, and keep a lookback of the packets
+  // detect() could ever promote. A tuple that fails is_candidate() never
+  // promotes, so its packets would never be replayed.
+  if (CloudGamingFlowDetector::is_candidate(key)) lookback_.push_back(pkt);
   while (!lookback_.empty() &&
          pkt.timestamp - lookback_.front().timestamp > kLookback)
     lookback_.pop_front();
+  if (lookback_.size() > kLookbackCap) {
+    lookback_.pop_front();
+    ++lookback_drops_;
+  }
 
   const net::FlowState& flow = table_.add(pkt);
   const auto detection = detector_.detect(flow);
@@ -147,12 +154,12 @@ void MultiSessionProbe::push(const net::PacketRecord& pkt) {
   // analyzer's exactly. The promoted tuple leaves the shared table — its
   // packets bypass it from now on, and stale cumulative stats must not
   // greet a future session that reuses the tuple.
-  net::Timestamp flow_begin = pkt.timestamp;
-  for (const net::PacketRecord& earlier : lookback_)
-    if (earlier.tuple.canonical() == key) {
-      flow_begin = earlier.timestamp;
-      break;
-    }
+  const auto in_flow = [&key](const net::PacketRecord& earlier) {
+    return earlier.tuple.canonical() == key;
+  };
+  const auto first = std::find_if(lookback_.begin(), lookback_.end(), in_flow);
+  const net::Timestamp flow_begin =
+      first != lookback_.end() ? first->timestamp : pkt.timestamp;
 
   Session session;
   session.engine = acquire_engine();
@@ -169,8 +176,14 @@ void MultiSessionProbe::push(const net::PacketRecord& pkt) {
     if (has_event_) on_event_(event);
     if (trace_ != nullptr) append_trace(*trace_, session.id, event);
   }
-  for (const net::PacketRecord& earlier : lookback_)
-    if (earlier.tuple.canonical() == key) feed(session, earlier);
+  // Replay and remove in one pass (remove_if visits the buffer in order):
+  // a later session on this tuple, e.g. after flush(), must not replay
+  // packets that belong to this one.
+  std::erase_if(lookback_, [&](const net::PacketRecord& earlier) {
+    if (!in_flow(earlier)) return false;
+    feed(session, earlier);
+    return true;
+  });
   sessions_.emplace(key, std::move(session));
   table_.erase(key);
   if (stats_ != nullptr) stats_->count_session_started();
@@ -183,6 +196,10 @@ void MultiSessionProbe::sync_stats() {
   if (evictions > evictions_reported_) {
     stats_->add_evictions(evictions - evictions_reported_);
     evictions_reported_ = evictions;
+  }
+  if (lookback_drops_ > lookback_drops_reported_) {
+    stats_->add_lookback_drops(lookback_drops_ - lookback_drops_reported_);
+    lookback_drops_reported_ = lookback_drops_;
   }
   stats_->set_live_flows(table_.size());
   stats_->set_live_sessions(sessions_.size());

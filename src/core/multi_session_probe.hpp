@@ -43,6 +43,10 @@ class MultiSessionProbe {
  public:
   using ReportCallback = std::function<void(const SessionReport&)>;
 
+  /// Hard bound on buffered pre-detection packets (≈3 MiB of records).
+  /// On overflow the oldest packet is dropped and counted.
+  static constexpr std::size_t kLookbackCap = std::size_t{1} << 16;
+
   /// Models must outlive the probe. `on_report` receives each retired
   /// session's report (and the remaining ones at flush()); the reference
   /// is valid only for the duration of the callback (the report lives in
@@ -63,8 +67,8 @@ class MultiSessionProbe {
   void flush();
 
   /// Optional counter sink (e.g. a ShardedProbe shard's ProbeStats). The
-  /// probe records evictions, session starts, reports, and the live
-  /// flow/session gauges into it; it must outlive the probe.
+  /// probe records evictions, lookback drops, session starts, reports, and
+  /// the live flow/session gauges into it; it must outlive the probe.
   void set_stats(ProbeStats* stats) { stats_ = stats; }
 
   /// Optional pipeline instrumentation, shared across all pooled engines.
@@ -93,6 +97,11 @@ class MultiSessionProbe {
   [[nodiscard]] std::uint64_t flow_evictions() const {
     return table_.evictions();
   }
+  /// Candidate packets buffered for replay at promotion.
+  [[nodiscard]] std::size_t lookback_size() const { return lookback_.size(); }
+  /// Buffered packets dropped by the kLookbackCap bound over the probe's
+  /// lifetime.
+  [[nodiscard]] std::uint64_t lookback_drops() const { return lookback_drops_; }
 
  private:
   struct Session {
@@ -135,7 +144,8 @@ class MultiSessionProbe {
   /// the installed callback/trace combination.
   void feed(Session& session, const net::PacketRecord& pkt);
   void retire(const net::FiveTuple& key);
-  /// Forwards eviction deltas and live gauges to stats_ (no-op unset).
+  /// Forwards eviction and lookback-drop deltas and live gauges to stats_
+  /// (no-op unset).
   void sync_stats();
 
   PipelineModels models_;
@@ -151,8 +161,11 @@ class MultiSessionProbe {
   std::map<net::FiveTuple, Session> sessions_;
   /// Reset engines awaiting reuse.
   std::vector<std::unique_ptr<SessionEngine>> pool_;
-  /// Rolling lookback of not-yet-attributed traffic (last ~10 s).
+  /// Rolling lookback (last ~10 s, at most kLookbackCap packets) of
+  /// undetected packets whose tuple passes is_candidate(); a promotion
+  /// replays and removes its flow's share.
   std::deque<net::PacketRecord> lookback_;
+  std::uint64_t lookback_drops_ = 0;
   std::size_t reports_ = 0;
   /// Packet time of the last idle sweep; initialized from the first
   /// packet (timestamps are wall-clock nanoseconds, so starting from 0
@@ -162,6 +175,8 @@ class MultiSessionProbe {
   ProbeStats* stats_ = nullptr;
   /// Evictions already forwarded to stats_ (table_ counts lifetime).
   std::uint64_t evictions_reported_ = 0;
+  /// Lookback drops already forwarded to stats_.
+  std::uint64_t lookback_drops_reported_ = 0;
   const PipelineMetrics* metrics_ = nullptr;
   obs::DecisionTraceRing* trace_ = nullptr;
   std::uint64_t next_session_id_ = 1;

@@ -16,7 +16,7 @@ std::string ProbeStatsSnapshot::to_string() const {
   os << "packets: in=" << packets_in << " processed=" << packets_processed
      << " dropped=" << packets_dropped << "\n"
      << "flows:   live=" << live_flows << " evicted=" << flow_evictions
-     << "\n"
+     << " lookback_dropped=" << lookback_dropped << "\n"
      << "sessions: live=" << live_sessions
      << " started=" << sessions_started << " reports=" << reports_emitted
      << "\n"
@@ -51,6 +51,9 @@ void ProbeStats::bind(obs::MetricsRegistry& registry,
   flow_evictions_ = &registry.counter(
       "cgctx_probe_flow_evictions_total",
       "Idle flows evicted from the shared flow table", labels);
+  lookback_dropped_ = &registry.counter(
+      "cgctx_probe_lookback_dropped_total",
+      "Pre-detection lookback packets dropped at the buffer cap", labels);
   sessions_started_ = &registry.counter(
       "cgctx_probe_sessions_started_total",
       "Flows promoted to tracked sessions", labels);
@@ -75,6 +78,7 @@ ProbeStatsSnapshot ProbeStats::snapshot() const {
   snap.packets_dropped = packets_dropped_->value();
   snap.packets_processed = packets_processed_->value();
   snap.flow_evictions = flow_evictions_->value();
+  snap.lookback_dropped = lookback_dropped_->value();
   snap.sessions_started = sessions_started_->value();
   snap.reports_emitted = reports_emitted_->value();
   snap.live_flows = static_cast<std::uint64_t>(live_flows_->value());
@@ -95,6 +99,7 @@ ProbeStatsSnapshot ProbeStats::aggregate(
     total.packets_dropped += s.packets_dropped;
     total.packets_processed += s.packets_processed;
     total.flow_evictions += s.flow_evictions;
+    total.lookback_dropped += s.lookback_dropped;
     total.sessions_started += s.sessions_started;
     total.reports_emitted += s.reports_emitted;
     total.live_flows += s.live_flows;

@@ -41,6 +41,7 @@ struct ProbeStatsSnapshot {
   std::uint64_t packets_dropped = 0;   ///< rejected by the overflow policy
   std::uint64_t packets_processed = 0; ///< fully pushed through a probe
   std::uint64_t flow_evictions = 0;    ///< idle flows dropped from tables
+  std::uint64_t lookback_dropped = 0;  ///< lookback packets over the cap
   std::uint64_t sessions_started = 0;  ///< flows promoted to sessions
   std::uint64_t reports_emitted = 0;   ///< sessions retired with a report
   std::uint64_t live_flows = 0;        ///< gauge: current flow-table size
@@ -72,6 +73,7 @@ class ProbeStats {
   void count_drop() { packets_dropped_->add(); }
   void count_processed() { packets_processed_->add(); }
   void add_evictions(std::uint64_t n) { flow_evictions_->add(n); }
+  void add_lookback_drops(std::uint64_t n) { lookback_dropped_->add(n); }
   void count_session_started() { sessions_started_->add(); }
   void count_report() { reports_emitted_->add(); }
 
@@ -104,6 +106,7 @@ class ProbeStats {
   obs::Counter* packets_dropped_ = nullptr;
   obs::Counter* packets_processed_ = nullptr;
   obs::Counter* flow_evictions_ = nullptr;
+  obs::Counter* lookback_dropped_ = nullptr;
   obs::Counter* sessions_started_ = nullptr;
   obs::Counter* reports_emitted_ = nullptr;
   obs::Gauge* live_flows_ = nullptr;

@@ -17,9 +17,10 @@ void StreamingAnalyzer::push(const net::PacketRecord& pkt) {
   if (!detection_) {
     // Detection needs a few hundred packets; the launch-stage packets
     // seen before the verdict still belong to the title-classification
-    // window, so buffer recent traffic and replay the flow's share once
-    // the verdict lands.
-    pre_buffer_.push_back(pkt);
+    // window, so buffer recent candidate traffic and replay the flow's
+    // share once the verdict lands.
+    if (CloudGamingFlowDetector::is_candidate(pkt.tuple.canonical()))
+      pre_buffer_.push_back(pkt);
     while (!pre_buffer_.empty() &&
            pkt.timestamp - pre_buffer_.front().timestamp >
                10 * net::kNanosPerSecond)

@@ -97,8 +97,9 @@ class StreamingAnalyzer {
   CloudGamingFlowDetector detector_;
   std::optional<DetectionResult> detection_;
   net::Timestamp flow_begin_ = 0;
-  /// Rolling pre-detection buffer (last ~10 s of all traffic) so the
-  /// detected flow's earliest packets still reach the title window.
+  /// Rolling pre-detection buffer (last ~10 s of packets whose tuple
+  /// passes is_candidate()) so the detected flow's earliest packets still
+  /// reach the title window.
   std::deque<net::PacketRecord> pre_buffer_;
 
   obs::DecisionTraceRing* trace_ = nullptr;

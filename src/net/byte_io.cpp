@@ -20,14 +20,6 @@ std::uint32_t ByteReader::read_u32_le() {
   return v;
 }
 
-std::vector<std::uint8_t> ByteReader::read_bytes(std::size_t n) {
-  if (!require(n)) return {};
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(offset_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(offset_ + n));
-  offset_ += n;
-  return out;
-}
-
 void ByteWriter::write_u8(std::uint8_t v) { buf_.push_back(v); }
 
 void ByteWriter::write_u16_be(std::uint16_t v) {

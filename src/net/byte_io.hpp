@@ -52,9 +52,6 @@ class ByteReader {
   std::uint16_t read_u16_le();
   std::uint32_t read_u32_le();
 
-  /// Copies `n` bytes into a vector; empty on failure.
-  std::vector<std::uint8_t> read_bytes(std::size_t n);
-
   /// Skips `n` bytes.
   void skip(std::size_t n) {
     if (require(n)) offset_ += n;

@@ -154,6 +154,47 @@ TEST(FlowDetector, UnknownPortIsRejected) {
   EXPECT_FALSE(detect_over(session.packets).has_value());
 }
 
+TEST(FlowDetector, IsCandidateMatchesDetectAtEveryPortBoundary) {
+  // A flow that meets every criterion except the tuple test: detect() must
+  // then accept exactly the tuples is_candidate() admits, or the probe's
+  // candidate-only lookback would miss packets of a flow it promotes.
+  net::FlowState flow;
+  flow.first_seen = 0;
+  flow.last_seen = 2 * net::kNanosPerSecond;
+  flow.down.packets = 1000;
+  flow.down.bytes = 1'000'000;  // 4 Mbps over 2 s
+  flow.down.max_payload = 1432;
+  flow.down.rtp_ssrc = 7;
+  flow.down.rtp_packets = 1000;
+  flow.down.rtp_same_ssrc = 1000;
+  flow.up.packets = 100;
+  flow.up.bytes = 10'000;
+
+  // {last port outside, first port inside} of every platform range edge.
+  const std::uint16_t kEdges[][2] = {
+      {9001, 9002},   {9031, 9030},   {9294, 9295},   {9305, 9304},
+      {44299, 44300}, {44381, 44380}, {49002, 49003}, {49007, 49006}};
+  // The canonical tuple leads with the lower address, so these servers put
+  // the platform port on its destination and its source side respectively.
+  const net::Ipv4Addr kServers[] = {net::Ipv4Addr::from_octets(203, 0, 113, 9),
+                                    net::Ipv4Addr::from_octets(1, 0, 0, 9)};
+  const CloudGamingFlowDetector detector;
+  for (const auto& edge : kEdges) {
+    for (int inside = 0; inside < 2; ++inside) {
+      for (const std::uint8_t protocol : {std::uint8_t{6}, std::uint8_t{17}}) {
+        for (const net::Ipv4Addr server : kServers) {
+          flow.key = net::FiveTuple{kClient, server, 12345, edge[inside],
+                                    protocol}.canonical();
+          SCOPED_TRACE(net::to_string(flow.key));
+          const bool candidate = CloudGamingFlowDetector::is_candidate(flow.key);
+          EXPECT_EQ(candidate, inside == 1 && protocol == 17);
+          EXPECT_EQ(detector.detect(flow).has_value(), candidate);
+        }
+      }
+    }
+  }
+}
+
 TEST(FlowDetector, PlatformNames) {
   EXPECT_STREQ(to_string(Platform::kGeforceNow), "GeForce NOW");
   EXPECT_STREQ(to_string(Platform::kXboxCloud), "Xbox Cloud Gaming");

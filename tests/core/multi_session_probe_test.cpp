@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/model_suite.hpp"
 #include "core/streaming_analyzer.hpp"
 #include "probe_test_models.hpp"
 #include "sim/cross_traffic.hpp"
+#include "sim/fleet.hpp"
 
 namespace cgctx::core {
 namespace {
@@ -188,6 +190,146 @@ TEST(MultiSessionProbe, LookbackReplayReproducesSingleAnalyzerExactly) {
   StreamingAnalyzer single(suite().models(), default_pipeline_params(), {});
   for (const auto& pkt : session.packets) single.push(pkt);
   EXPECT_EQ(probe_report, single.finish());
+}
+
+TEST(MultiSessionProbe, FlushMidStreamStartsTheNextSessionAfterTheFlush) {
+  // flush() retires a live session. Its flow keeps sending and promotes
+  // again; the new session must start from post-flush packets only, not
+  // replay the retired session's launch packets still within 10 s.
+  const auto session = make_session(sim::GameTitle::kFortnite, 0.0, 60);
+  const net::Timestamp flush_at =
+      session.packets.front().timestamp + 5 * net::kNanosPerSecond;
+
+  std::vector<SessionReport> reports;
+  net::Timestamp now = 0;
+  std::vector<std::pair<net::Timestamp, double>> detections;  // (at, age s)
+  MultiSessionProbe probe(
+      suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+      [&](const SessionReport& r) { reports.push_back(r); },
+      [&](const StreamEvent& event) {
+        if (event.type == StreamEventType::kFlowDetected)
+          detections.emplace_back(now, event.at_seconds);
+      });
+  net::Timestamp first_after_flush = 0;
+  for (const auto& pkt : session.packets) {
+    if (first_after_flush == 0 && pkt.timestamp >= flush_at) {
+      probe.flush();
+      ASSERT_EQ(reports.size(), 1u);
+      first_after_flush = pkt.timestamp;
+    }
+    now = pkt.timestamp;
+    probe.push(pkt);
+  }
+  probe.flush();
+
+  ASSERT_EQ(reports.size(), 2u);
+  ASSERT_EQ(detections.size(), 2u);
+  // The second session's clock starts at or after the first post-flush
+  // packet: detected at `at`, it is no older than `at - first_after_flush`.
+  const auto [at, age_s] = detections[1];
+  EXPECT_LE(age_s, net::duration_to_seconds(at - first_after_flush));
+  EXPECT_LE(reports[1].duration_s,
+            std::ceil(net::duration_to_seconds(session.packets.back().timestamp -
+                                               first_after_flush)));
+}
+
+TEST(MultiSessionProbe, CrossTrafficChangesNeitherReportNorLookback) {
+  // One gaming session among 102 VoIP/web/video flows. None of the cross
+  // flows can ever promote, so none of their packets enters the lookback,
+  // and the session's report is exactly its report on an empty wire.
+  sim::FleetReplayOptions options;
+  options.sessions = 1;
+  options.seed = 61;
+  options.gameplay_seconds = 20.0;
+  options.start_spread_s = 5.0;
+  options.cross_traffic_flows = 102;
+  options.cross_traffic_duration_s = 12.0;
+  const sim::FleetReplay replay = sim::build_fleet_replay(options);
+  const net::FiveTuple gaming = replay.session_flows.front();
+  const auto in_session = [&](const net::PacketRecord& pkt) {
+    return pkt.tuple.canonical() == gaming;
+  };
+  std::vector<net::PacketRecord> alone;
+  std::copy_if(replay.wire.begin(), replay.wire.end(),
+               std::back_inserter(alone), in_session);
+  ASSERT_LT(alone.size(), replay.wire.size() / 2);
+
+  const auto run = [&](const std::vector<net::PacketRecord>& wire,
+                       std::size_t& lookback_excess) {
+    std::vector<SessionReport> reports;
+    MultiSessionProbe probe(
+        suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+        [&](const SessionReport& r) { reports.push_back(r); });
+    std::size_t session_packets = 0;
+    lookback_excess = 0;
+    for (const auto& pkt : wire) {
+      probe.push(pkt);
+      if (in_session(pkt)) ++session_packets;
+      if (probe.live_sessions() == 0 &&
+          probe.lookback_size() > session_packets)
+        lookback_excess = std::max(lookback_excess,
+                                   probe.lookback_size() - session_packets);
+    }
+    probe.flush();
+    EXPECT_EQ(probe.lookback_drops(), 0u);
+    return reports;
+  };
+  std::size_t excess = 0;
+  const std::vector<SessionReport> mixed = run(replay.wire, excess);
+  EXPECT_EQ(excess, 0u) << "cross-traffic packets entered the lookback";
+  const std::vector<SessionReport> single = run(alone, excess);
+  ASSERT_EQ(mixed.size(), 1u);
+  EXPECT_EQ(mixed, single);
+}
+
+TEST(MultiSessionProbe, LookbackCapBoundsAFloodAndCountsDrops) {
+  // A UDP flood on a platform port passes is_candidate() but never
+  // promotes (no RTP), so it fills the lookback faster than 10 s ages it.
+  constexpr std::size_t kExcess = 4464;
+  constexpr std::size_t kFlood = MultiSessionProbe::kLookbackCap + kExcess;
+  net::PacketRecord flood;
+  flood.direction = net::Direction::kUpstream;
+  flood.tuple = net::FiveTuple{net::Ipv4Addr::from_octets(10, 9, 9, 9),
+                               net::Ipv4Addr::from_octets(198, 51, 100, 7),
+                               50000, 49003, 17};
+  flood.payload_size = 1200;
+
+  ProbeStats stats;
+  std::vector<SessionReport> reports;
+  MultiSessionProbe probe(
+      suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+      [&](const SessionReport& r) { reports.push_back(r); });
+  probe.set_stats(&stats);
+  std::size_t peak = 0;
+  for (std::size_t i = 0; i < kFlood; ++i) {  // 10 k pkts/s for 7 s
+    flood.timestamp = static_cast<net::Timestamp>(i) * 100'000;
+    probe.push(flood);
+    peak = std::max(peak, probe.lookback_size());
+  }
+  EXPECT_EQ(peak, MultiSessionProbe::kLookbackCap);
+  EXPECT_EQ(probe.lookback_drops(), kExcess);
+  const ProbeStatsSnapshot snapshot = stats.snapshot();
+  EXPECT_EQ(snapshot.lookback_dropped, kExcess);
+  const ProbeStatsSnapshot shards[] = {snapshot, snapshot};
+  EXPECT_EQ(ProbeStats::aggregate(shards).lookback_dropped, 2 * kExcess);
+  EXPECT_EQ(probe.live_sessions(), 0u);
+  EXPECT_TRUE(reports.empty());
+
+  // A gaming session that starts after the flood is reported exactly as
+  // on an empty wire.
+  const auto session = make_session(sim::GameTitle::kCsgo, 8.0, 62);
+  for (const auto& pkt : session.packets) probe.push(pkt);
+  probe.flush();
+  EXPECT_LE(probe.lookback_size(), MultiSessionProbe::kLookbackCap);
+  ASSERT_EQ(reports.size(), 1u);
+
+  SessionReport alone;
+  MultiSessionProbe reference(
+      suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+      [&](const SessionReport& r) { alone = r; });
+  for (const auto& pkt : session.packets) reference.push(pkt);
+  reference.flush();
+  EXPECT_EQ(reports.front(), alone);
 }
 
 TEST(MultiSessionProbe, RequiresModels) {

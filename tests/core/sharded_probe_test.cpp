@@ -75,6 +75,7 @@ TEST(ShardedProbe, MultiShardReportsAreComplete) {
                                           replay.session_flows.end());
   EXPECT_EQ(reported, expected);
   EXPECT_EQ(stats.packets_dropped, 0u);
+  EXPECT_EQ(stats.lookback_dropped, 0u);
   EXPECT_EQ(stats.packets_in, replay.wire.size());
   EXPECT_EQ(stats.packets_processed, replay.wire.size());
   EXPECT_EQ(stats.reports_emitted, reports.size());

@@ -79,17 +79,6 @@ TEST(ByteReader, SkipAdvancesAndBoundsChecks) {
   EXPECT_FALSE(r.ok());
 }
 
-TEST(ByteReader, ReadBytesCopiesExactRange) {
-  const std::uint8_t bytes[] = {9, 8, 7, 6, 5};
-  ByteReader r(bytes);
-  r.skip(1);
-  const auto out = r.read_bytes(3);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], 8);
-  EXPECT_EQ(out[2], 6);
-  EXPECT_EQ(r.remaining(), 1u);
-}
-
 TEST(InternetChecksum, MatchesRfc1071Example) {
   // Canonical example: checksum of this sequence is 0xddf2 (RFC 1071 data
   // 00 01 f2 03 f4 f5 f6 f7 has sum 0x2210+0xddf2 complement relation).
