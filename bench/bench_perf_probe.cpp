@@ -8,10 +8,12 @@
 // MultiSessionProbe's reports byte-identically — sharding is a pure
 // scale-out transform, not a behavior change.
 //
-// Scaling expectation: >= 2x packets/sec at 4 shards vs 1 shard on a
-// host with >= 4 hardware threads. On smaller hosts the engine still
-// runs correctly but time-slices, so the bench prints the detected
-// concurrency and flags under-provisioned runs instead of pretending.
+// Scaling: one capture thread hashes and hands off every packet, so once
+// the shard workers together outpace it, more shards add nothing; and
+// shards beyond the host's hardware threads minus one time-slice with it
+// (DESIGN.md section 6 records measured inline / 1-shard / 3-shard
+// rates). The bench prints the detected concurrency and flags hosts with
+// fewer than 4 hardware threads instead of pretending.
 #include <chrono>
 #include <cstring>
 #include <iomanip>

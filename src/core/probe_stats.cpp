@@ -69,7 +69,13 @@ void ProbeStats::bind(obs::MetricsRegistry& registry,
       "Shard queue depth high-water mark", labels);
   latency_ = &registry.histogram(
       "cgctx_probe_packet_latency_ns",
-      "Per-packet processing latency (sampled)", std::move(labels));
+      "Per-packet processing latency (sampled)", labels);
+  backpressure_wait_ = &registry.histogram(
+      "cgctx_probe_backpressure_wait_ns",
+      "Capture-thread wait for space in a full shard queue", labels);
+  trace_overwritten_ = &registry.gauge(
+      "cgctx_probe_trace_overwritten",
+      "Decision-trace events lost to ring overwrite", std::move(labels));
 }
 
 ProbeStatsSnapshot ProbeStats::snapshot() const {

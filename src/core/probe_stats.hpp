@@ -11,9 +11,11 @@
 // so the same numbers that feed its snapshot()/aggregate() API also
 // appear in the registry's Prometheus/JSON exports, labeled per shard.
 // The mutators remain single relaxed atomics — the packet path never
-// takes a lock. Construction binds the facade to a caller-supplied
-// registry (ShardedProbe labels each shard); the default constructor
-// keeps the old standalone behavior by owning a private registry.
+// takes a lock — and the packet counters take batch deltas, so a caller
+// can keep per-packet tallies local and publish them once per batch.
+// Construction binds the facade to a caller-supplied registry
+// (ShardedProbe labels each shard); the default constructor keeps the
+// old standalone behavior by owning a private registry.
 #pragma once
 
 #include <memory>
@@ -37,6 +39,10 @@ using obs::summarize_latency;
 /// aggregation unit: ProbeStats::aggregate sums counters, maxes the
 /// high-water marks, and merges latency histograms across shards.
 struct ProbeStatsSnapshot {
+  // Under ShardedProbe the capture-side fields (packets_in,
+  // packets_dropped, queue_depth_hwm) are published every 256 pushes per
+  // shard, so a mid-run snapshot lags by up to that many packets per
+  // shard; after flush() every field is exact.
   std::uint64_t packets_in = 0;        ///< accepted into a shard queue
   std::uint64_t packets_dropped = 0;   ///< rejected by the overflow policy
   std::uint64_t packets_processed = 0; ///< fully pushed through a probe
@@ -69,9 +75,9 @@ class ProbeStats {
   ProbeStats(const ProbeStats&) = delete;
   ProbeStats& operator=(const ProbeStats&) = delete;
 
-  void count_packet_in() { packets_in_->add(); }
-  void count_drop() { packets_dropped_->add(); }
-  void count_processed() { packets_processed_->add(); }
+  void add_packets_in(std::uint64_t n) { packets_in_->add(n); }
+  void add_drops(std::uint64_t n) { packets_dropped_->add(n); }
+  void add_processed(std::uint64_t n) { packets_processed_->add(n); }
   void add_evictions(std::uint64_t n) { flow_evictions_->add(n); }
   void add_lookback_drops(std::uint64_t n) { lookback_dropped_->add(n); }
   void count_session_started() { sessions_started_->add(); }
@@ -89,6 +95,14 @@ class ProbeStats {
   }
 
   void record_latency_ns(std::uint64_t nanos) { latency_->record(nanos); }
+  /// Time one push spent waiting for queue space (full-queue slow path).
+  void record_backpressure_wait_ns(std::uint64_t nanos) {
+    backpressure_wait_->record(nanos);
+  }
+  /// Decision-trace events lost to ring overwrite so far.
+  void set_trace_overwritten(std::uint64_t n) {
+    trace_overwritten_->set(static_cast<std::int64_t>(n));
+  }
 
   [[nodiscard]] ProbeStatsSnapshot snapshot() const;
 
@@ -113,6 +127,8 @@ class ProbeStats {
   obs::Gauge* live_sessions_ = nullptr;
   obs::Gauge* queue_depth_hwm_ = nullptr;
   obs::Histogram* latency_ = nullptr;
+  obs::Histogram* backpressure_wait_ = nullptr;
+  obs::Gauge* trace_overwritten_ = nullptr;
 };
 
 }  // namespace cgctx::core

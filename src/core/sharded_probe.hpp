@@ -4,15 +4,16 @@
 // vantage point carries tens of thousands concurrently. ShardedProbe
 // scales the same pipeline across cores by partitioning the five-tuple
 // space: the capture thread hashes each packet's canonical tuple to one
-// of N shards and enqueues it there, and each shard's worker thread owns
-// a private FlowTable + session map (a full MultiSessionProbe), so
-// workers share nothing and need no locks on the packet path.
+// of N shards and writes it into that shard's single-producer/single-
+// consumer ring, and each shard's worker thread owns a private FlowTable
+// + session map (a full MultiSessionProbe), so workers share nothing and
+// the packet path takes no lock.
 //
 // Properties this buys:
 //  - per-flow ordering is preserved by construction (a flow maps to
-//    exactly one shard, whose queue is FIFO), so with num_shards == 1
+//    exactly one shard, whose ring is FIFO), so with num_shards == 1
 //    the engine's reports are byte-identical to MultiSessionProbe's;
-//  - the capture thread never blocks indefinitely: queues are bounded,
+//  - the capture thread never blocks indefinitely: rings are bounded,
 //    and overflow follows an explicit policy (drop immediately, or wait
 //    a bounded time then drop) with every drop counted;
 //  - per-shard ProbeStats aggregate into one snapshot readable from any
@@ -48,8 +49,10 @@ struct ShardedProbeParams {
   /// Per-shard probe configuration (pipeline, idle timeouts).
   MultiSessionProbeParams probe{};
   std::size_t num_shards = 1;
-  /// Bounded per-shard queue capacity, in packets.
-  std::size_t queue_capacity = 1 << 14;
+  /// Bounded per-shard queue capacity, in packets: a push is admitted
+  /// while fewer than this many packets are pending. The ring behind it
+  /// is rounded up to a power of two and always resident (48 B a slot).
+  std::size_t queue_capacity = 1 << 12;
   OverflowPolicy overflow = OverflowPolicy::kBackpressure;
   /// Longest one push() may wait for queue space under kBackpressure.
   std::chrono::milliseconds backpressure_timeout{100};
@@ -82,11 +85,16 @@ class ShardedProbe {
 
   /// Drains all queues, retires every live session (emitting reports),
   /// and joins the workers. Terminal: push() after flush() drops.
-  /// Idempotent; also runs from the destructor if never called.
+  /// Idempotent; also runs from the destructor if never called. Call it
+  /// from the capture thread: it publishes that thread's counters.
   void flush();
 
   /// Aggregated snapshot across shards; callable from any thread, before
-  /// or after flush().
+  /// or after flush(). The capture-side counters (packets_in,
+  /// packets_dropped, queue_depth_hwm) reach it every 256 pushes per
+  /// shard, so mid-run they lag by up to 255 packets per shard; after
+  /// flush() they are exact. queue_depth_hwm is sampled at those
+  /// publishes and whenever the ring looks full.
   [[nodiscard]] ProbeStatsSnapshot stats() const;
 
   /// The probe's unified metrics registry: per-shard `cgctx_probe_*`
@@ -112,6 +120,10 @@ class ShardedProbe {
 
  private:
   struct Shard;
+
+  /// Full-ring slow path of push(): reloads the worker's progress, then
+  /// applies the overflow policy. True iff the packet now fits.
+  bool make_room(Shard& s);
 
   ShardedProbeParams params_;
   /// Declared before shards_: shard ProbeStats and the shared

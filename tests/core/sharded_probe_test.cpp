@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
+#include <string_view>
+#include <thread>
 
 #include "core/model_suite.hpp"
 #include "probe_test_models.hpp"
@@ -83,6 +86,149 @@ TEST(ShardedProbe, MultiShardReportsAreComplete) {
   EXPECT_GE(stats.queue_depth_hwm, 1u);
 }
 
+/// Sum over shards of a registry series: counter/gauge value, or the
+/// sample count of a histogram.
+double metric_total(const ShardedProbe& probe, std::string_view name) {
+  double total = 0.0;
+  for (const obs::MetricSeries& series : probe.metrics_snapshot().series) {
+    if (series.name != name) continue;
+    total += series.kind == obs::MetricKind::kHistogram
+                 ? static_cast<double>(series.count)
+                 : series.value;
+  }
+  return total;
+}
+
+net::PacketRecord flood_packet() {
+  net::PacketRecord pkt;
+  pkt.tuple = net::FiveTuple{net::Ipv4Addr::from_octets(10, 9, 9, 9),
+                             net::Ipv4Addr::from_octets(119, 81, 2, 2),
+                             50555, 49004, 17};
+  pkt.payload_size = 1200;
+  return pkt;
+}
+
+TEST(ShardedProbe, TinyRingWrapsThousandsOfTimesWithoutChangingReports) {
+  const sim::FleetReplay replay = small_fleet(3, 2, 74);
+
+  std::vector<SessionReport> direct;
+  MultiSessionProbe probe(
+      suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+      [&](const SessionReport& r) { direct.push_back(r); });
+  for (const auto& pkt : replay.wire) probe.push(pkt);
+  probe.flush();
+
+  ShardedProbeParams params;
+  params.probe.pipeline = default_pipeline_params();
+  params.num_shards = 1;
+  params.queue_capacity = 8;
+  params.overflow = OverflowPolicy::kBackpressure;
+  // Generous, so a descheduled worker on a loaded host cannot force a
+  // drop: this test is about slot reuse, not about the timeout.
+  params.backpressure_timeout = std::chrono::seconds(30);
+  std::vector<SessionReport> sharded;
+  ShardedProbe engine(suite().models(), params,
+                      [&](const SessionReport& r) { sharded.push_back(r); });
+  for (const auto& pkt : replay.wire) ASSERT_TRUE(engine.push(pkt));
+  engine.flush();
+
+  ASSERT_GT(replay.wire.size(), 8u * 1000u);  // >= 1000 wraps of the ring
+  EXPECT_EQ(sharded, direct);
+  const ProbeStatsSnapshot stats = engine.stats();
+  EXPECT_EQ(stats.packets_in, replay.wire.size());
+  EXPECT_EQ(stats.packets_dropped, 0u);
+  EXPECT_EQ(stats.packets_processed, replay.wire.size());
+  EXPECT_LE(stats.queue_depth_hwm, 8u);
+}
+
+TEST(ShardedProbe, ParkedWorkersWakeForPacketsWithoutAFlush) {
+  const sim::FleetReplay replay = small_fleet(2, 2, 75);
+  ShardedProbeParams params;
+  params.probe.pipeline = default_pipeline_params();
+  params.num_shards = 2;
+  ShardedProbe probe(suite().models(), params, {});
+
+  // Short bursts separated by pauses long enough for both workers to
+  // finish spinning and park, so every burst has to wake one of them.
+  constexpr std::size_t kBurst = 64;
+  constexpr std::size_t kPushed = 40 * kBurst;
+  ASSERT_GE(replay.wire.size(), kPushed);
+  for (std::size_t i = 0; i < kPushed; ++i) {
+    ASSERT_TRUE(probe.push(replay.wire[i]));
+    if ((i + 1) % kBurst == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  // No flush(): a wakeup lost on the last burst would leave it unprocessed.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (probe.stats().packets_processed < kPushed &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(probe.stats().packets_processed, kPushed);
+  probe.flush();
+  EXPECT_EQ(probe.stats().packets_in, kPushed);
+}
+
+TEST(ShardedProbe, BackpressureTimeoutCountsEveryPacketAndRecordsWaits) {
+  ShardedProbeParams params;
+  params.probe.pipeline = default_pipeline_params();
+  params.num_shards = 1;
+  params.queue_capacity = 1;
+  params.overflow = OverflowPolicy::kBackpressure;
+  params.backpressure_timeout = std::chrono::milliseconds(1);
+  ShardedProbe probe(suite().models(), params, {});
+
+  net::PacketRecord pkt = flood_packet();
+  constexpr std::size_t kPackets = 20000;
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    pkt.timestamp = static_cast<net::Timestamp>(i) * 1'000'000;
+    if (probe.push(pkt)) ++accepted;
+  }
+  probe.flush();
+  const ProbeStatsSnapshot stats = probe.stats();
+  EXPECT_EQ(stats.packets_in, accepted);
+  EXPECT_EQ(stats.packets_in + stats.packets_dropped, kPackets);
+  EXPECT_EQ(stats.packets_processed, stats.packets_in);
+  EXPECT_EQ(stats.queue_depth_hwm, 1u);
+  // A capacity-1 ring is full whenever the worker holds a packet, so
+  // some pushes took the waiting slow path, and each one was timed.
+  EXPECT_GE(metric_total(probe, "cgctx_probe_backpressure_wait_ns"), 1.0);
+}
+
+TEST(ShardedProbe, PushAfterFlushIsDroppedAndCounted) {
+  ShardedProbeParams params;
+  params.probe.pipeline = default_pipeline_params();
+  params.num_shards = 2;
+  ShardedProbe probe(suite().models(), params, {});
+  net::PacketRecord pkt = flood_packet();
+  ASSERT_TRUE(probe.push(pkt));
+  probe.flush();
+
+  EXPECT_FALSE(probe.push(pkt));
+  EXPECT_FALSE(probe.push(pkt));
+  const ProbeStatsSnapshot stats = probe.stats();
+  EXPECT_EQ(stats.packets_in, 1u);
+  EXPECT_EQ(stats.packets_dropped, 2u);
+  EXPECT_EQ(stats.packets_processed, 1u);
+}
+
+TEST(ShardedProbe, ExportsTraceOverwritesPerShard) {
+  const sim::FleetReplay replay = small_fleet(2, 1, 76);
+  ShardedProbeParams params;
+  params.probe.pipeline = default_pipeline_params();
+  params.num_shards = 1;
+  params.trace_capacity = 4;
+  ShardedProbe probe(suite().models(), params, {});
+  for (const auto& pkt : replay.wire) probe.push(pkt);
+  const std::vector<obs::TraceEvent> held = probe.drain_trace();
+
+  // Two sessions tell far more than four events, so the ring wrapped and
+  // the shard's gauge must report the events it lost.
+  ASSERT_EQ(held.size(), 4u);
+  EXPECT_GT(metric_total(probe, "cgctx_probe_trace_overwritten"), 0.0);
+}
+
 TEST(ShardedProbe, FlowsKeepShardAffinity) {
   ShardedProbeParams params;
   params.probe.pipeline = default_pipeline_params();
@@ -108,11 +254,7 @@ TEST(ShardedProbe, DropNewestPolicyCountsDropsInsteadOfBlocking) {
   // Flood one shard faster than its worker can possibly drain a
   // capacity-1 queue; the capture path must never wedge and every
   // rejected packet must be counted.
-  net::PacketRecord pkt;
-  pkt.tuple = net::FiveTuple{net::Ipv4Addr::from_octets(10, 9, 9, 9),
-                             net::Ipv4Addr::from_octets(119, 81, 2, 2),
-                             50555, 49004, 17};
-  pkt.payload_size = 1200;
+  net::PacketRecord pkt = flood_packet();
   constexpr std::size_t kPackets = 20000;
   std::size_t accepted = 0;
   for (std::size_t i = 0; i < kPackets; ++i) {
