@@ -19,7 +19,6 @@
 #include "core/multi_session_probe.hpp"
 #include "core/pipeline_metrics.hpp"
 #include "core/session_engine.hpp"
-#include "core/trace_sink.hpp"
 #include "core/training.hpp"
 #include "net/flow_table.hpp"
 #include "net/framing.hpp"
@@ -238,14 +237,14 @@ void BM_EnginePacketSteadyState(benchmark::State& state) {
   static const core::PipelineParams params = core::default_pipeline_params();
   const auto& packets = sample_session().packets;
   core::SessionEngine engine(suite.models(), &params);
-  core::NullSessionSink sink;
+  const core::SessionObserver observer;
   engine.start(packets.front().timestamp);
-  for (const auto& pkt : packets) engine.on_packet(pkt, sink);
+  for (const auto& pkt : packets) engine.on_packet(pkt, observer);
 
   const std::size_t mid = packets.size() / 2;
   std::size_t next = 0;
   run_zero_alloc(state, [&] {
-    engine.on_packet(packets[mid + next], sink);
+    engine.on_packet(packets[mid + next], observer);
     next = (next + 1) & (kPacketPool - 1);
   });
 }
@@ -268,7 +267,7 @@ void BM_EngineTelemetrySessionSteadyState(benchmark::State& state) {
       suite.models().title->classify(session.packets, session.launch_begin);
 
   core::SessionEngine engine(suite.models(), &params);
-  core::NullSessionSink sink;
+  const core::SessionObserver observer;
   const auto run_session = [&] {
     engine.reset();
     engine.start(session.launch_begin);
@@ -281,9 +280,9 @@ void BM_EngineTelemetrySessionSteadyState(benchmark::State& state) {
       slot.frames = sample.frames;
       slot.rtt_ms = sample.rtt_ms;
       slot.loss_rate = sample.loss_rate;
-      engine.push_slot(slot, sink);
+      engine.push_slot(slot, observer);
     }
-    benchmark::DoNotOptimize(&engine.finish(sink));
+    benchmark::DoNotOptimize(&engine.finish(observer));
   };
   run_session();  // warm-up: install buffer capacities
   run_zero_alloc(state, run_session);
@@ -326,7 +325,7 @@ BENCHMARK(BM_ProbeCrossTrafficSteadyState);
 
 // --- Instrumented steady state -----------------------------------------
 // Same hot paths with the full telemetry plane enabled: a registry-bound
-// PipelineMetrics and a decision-trace sink. The 0-allocs/op contract
+// PipelineMetrics and a traced SessionObserver. The 0-allocs/op contract
 // must hold with observability ON — that is the deployment configuration.
 
 void BM_EnginePacketSteadyStateInstrumented(benchmark::State& state) {
@@ -337,17 +336,17 @@ void BM_EnginePacketSteadyStateInstrumented(benchmark::State& state) {
   obs::MetricsRegistry registry;
   const core::PipelineMetrics metrics = core::PipelineMetrics::create(registry);
   obs::DecisionTraceRing ring(1024);
-  core::TraceSessionSink sink{&ring, 1};
+  const core::SessionObserver observer{nullptr, &ring, 1};
 
   core::SessionEngine engine(suite.models(), &params);
   engine.set_metrics(&metrics);
   engine.start(packets.front().timestamp);
-  for (const auto& pkt : packets) engine.on_packet(pkt, sink);
+  for (const auto& pkt : packets) engine.on_packet(pkt, observer);
 
   const std::size_t mid = packets.size() / 2;
   std::size_t next = 0;
   run_zero_alloc(state, [&] {
-    engine.on_packet(packets[mid + next], sink);
+    engine.on_packet(packets[mid + next], observer);
     next = (next + 1) & (kPacketPool - 1);
   });
 }
@@ -369,7 +368,7 @@ void BM_EngineTelemetrySessionSteadyStateInstrumented(
   obs::MetricsRegistry registry;
   const core::PipelineMetrics metrics = core::PipelineMetrics::create(registry);
   obs::DecisionTraceRing ring(1024);
-  core::TraceSessionSink sink{&ring, 1};
+  const core::SessionObserver observer{nullptr, &ring, 1};
 
   core::SessionEngine engine(suite.models(), &params);
   engine.set_metrics(&metrics);
@@ -385,9 +384,9 @@ void BM_EngineTelemetrySessionSteadyStateInstrumented(
       slot.frames = sample.frames;
       slot.rtt_ms = sample.rtt_ms;
       slot.loss_rate = sample.loss_rate;
-      engine.push_slot(slot, sink);
+      engine.push_slot(slot, observer);
     }
-    benchmark::DoNotOptimize(&engine.finish(sink));
+    benchmark::DoNotOptimize(&engine.finish(observer));
   };
   run_session();  // warm-up: install buffer capacities
   run_zero_alloc(state, run_session);
@@ -422,14 +421,15 @@ int run_instrumented_gate() {
   obs::MetricsRegistry registry;
   const core::PipelineMetrics metrics = core::PipelineMetrics::create(registry);
   obs::DecisionTraceRing ring(1024);
-  core::TraceSessionSink trace_sink{&ring, 1};
-  core::NullSessionSink null_sink;
+  const core::SessionObserver traced{nullptr, &ring, 1};
+  const core::SessionObserver untraced;
 
   core::SessionEngine plain(suite.models(), &params);
   core::SessionEngine instrumented(suite.models(), &params);
   instrumented.set_metrics(&metrics);
 
-  const auto run_session = [&](core::SessionEngine& engine, auto& sink) {
+  const auto run_session = [&](core::SessionEngine& engine,
+                               const core::SessionObserver& observer) {
     engine.reset();
     engine.start(session.launch_begin);
     engine.set_title(title);
@@ -441,14 +441,14 @@ int run_instrumented_gate() {
       slot.frames = sample.frames;
       slot.rtt_ms = sample.rtt_ms;
       slot.loss_rate = sample.loss_rate;
-      engine.push_slot(slot, sink);
+      engine.push_slot(slot, observer);
     }
-    benchmark::DoNotOptimize(&engine.finish(sink));
+    benchmark::DoNotOptimize(&engine.finish(observer));
   };
 
   // Warm-up: install buffer capacities in both engines.
-  run_session(plain, null_sink);
-  run_session(instrumented, trace_sink);
+  run_session(plain, untraced);
+  run_session(instrumented, traced);
 
   using Clock = std::chrono::steady_clock;
   double plain_min_s = 1e300;
@@ -456,7 +456,7 @@ int run_instrumented_gate() {
   std::uint64_t instr_allocs = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     auto begin = Clock::now();
-    for (int i = 0; i < kSessionsPerRep; ++i) run_session(plain, null_sink);
+    for (int i = 0; i < kSessionsPerRep; ++i) run_session(plain, untraced);
     const double plain_s =
         std::chrono::duration<double>(Clock::now() - begin).count();
     if (plain_s < plain_min_s) plain_min_s = plain_s;
@@ -465,7 +465,7 @@ int run_instrumented_gate() {
         g_allocations.load(std::memory_order_relaxed);
     begin = Clock::now();
     for (int i = 0; i < kSessionsPerRep; ++i)
-      run_session(instrumented, trace_sink);
+      run_session(instrumented, traced);
     const double instr_s =
         std::chrono::duration<double>(Clock::now() - begin).count();
     if (instr_s < instr_min_s) instr_min_s = instr_s;

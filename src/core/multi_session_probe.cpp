@@ -1,18 +1,9 @@
 #include "core/multi_session_probe.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace cgctx::core {
-
-namespace {
-
-/// Pre-detection lookback: long enough to cover the detector's warmup so
-/// a new session's engine still sees the very first launch packets.
-constexpr net::Duration kLookback = 10 * net::kNanosPerSecond;
-
-}  // namespace
 
 MultiSessionProbe::MultiSessionProbe(PipelineModels models,
                                      MultiSessionProbeParams params,
@@ -22,7 +13,6 @@ MultiSessionProbe::MultiSessionProbe(PipelineModels models,
       params_(std::move(params)),
       on_report_(std::move(on_report)),
       on_event_(std::move(on_event)),
-      has_event_(static_cast<bool>(on_event_)),
       table_(params_.flow_idle_timeout),
       detector_(params_.pipeline.detector) {
   if (models_.title == nullptr || models_.stage == nullptr ||
@@ -51,7 +41,7 @@ void MultiSessionProbe::retire(const net::FiveTuple& key) {
   const auto it = sessions_.find(key);
   if (it == sessions_.end()) return;
   std::unique_ptr<SessionEngine> engine = std::move(it->second.engine);
-  const std::uint64_t session_id = it->second.id;
+  const SessionObserver observer = it->second.observer;
   // Drop any residual flow-table entry so a later session on the same
   // five-tuple starts its detection from fresh statistics instead of a
   // lifetime mean diluted by the idle gap. Done before erasing the
@@ -60,43 +50,9 @@ void MultiSessionProbe::retire(const net::FiveTuple& key) {
   sessions_.erase(it);
   ++reports_;
   if (stats_ != nullptr) stats_->count_report();
-  const SessionReport* report = nullptr;
-  if (trace_ != nullptr) {
-    if (has_event_) {
-      DualSink sink{&on_event_, trace_, session_id};
-      report = &engine->finish(sink);
-    } else {
-      TraceSessionSink sink{trace_, session_id};
-      report = &engine->finish(sink);
-    }
-    append_retired(*trace_, session_id, *report);
-  } else if (has_event_) {
-    EventSink sink{&on_event_};
-    report = &engine->finish(sink);
-  } else {
-    NullSessionSink sink;
-    report = &engine->finish(sink);
-  }
-  if (on_report_) on_report_(*report);
+  const SessionReport& report = engine->finish(observer);
+  if (on_report_) on_report_(report);
   release_engine(std::move(engine));
-}
-
-void MultiSessionProbe::feed(Session& session, const net::PacketRecord& pkt) {
-  if (trace_ != nullptr) {
-    if (has_event_) {
-      DualSink sink{&on_event_, trace_, session.id};
-      session.engine->on_packet(pkt, sink);
-    } else {
-      TraceSessionSink sink{trace_, session.id};
-      session.engine->on_packet(pkt, sink);
-    }
-  } else if (has_event_) {
-    EventSink sink{&on_event_};
-    session.engine->on_packet(pkt, sink);
-  } else {
-    NullSessionSink sink;
-    session.engine->on_packet(pkt, sink);
-  }
 }
 
 void MultiSessionProbe::push(const net::PacketRecord& pkt) {
@@ -121,23 +77,15 @@ void MultiSessionProbe::push(const net::PacketRecord& pkt) {
   const net::FiveTuple key = pkt.tuple.canonical();
   const auto live = sessions_.find(key);
   if (live != sessions_.end()) {
-    feed(live->second, pkt);
+    live->second.engine->on_packet(pkt, live->second.observer);
     live->second.last_seen = pkt.timestamp;
     sync_stats();
     return;
   }
 
   // Undetected traffic: account it, and keep a lookback of the packets
-  // detect() could ever promote. A tuple that fails is_candidate() never
-  // promotes, so its packets would never be replayed.
-  if (CloudGamingFlowDetector::is_candidate(key)) lookback_.push_back(pkt);
-  while (!lookback_.empty() &&
-         pkt.timestamp - lookback_.front().timestamp > kLookback)
-    lookback_.pop_front();
-  if (lookback_.size() > kLookbackCap) {
-    lookback_.pop_front();
-    ++lookback_drops_;
-  }
+  // detect() could ever promote.
+  lookback_.observe(pkt, key);
 
   const net::FlowState& flow = table_.add(pkt);
   const auto detection = detector_.detect(flow);
@@ -154,35 +102,21 @@ void MultiSessionProbe::push(const net::PacketRecord& pkt) {
   // analyzer's exactly. The promoted tuple leaves the shared table — its
   // packets bypass it from now on, and stale cumulative stats must not
   // greet a future session that reuses the tuple.
-  const auto in_flow = [&key](const net::PacketRecord& earlier) {
-    return earlier.tuple.canonical() == key;
-  };
-  const auto first = std::find_if(lookback_.begin(), lookback_.end(), in_flow);
   const net::Timestamp flow_begin =
-      first != lookback_.end() ? first->timestamp : pkt.timestamp;
+      lookback_.first_of(key).value_or(pkt.timestamp);
 
   Session session;
   session.engine = acquire_engine();
   session.last_seen = pkt.timestamp;
-  session.id = next_session_id_;
+  session.observer = {on_event_ ? &on_event_ : nullptr, trace_,
+                      next_session_id_};
   next_session_id_ += id_stride_;
   session.engine->start(flow_begin);
-  session.engine->set_detection(*detection);
-  if (has_event_ || trace_ != nullptr) {
-    StreamEvent event;
-    event.type = StreamEventType::kFlowDetected;
-    event.at_seconds = net::duration_to_seconds(pkt.timestamp - flow_begin);
-    event.detection = detection;
-    if (has_event_) on_event_(event);
-    if (trace_ != nullptr) append_trace(*trace_, session.id, event);
-  }
-  // Replay and remove in one pass (remove_if visits the buffer in order):
-  // a later session on this tuple, e.g. after flush(), must not replay
-  // packets that belong to this one.
-  std::erase_if(lookback_, [&](const net::PacketRecord& earlier) {
-    if (!in_flow(earlier)) return false;
-    feed(session, earlier);
-    return true;
+  session.engine->set_detection(*detection, pkt.timestamp, session.observer);
+  // Replay and remove: a later session on this tuple, e.g. after flush(),
+  // must not replay packets that belong to this one.
+  lookback_.take(key, [&session](const net::PacketRecord& earlier) {
+    session.engine->on_packet(earlier, session.observer);
   });
   sessions_.emplace(key, std::move(session));
   table_.erase(key);
@@ -197,9 +131,10 @@ void MultiSessionProbe::sync_stats() {
     stats_->add_evictions(evictions - evictions_reported_);
     evictions_reported_ = evictions;
   }
-  if (lookback_drops_ > lookback_drops_reported_) {
-    stats_->add_lookback_drops(lookback_drops_ - lookback_drops_reported_);
-    lookback_drops_reported_ = lookback_drops_;
+  const std::uint64_t lookback_drops = lookback_.drops();
+  if (lookback_drops > lookback_drops_reported_) {
+    stats_->add_lookback_drops(lookback_drops - lookback_drops_reported_);
+    lookback_drops_reported_ = lookback_drops;
   }
   stats_->set_live_flows(table_.size());
   stats_->set_live_sessions(sessions_.size());

@@ -10,20 +10,19 @@
 // Engines are pooled: a retired session's engine is reset (buffer
 // capacity retained, including the compiled-forest scratch) and reused
 // for the next detected session, so the steady-state per-packet path
-// performs no heap allocations and no per-session construction. When no
-// event callback is installed, packets advance the engine through a
-// compile-time null sink and the event plumbing vanishes entirely.
+// performs no heap allocations and no per-session construction. With no
+// event callback and no trace installed, each session's SessionObserver
+// is empty and the engine builds no events.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
 
+#include "core/launch_lookback.hpp"
 #include "core/pipeline_metrics.hpp"
 #include "core/probe_stats.hpp"
 #include "core/session_engine.hpp"
-#include "core/trace_sink.hpp"
 #include "net/flow_table.hpp"
 #include "obs/trace.hpp"
 
@@ -42,10 +41,6 @@ struct MultiSessionProbeParams {
 class MultiSessionProbe {
  public:
   using ReportCallback = std::function<void(const SessionReport&)>;
-
-  /// Hard bound on buffered pre-detection packets (≈3 MiB of records).
-  /// On overflow the oldest packet is dropped and counted.
-  static constexpr std::size_t kLookbackCap = std::size_t{1} << 16;
 
   /// Models must outlive the probe. `on_report` receives each retired
   /// session's report (and the remaining ones at flush()); the reference
@@ -99,50 +94,23 @@ class MultiSessionProbe {
   }
   /// Candidate packets buffered for replay at promotion.
   [[nodiscard]] std::size_t lookback_size() const { return lookback_.size(); }
-  /// Buffered packets dropped by the kLookbackCap bound over the probe's
-  /// lifetime.
-  [[nodiscard]] std::uint64_t lookback_drops() const { return lookback_drops_; }
+  /// Buffered packets dropped by the LaunchLookback::kCap bound over the
+  /// probe's lifetime.
+  [[nodiscard]] std::uint64_t lookback_drops() const {
+    return lookback_.drops();
+  }
 
  private:
   struct Session {
     std::unique_ptr<SessionEngine> engine;
     net::Timestamp last_seen = 0;
-    /// Trace-plane session id (assigned at promotion; 0 when untraced).
-    std::uint64_t id = 0;
-  };
-
-  /// Event-forwarding sink for when an event callback is installed
-  /// (slot records are folded into the report, never re-emitted).
-  struct EventSink {
-    static constexpr bool kWantsEvents = true;
-    static constexpr bool kWantsSlots = false;
-    const SessionEventCallback* on_event;
-    void on_stream_event(const StreamEvent& event) { (*on_event)(event); }
-    void on_slot_record(const SlotRecord&) {}
-  };
-
-  /// Fans events out to both the legacy callback and the decision-trace
-  /// ring. QoE-change events are trace-only: callbacks predate the event
-  /// type and must not start receiving it.
-  struct DualSink {
-    static constexpr bool kWantsEvents = true;
-    static constexpr bool kWantsSlots = false;
-    static constexpr bool kWantsQoe = true;
-    const SessionEventCallback* on_event;
-    obs::DecisionTraceRing* ring;
-    std::uint64_t session_id;
-    void on_stream_event(const StreamEvent& event) {
-      append_trace(*ring, session_id, event);
-      if (event.type != StreamEventType::kQoeChanged) (*on_event)(event);
-    }
-    void on_slot_record(const SlotRecord&) {}
+    /// Where this session's events go; carries the trace-plane session
+    /// id assigned at promotion.
+    SessionObserver observer;
   };
 
   [[nodiscard]] std::unique_ptr<SessionEngine> acquire_engine();
   void release_engine(std::unique_ptr<SessionEngine> engine);
-  /// Advances `session`'s engine by one packet through the sink matching
-  /// the installed callback/trace combination.
-  void feed(Session& session, const net::PacketRecord& pkt);
   void retire(const net::FiveTuple& key);
   /// Forwards eviction and lookback-drop deltas and live gauges to stats_
   /// (no-op unset).
@@ -152,7 +120,6 @@ class MultiSessionProbe {
   MultiSessionProbeParams params_;
   ReportCallback on_report_;
   SessionEventCallback on_event_;
-  bool has_event_ = false;
 
   /// Shared front-end: one flow table + detector across all traffic.
   net::FlowTable table_;
@@ -161,11 +128,9 @@ class MultiSessionProbe {
   std::map<net::FiveTuple, Session> sessions_;
   /// Reset engines awaiting reuse.
   std::vector<std::unique_ptr<SessionEngine>> pool_;
-  /// Rolling lookback (last ~10 s, at most kLookbackCap packets) of
-  /// undetected packets whose tuple passes is_candidate(); a promotion
-  /// replays and removes its flow's share.
-  std::deque<net::PacketRecord> lookback_;
-  std::uint64_t lookback_drops_ = 0;
+  /// Candidate packets of undetected flows; a promotion replays and
+  /// removes its flow's share.
+  LaunchLookback lookback_;
   std::size_t reports_ = 0;
   /// Packet time of the last idle sweep; initialized from the first
   /// packet (timestamps are wall-clock nanoseconds, so starting from 0

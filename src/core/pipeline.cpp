@@ -15,15 +15,25 @@ RealtimePipeline::RealtimePipeline(PipelineModels models, PipelineParams params)
     throw std::invalid_argument("RealtimePipeline: all models are required");
 }
 
+SessionObserver RealtimePipeline::next_observer() const {
+  if (trace_ == nullptr) return {};
+  return {nullptr, trace_,
+          next_trace_id_.fetch_add(1, std::memory_order_relaxed)};
+}
+
 std::optional<SessionReport> RealtimePipeline::process_packets(
     std::span<const net::PacketRecord> packets) const {
-  // Front-end: demux and find the cloud-gaming streaming flow.
+  // Front-end: demux until the cloud-gaming streaming flow is found.
   net::FlowTable table;
   const CloudGamingFlowDetector detector(params_.detector);
   std::optional<DetectionResult> detection;
+  net::Timestamp detected_at = 0;
   for (const net::PacketRecord& pkt : packets) {
-    const net::FlowState& flow = table.add(pkt);
-    if (!detection) detection = detector.detect(flow);
+    detection = detector.detect(table.add(pkt));
+    if (detection) {
+      detected_at = pkt.timestamp;
+      break;
+    }
   }
   if (!detection) return std::nullopt;
 
@@ -39,52 +49,19 @@ std::optional<SessionReport> RealtimePipeline::process_packets(
                    });
 
   // Replay the flow through the shared session engine.
+  const SessionObserver observer = next_observer();
   SessionEngine engine(models_, &params_);
   engine.set_metrics(metrics_);
   engine.start(flow_packets.front().timestamp);
-  engine.set_detection(*detection);
-  if (trace_ != nullptr) {
-    const std::uint64_t id =
-        next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-    StreamEvent event;
-    event.type = StreamEventType::kFlowDetected;
-    event.at_seconds = 0.0;
-    event.detection = detection;
-    append_trace(*trace_, id, event);
-    TraceSessionSink sink{trace_, id};
-    for (const net::PacketRecord& pkt : flow_packets)
-      engine.on_packet(pkt, sink);
-    SessionReport report = engine.finish(sink);
-    append_retired(*trace_, id, report);
-    return report;
-  }
-  NullSessionSink sink;
-  for (const net::PacketRecord& pkt : flow_packets) engine.on_packet(pkt, sink);
-  return engine.finish(sink);
+  engine.set_detection(*detection, detected_at, observer);
+  for (const net::PacketRecord& pkt : flow_packets)
+    engine.on_packet(pkt, observer);
+  return engine.finish(observer);
 }
-
-namespace {
-
-template <class Sink>
-SessionReport drive_session(SessionEngine& engine,
-                            const sim::LabeledSession& session, Sink& sink) {
-  SlotTelemetry slot;
-  for (const sim::SlotSample& sample : session.slots) {
-    slot.volumetrics = RawSlotVolumetrics{sample.down_bytes,
-                                          sample.down_packets, sample.up_bytes,
-                                          sample.up_packets};
-    slot.frames = sample.frames;
-    slot.rtt_ms = sample.rtt_ms;
-    slot.loss_rate = sample.loss_rate;
-    engine.push_slot(slot, sink);
-  }
-  return engine.finish(sink);
-}
-
-}  // namespace
 
 SessionReport RealtimePipeline::process_session(
     const sim::LabeledSession& session) const {
+  const SessionObserver observer = next_observer();
   SessionEngine engine(models_, &params_);
   engine.set_metrics(metrics_);
   engine.start(session.launch_begin);
@@ -93,16 +70,17 @@ SessionReport RealtimePipeline::process_session(
   engine.set_title(
       models_.title->classify(session.packets, session.launch_begin));
 
-  if (trace_ != nullptr) {
-    const std::uint64_t id =
-        next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-    TraceSessionSink sink{trace_, id};
-    SessionReport report = drive_session(engine, session, sink);
-    append_retired(*trace_, id, report);
-    return report;
+  SlotTelemetry slot;
+  for (const sim::SlotSample& sample : session.slots) {
+    slot.volumetrics = RawSlotVolumetrics{sample.down_bytes,
+                                          sample.down_packets, sample.up_bytes,
+                                          sample.up_packets};
+    slot.frames = sample.frames;
+    slot.rtt_ms = sample.rtt_ms;
+    slot.loss_rate = sample.loss_rate;
+    engine.push_slot(slot, observer);
   }
-  NullSessionSink sink;
-  return drive_session(engine, session, sink);
+  return engine.finish(observer);
 }
 
 }  // namespace cgctx::core

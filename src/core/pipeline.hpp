@@ -23,7 +23,6 @@
 #include <span>
 
 #include "core/session_engine.hpp"
-#include "core/trace_sink.hpp"
 #include "obs/trace.hpp"
 #include "sim/session.hpp"
 
@@ -58,6 +57,9 @@ class RealtimePipeline {
   void set_trace(obs::DecisionTraceRing* ring) { trace_ = ring; }
 
  private:
+  /// The next session's observer: traced with a fresh id, or empty.
+  [[nodiscard]] SessionObserver next_observer() const;
+
   PipelineModels models_;
   PipelineParams params_;
   const PipelineMetrics* metrics_ = nullptr;

@@ -16,6 +16,90 @@ const char* to_string(StreamEventType type) {
   return "?";
 }
 
+namespace {
+
+// Fixed-name lookups: the engine's steady state may append a trace event
+// per slot close, so the names must come from string literals, never
+// from the (allocating) *_class_names() vectors.
+const char* stage_name(ml::Label stage) {
+  if (stage == kStageActive) return "active";
+  if (stage == kStagePassive) return "passive";
+  if (stage == kStageIdle) return "idle";
+  return "?";
+}
+
+const char* pattern_name(ml::Label pattern) {
+  if (pattern == kPatternContinuous) return "continuous-play";
+  if (pattern == kPatternSpectate) return "spectate-and-play";
+  return "?";
+}
+
+const char* title_name(const TitleResult& title) {
+  return title.label ? title.class_name.c_str() : "(unknown)";
+}
+
+}  // namespace
+
+void SessionObserver::emit(const StreamEvent& event) const {
+  if (on_event != nullptr && event.type != StreamEventType::kQoeChanged)
+    (*on_event)(event);
+  if (trace == nullptr) return;
+  obs::TraceEvent out;
+  out.session_id = session_id;
+  out.at_seconds = event.at_seconds;
+  switch (event.type) {
+    case StreamEventType::kFlowDetected:
+      out.type = obs::TraceEventType::kFlowPromoted;
+      if (event.detection) out.set_name(to_string(event.detection->platform));
+      break;
+    case StreamEventType::kTitleClassified:
+      out.type = obs::TraceEventType::kTitleVerdict;
+      if (event.title) {
+        out.label = event.title->label
+                        ? static_cast<std::int32_t>(*event.title->label)
+                        : -1;
+        out.confidence = event.title->confidence;
+        out.set_name(title_name(*event.title));
+      }
+      break;
+    case StreamEventType::kStageChanged:
+      out.type = obs::TraceEventType::kStageTransition;
+      if (event.stage) {
+        out.label = static_cast<std::int32_t>(*event.stage);
+        out.set_name(stage_name(*event.stage));
+      }
+      break;
+    case StreamEventType::kPatternInferred:
+      out.type = obs::TraceEventType::kPatternDecision;
+      if (event.pattern) {
+        out.label = static_cast<std::int32_t>(event.pattern->label);
+        out.confidence = event.pattern->confidence;
+        out.set_name(pattern_name(event.pattern->label));
+      }
+      break;
+    case StreamEventType::kQoeChanged:
+      out.type = obs::TraceEventType::kQoeChange;
+      if (event.qoe) {
+        out.label = static_cast<std::int32_t>(*event.qoe);
+        out.set_name(to_string(*event.qoe));
+      }
+      break;
+  }
+  trace->push(out);
+}
+
+void SessionObserver::retired(const SessionReport& report) const {
+  if (trace == nullptr) return;
+  obs::TraceEvent out;
+  out.session_id = session_id;
+  out.at_seconds = report.duration_s;
+  out.type = obs::TraceEventType::kSessionRetired;
+  out.label = static_cast<std::int32_t>(report.effective_session);
+  out.confidence = report.title.confidence;
+  out.set_name(title_name(report.title));
+  trace->push(out);
+}
+
 SessionEngine::SessionEngine(PipelineModels models,
                              const PipelineParams* params)
     : models_(models), params_(params) {
@@ -41,8 +125,16 @@ void SessionEngine::start(net::Timestamp flow_begin) {
   flow_begin_ = flow_begin;
 }
 
-void SessionEngine::set_detection(const DetectionResult& detection) {
+void SessionEngine::set_detection(const DetectionResult& detection,
+                                  net::Timestamp detected_at,
+                                  const SessionObserver& observer) {
   report_.detection = detection;
+  if (!observer.wants_events()) return;
+  StreamEvent event;
+  event.type = StreamEventType::kFlowDetected;
+  event.at_seconds = net::duration_to_seconds(detected_at - flow_begin_);
+  event.detection = detection;
+  observer.emit(event);
 }
 
 void SessionEngine::install_title(const TitleResult& title) {
@@ -80,6 +172,65 @@ void SessionEngine::classify_pending_title() {
                         models_.title->params().attributes),
       scratch(models_.title->scratch_size())));
   title_window_.clear();  // keeps capacity for the next session
+}
+
+void SessionEngine::close_title(double at_seconds,
+                                const SessionObserver& observer) {
+  classify_pending_title();
+  if (!observer.wants_events()) return;
+  StreamEvent event;
+  event.type = StreamEventType::kTitleClassified;
+  event.at_seconds = at_seconds;
+  event.title = report_.title;
+  observer.emit(event);
+}
+
+void SessionEngine::close_slot(const SessionObserver& observer) {
+  deliver(close_slot_core(), observer);
+}
+
+void SessionEngine::push_slot(const SlotTelemetry& slot,
+                              const SessionObserver& observer) {
+  deliver(ingest_slot(slot), observer);
+}
+
+void SessionEngine::deliver(const SlotOutcome& outcome,
+                            const SessionObserver& observer) {
+  if (!observer.wants_events()) return;
+  if (outcome.stage_changed) {
+    StreamEvent event;
+    event.type = StreamEventType::kStageChanged;
+    event.at_seconds = outcome.at_seconds;
+    event.stage = report_.slots.back().stage;
+    observer.emit(event);
+  }
+  if (outcome.pattern_event) {
+    StreamEvent event;
+    event.type = StreamEventType::kPatternInferred;
+    event.at_seconds = outcome.at_seconds;
+    event.pattern = pattern_;
+    observer.emit(event);
+  }
+  if (outcome.qoe_changed) {
+    StreamEvent event;
+    event.type = StreamEventType::kQoeChanged;
+    event.at_seconds = outcome.at_seconds;
+    event.qoe = report_.slots.back().effective;
+    observer.emit(event);
+  }
+}
+
+const SessionReport& SessionEngine::finish(const SessionObserver& observer) {
+  if (started_ &&
+      (current_slot_.down_packets + current_slot_.up_packets) > 0)
+    close_slot(observer);
+  // A session that ended inside the title window is classified from what
+  // arrived, uniformly across entry points.
+  if (started_ && !title_done_)
+    close_title(static_cast<double>(report_.slots.size()), observer);
+  finalize();
+  observer.retired(report_);
+  return report_;
 }
 
 SessionEngine::SlotOutcome SessionEngine::close_slot_core() {

@@ -20,11 +20,12 @@
 //  - reset() clears session state but retains buffer capacity, so a
 //    pooled engine (MultiSessionProbe keeps a free list) analyzes its
 //    second and later sessions without allocating at all.
-//  - Milestone events are delivered through a compile-time sink type,
-//    not std::function: a sink declares kWantsEvents / kWantsSlots and
-//    the engine compiles the event construction out entirely for sinks
-//    that want nothing (NullSessionSink), so the probe's sharded path
-//    pays no dispatch cost per packet.
+//  - Milestone events go to a SessionObserver, a concrete value type
+//    holding an optional callback and an optional decision-trace ring.
+//    Events fire only at milestones (detection, title close, slot close,
+//    retirement), never on the per-packet tally, and the engine builds
+//    one only when the observer has somewhere to send it: an empty
+//    observer constructs and allocates nothing.
 #pragma once
 
 #include <array>
@@ -33,7 +34,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/flow_detector.hpp"
@@ -46,6 +46,7 @@
 #include "core/transition_model.hpp"
 #include "core/volumetric_tracker.hpp"
 #include "obs/scoped_timer.hpp"
+#include "obs/trace.hpp"
 
 namespace cgctx::core {
 
@@ -109,10 +110,9 @@ struct SessionReport {
 };
 
 /// Classification milestones the engine surfaces as it advances.
-/// kQoeChanged is opt-in: it fires once per effective-QoE level change
-/// (potentially every slot under churn), so only sinks declaring
-/// `kWantsQoe = true` (the decision-trace sink) receive it — legacy
-/// event consumers see the original four types unchanged.
+/// kQoeChanged fires once per effective-QoE level change (potentially
+/// every slot under churn); SessionObserver routes it to the decision
+/// trace only.
 enum class StreamEventType : std::uint8_t {
   kFlowDetected,
   kTitleClassified,
@@ -137,13 +137,13 @@ struct StreamEvent {
   std::optional<PatternResult> pattern;
   /// kQoeChanged: the new effective QoE level.
   std::optional<QoeLevel> qoe;
+
+  friend bool operator==(const StreamEvent&, const StreamEvent&) = default;
 };
 
-/// Type-erased callbacks used by the adapter layers (StreamingAnalyzer,
-/// MultiSessionProbe). The engine itself never stores these: adapters
-/// wrap them in a concrete sink type at the call site.
+/// Event callback installed on the adapter layers (StreamingAnalyzer,
+/// MultiSessionProbe); the engine reaches it through a SessionObserver.
 using SessionEventCallback = std::function<void(const StreamEvent&)>;
-using SlotRecordCallback = std::function<void(const SlotRecord&)>;
 
 /// One slot of externally measured telemetry (ISP slot-fidelity mode):
 /// raw volumetrics plus the QoS/QoE observables measured out of band.
@@ -154,25 +154,30 @@ struct SlotTelemetry {
   double loss_rate = 0.0;
 };
 
-/// Sink that wants nothing; every event/record path compiles away.
-struct NullSessionSink {
-  static constexpr bool kWantsEvents = false;
-  static constexpr bool kWantsSlots = false;
-  void on_stream_event(const StreamEvent&) {}
-  void on_slot_record(const SlotRecord&) {}
+/// Where one session's milestone events go. Both targets are optional
+/// and caller-owned. This is the one place that routes events: the
+/// decision-trace ring records every event, the callback every event
+/// except kQoeChanged (callbacks predate that type and never see it).
+struct SessionObserver {
+  const SessionEventCallback* on_event = nullptr;  ///< non-null => callable
+  obs::DecisionTraceRing* trace = nullptr;
+  std::uint64_t session_id = 0;  ///< carried by trace events
+
+  /// Whether any event has somewhere to go; the engine skips building
+  /// events entirely when not.
+  [[nodiscard]] bool wants_events() const {
+    return on_event != nullptr || trace != nullptr;
+  }
+  /// Routes one milestone. The trace side is allocation-free.
+  void emit(const StreamEvent& event) const;
+  /// Appends the trace's terminal session-retired event (callbacks
+  /// receive reports through their front-end instead).
+  void retired(const SessionReport& report) const;
 };
 
-/// Opt-in trait for QoE-change events: sinks may declare
-/// `static constexpr bool kWantsQoe = true` to receive kQoeChanged;
-/// sinks without the member (every pre-existing sink) default to false.
-template <class Sink, class = void>
-struct SinkWantsQoe : std::false_type {};
-template <class Sink>
-struct SinkWantsQoe<Sink, std::void_t<decltype(Sink::kWantsQoe)>>
-    : std::bool_constant<Sink::kWantsQoe> {};
-template <class Sink>
-inline constexpr bool kSinkWantsQoe =
-    Sink::kWantsEvents && SinkWantsQoe<Sink>::value;
+/// The empty observer under its former compile-time-sink name, kept
+/// because the repository benchmark (perfbench/) constructs it by name.
+using NullSessionSink = SessionObserver;
 
 class SessionEngine {
  public:
@@ -186,8 +191,12 @@ class SessionEngine {
   /// and title-window clocks are relative to it). Call after reset().
   void start(net::Timestamp flow_begin);
 
-  /// Records the front-end detection verdict into the report.
-  void set_detection(const DetectionResult& detection);
+  /// Records the front-end detection verdict into the report and emits
+  /// kFlowDetected, stamped with the age of the packet that triggered the
+  /// verdict (`detected_at`). Call after start().
+  void set_detection(const DetectionResult& detection,
+                     net::Timestamp detected_at,
+                     const SessionObserver& observer);
 
   /// Telemetry mode: installs an externally computed title verdict (and
   /// its demand hint) so push_slot() calibrates from the first slot, the
@@ -200,23 +209,21 @@ class SessionEngine {
   /// title once the window elapses, closes every slot boundary the
   /// packet's timestamp has passed, then tallies the packet into the
   /// open slot. Allocation-free in steady state.
-  template <class Sink>
-  void on_packet(const net::PacketRecord& pkt, Sink& sink);
+  void on_packet(const net::PacketRecord& pkt,
+                 const SessionObserver& observer);
 
   /// Closes the open packet-mode slot explicitly (classify + QoE + record).
-  template <class Sink>
-  void close_slot(Sink& sink);
+  void close_slot(const SessionObserver& observer);
 
   /// Telemetry mode: ingests one pre-aggregated slot.
-  template <class Sink>
-  void push_slot(const SlotTelemetry& slot, Sink& sink);
+  void push_slot(const SlotTelemetry& slot, const SessionObserver& observer);
 
   /// Flushes the partial final slot, classifies a still-pending title
   /// window (sessions shorter than the window), and finalizes session
-  /// aggregates. Returns the engine-owned report; callers copy it if
-  /// they need it past the next reset()/start().
-  template <class Sink>
-  const SessionReport& finish(Sink& sink);
+  /// aggregates, then tells the observer the session retired. Returns the
+  /// engine-owned report; callers copy it if they need it past the next
+  /// reset()/start().
+  const SessionReport& finish(const SessionObserver& observer);
 
   /// Clears all session state while retaining buffer capacity, so pooled
   /// engines reanalyze without reallocating.
@@ -239,7 +246,7 @@ class SessionEngine {
   [[nodiscard]] const SessionReport& report() const { return report_; }
 
  private:
-  /// What one closed slot produced, for the sink dispatch layer.
+  /// What one closed slot produced, for deliver().
   struct SlotOutcome {
     double at_seconds = 0.0;
     bool stage_changed = false;
@@ -250,12 +257,13 @@ class SessionEngine {
   SlotOutcome close_slot_core();
   SlotOutcome ingest_slot(const SlotTelemetry& slot);
   void classify_pending_title();
+  /// Classifies the buffered title window and emits kTitleClassified.
+  void close_title(double at_seconds, const SessionObserver& observer);
   void install_title(const TitleResult& title);
   void finalize();
   [[nodiscard]] std::span<double> scratch(std::size_t n);
 
-  template <class Sink>
-  void deliver(const SlotOutcome& outcome, Sink& sink);
+  void deliver(const SlotOutcome& outcome, const SessionObserver& observer);
 
   PipelineModels models_;
   const PipelineParams* params_;
@@ -308,28 +316,18 @@ class SessionEngine {
   double total_mbps_ = 0.0;
 };
 
-template <class Sink>
-void SessionEngine::on_packet(const net::PacketRecord& pkt, Sink& sink) {
+inline void SessionEngine::on_packet(const net::PacketRecord& pkt,
+                                     const SessionObserver& observer) {
   if (!title_done_) [[unlikely]] {
     const double t = net::duration_to_seconds(pkt.timestamp - flow_begin_);
-    if (t < title_window_seconds_) {
-      title_window_.push_back(pkt);
-    } else {
-      classify_pending_title();
-      if constexpr (Sink::kWantsEvents) {
-        StreamEvent event;
-        event.type = StreamEventType::kTitleClassified;
-        event.at_seconds = t;
-        event.title = report_.title;
-        sink.on_stream_event(event);
-      }
-    }
+    if (t < title_window_seconds_) title_window_.push_back(pkt);
+    else close_title(t, observer);
   }
 
   // Close any slots the clock has passed.
   while (pkt.timestamp - flow_begin_ >=
          static_cast<net::Timestamp>(next_slot_ + 1) * net::kNanosPerSecond)
-    close_slot(sink);
+    close_slot(observer);
 
   // Tally into the open slot.
   if (pkt.direction == net::Direction::kDownstream) {
@@ -340,68 +338,6 @@ void SessionEngine::on_packet(const net::PacketRecord& pkt, Sink& sink) {
     current_slot_.up_bytes += pkt.payload_size;
   }
   qoe_.add(pkt);
-}
-
-template <class Sink>
-void SessionEngine::close_slot(Sink& sink) {
-  deliver(close_slot_core(), sink);
-}
-
-template <class Sink>
-void SessionEngine::push_slot(const SlotTelemetry& slot, Sink& sink) {
-  deliver(ingest_slot(slot), sink);
-}
-
-template <class Sink>
-void SessionEngine::deliver(const SlotOutcome& outcome, Sink& sink) {
-  if constexpr (Sink::kWantsEvents) {
-    if (outcome.stage_changed) {
-      StreamEvent event;
-      event.type = StreamEventType::kStageChanged;
-      event.at_seconds = outcome.at_seconds;
-      event.stage = report_.slots.back().stage;
-      sink.on_stream_event(event);
-    }
-    if (outcome.pattern_event) {
-      StreamEvent event;
-      event.type = StreamEventType::kPatternInferred;
-      event.at_seconds = outcome.at_seconds;
-      event.pattern = pattern_;
-      sink.on_stream_event(event);
-    }
-  }
-  if constexpr (kSinkWantsQoe<Sink>) {
-    if (outcome.qoe_changed) {
-      StreamEvent event;
-      event.type = StreamEventType::kQoeChanged;
-      event.at_seconds = outcome.at_seconds;
-      event.qoe = report_.slots.back().effective;
-      sink.on_stream_event(event);
-    }
-  }
-  if constexpr (Sink::kWantsSlots) sink.on_slot_record(report_.slots.back());
-}
-
-template <class Sink>
-const SessionReport& SessionEngine::finish(Sink& sink) {
-  if (started_ &&
-      (current_slot_.down_packets + current_slot_.up_packets) > 0)
-    close_slot(sink);
-  if (started_ && !title_done_) {
-    // Session ended inside the title window: classify from what arrived
-    // (the batch pipeline has always done this; the engine makes the
-    // behavior uniform across entry points).
-    classify_pending_title();
-    if constexpr (Sink::kWantsEvents) {
-      StreamEvent event;
-      event.type = StreamEventType::kTitleClassified;
-      event.at_seconds = static_cast<double>(report_.slots.size());
-      event.title = report_.title;
-      sink.on_stream_event(event);
-    }
-  }
-  finalize();
-  return report_;
 }
 
 }  // namespace cgctx::core

@@ -5,23 +5,19 @@
 // something becomes known. StreamingAnalyzer owns the pre-detection
 // front-end (flow table + detector + lookback buffer) and adapts one
 // core::SessionEngine — the same state machine every entry point drives —
-// to std::function callbacks, surfacing classification milestones as
+// to a std::function callback, surfacing classification milestones as
 // typed events:
 //   kFlowDetected    — the cloud-gaming streaming flow was identified;
 //   kTitleClassified — the five-second title verdict (or "unknown");
 //   kStageChanged    — the player activity stage flipped;
 //   kPatternInferred — the gameplay pattern cleared its confidence bar.
-// Slot-level records stream out alongside, so a caller can feed the same
-// observability backends the batch pipeline does.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <optional>
 
+#include "core/launch_lookback.hpp"
 #include "core/session_engine.hpp"
-#include "core/trace_sink.hpp"
 #include "net/flow_table.hpp"
 #include "obs/trace.hpp"
 
@@ -30,14 +26,13 @@ namespace cgctx::core {
 class StreamingAnalyzer {
  public:
   using EventCallback = SessionEventCallback;
-  using SlotCallback = SlotRecordCallback;
 
-  /// Models must outlive the analyzer. Callbacks may be empty.
+  /// Models must outlive the analyzer. The callback may be empty.
   StreamingAnalyzer(PipelineModels models, PipelineParams params,
-                    EventCallback on_event, SlotCallback on_slot = {});
+                    EventCallback on_event);
 
   /// Non-copyable/movable: the engine references the analyzer-owned
-  /// params.
+  /// params, and the observer the analyzer-owned callback.
   StreamingAnalyzer(const StreamingAnalyzer&) = delete;
   StreamingAnalyzer& operator=(const StreamingAnalyzer&) = delete;
 
@@ -65,45 +60,29 @@ class StreamingAnalyzer {
   /// Optional decision trace. Successive sessions the analyzer processes
   /// are numbered 1, 2, ... (advanced by finish()). The ring must outlive
   /// the analyzer.
-  void set_trace(obs::DecisionTraceRing* ring) { trace_ = ring; }
+  void set_trace(obs::DecisionTraceRing* ring) { observer_.trace = ring; }
+
+  /// Candidate packets buffered before detection.
+  [[nodiscard]] std::size_t lookback_size() const { return lookback_.size(); }
+  /// Buffered packets dropped by the LaunchLookback::kCap bound over the
+  /// analyzer's lifetime.
+  [[nodiscard]] std::uint64_t lookback_drops() const {
+    return lookback_.drops();
+  }
 
  private:
-  /// Forwards engine milestones and slot records to the analyzer's
-  /// std::function callbacks and, when installed, the decision trace
-  /// (emptiness checked at dispatch; this adapter path is not the probe
-  /// hot path). QoE-change events are trace-only: the std::function
-  /// callbacks predate the event type and never see it.
-  struct CallbackSink {
-    static constexpr bool kWantsEvents = true;
-    static constexpr bool kWantsSlots = true;
-    static constexpr bool kWantsQoe = true;
-    StreamingAnalyzer* self;
-    void on_stream_event(const StreamEvent& event) {
-      if (self->trace_ != nullptr)
-        append_trace(*self->trace_, self->trace_session_id_, event);
-      if (event.type == StreamEventType::kQoeChanged) return;
-      if (self->on_event_) self->on_event_(event);
-    }
-    void on_slot_record(const SlotRecord& record) {
-      if (self->on_slot_) self->on_slot_(record);
-    }
-  };
-
   PipelineParams params_;
   EventCallback on_event_;
-  SlotCallback on_slot_;
+  /// Routes events to on_event_ and the trace; its session id advances
+  /// at each finish().
+  SessionObserver observer_;
 
   net::FlowTable table_;
   CloudGamingFlowDetector detector_;
   std::optional<DetectionResult> detection_;
-  net::Timestamp flow_begin_ = 0;
-  /// Rolling pre-detection buffer (last ~10 s of packets whose tuple
-  /// passes is_candidate()) so the detected flow's earliest packets still
-  /// reach the title window.
-  std::deque<net::PacketRecord> pre_buffer_;
-
-  obs::DecisionTraceRing* trace_ = nullptr;
-  std::uint64_t trace_session_id_ = 1;
+  /// Candidate packets seen before detection, so the detected flow's
+  /// earliest packets still reach the title window.
+  LaunchLookback lookback_;
 
   /// The shared per-session state machine (declared after params_, which
   /// it references).

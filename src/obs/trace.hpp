@@ -49,6 +49,8 @@ struct TraceEvent {
 
   void set_name(std::string_view s);
   [[nodiscard]] std::string_view name_view() const;
+
+  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
 class DecisionTraceRing {

@@ -286,7 +286,7 @@ TEST(MultiSessionProbe, LookbackCapBoundsAFloodAndCountsDrops) {
   // A UDP flood on a platform port passes is_candidate() but never
   // promotes (no RTP), so it fills the lookback faster than 10 s ages it.
   constexpr std::size_t kExcess = 4464;
-  constexpr std::size_t kFlood = MultiSessionProbe::kLookbackCap + kExcess;
+  constexpr std::size_t kFlood = LaunchLookback::kCap + kExcess;
   net::PacketRecord flood;
   flood.direction = net::Direction::kUpstream;
   flood.tuple = net::FiveTuple{net::Ipv4Addr::from_octets(10, 9, 9, 9),
@@ -306,7 +306,7 @@ TEST(MultiSessionProbe, LookbackCapBoundsAFloodAndCountsDrops) {
     probe.push(flood);
     peak = std::max(peak, probe.lookback_size());
   }
-  EXPECT_EQ(peak, MultiSessionProbe::kLookbackCap);
+  EXPECT_EQ(peak, LaunchLookback::kCap);
   EXPECT_EQ(probe.lookback_drops(), kExcess);
   const ProbeStatsSnapshot snapshot = stats.snapshot();
   EXPECT_EQ(snapshot.lookback_dropped, kExcess);
@@ -320,7 +320,7 @@ TEST(MultiSessionProbe, LookbackCapBoundsAFloodAndCountsDrops) {
   const auto session = make_session(sim::GameTitle::kCsgo, 8.0, 62);
   for (const auto& pkt : session.packets) probe.push(pkt);
   probe.flush();
-  EXPECT_LE(probe.lookback_size(), MultiSessionProbe::kLookbackCap);
+  EXPECT_LE(probe.lookback_size(), LaunchLookback::kCap);
   ASSERT_EQ(reports.size(), 1u);
 
   SessionReport alone;

@@ -3,7 +3,19 @@
 // sharded_probe_test, which link into one test binary, train it once.
 #pragma once
 
+#include <ostream>
+
 #include "core/model_suite.hpp"
+#include "obs/trace.hpp"
+
+namespace cgctx::obs {
+
+/// Readable gtest output for trace comparisons (one JSONL line per event).
+inline void PrintTo(const TraceEvent& event, std::ostream* os) {
+  *os << to_jsonl(event);
+}
+
+}  // namespace cgctx::obs
 
 namespace cgctx::core {
 

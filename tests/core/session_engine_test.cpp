@@ -6,7 +6,9 @@
 // core::SessionEngine, so their SessionReports must be byte-identical
 // (field-wise, doubles bitwise-equal) for every platform, title, and
 // seed. The sweep reuses one analyzer and one probe across all combos,
-// so the pooled reset path is exercised dozens of times, not once.
+// so the pooled reset path is exercised dozens of times, not once. Each
+// front-end also records a decision trace, and the traces must tell the
+// same story event for event.
 #include "core/session_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "core/multi_session_probe.hpp"
 #include "core/pipeline.hpp"
 #include "core/streaming_analyzer.hpp"
+#include "obs/trace.hpp"
 #include "probe_test_models.hpp"
 
 namespace cgctx::core {
@@ -35,6 +38,17 @@ sim::LabeledSession packet_session(sim::CloudPlatform platform,
   return gen.generate(spec);
 }
 
+/// Drains `ring` and zeroes each event's session id: the front-ends
+/// number their sessions independently, and everything else must match.
+std::vector<obs::TraceEvent> drain_story(obs::DecisionTraceRing& ring) {
+  EXPECT_EQ(ring.overwritten(), 0u);
+  std::vector<obs::TraceEvent> events;
+  ring.append_to(events);
+  ring.clear();
+  for (obs::TraceEvent& event : events) event.session_id = 0;
+  return events;
+}
+
 TEST(SessionEngineEquivalence, BatchStreamingProbeByteIdenticalAcrossSweep) {
   constexpr sim::CloudPlatform kPlatforms[] = {
       sim::CloudPlatform::kGeforceNow, sim::CloudPlatform::kXboxCloud,
@@ -47,12 +61,18 @@ TEST(SessionEngineEquivalence, BatchStreamingProbeByteIdenticalAcrossSweep) {
                                         sim::GameTitle::kHearthstone};
   constexpr std::uint64_t kSeeds[] = {101, 202};
 
-  const RealtimePipeline batch(suite().models(), default_pipeline_params());
+  obs::DecisionTraceRing batch_trace(1024);
+  obs::DecisionTraceRing streaming_trace(1024);
+  obs::DecisionTraceRing probe_trace(1024);
+  RealtimePipeline batch(suite().models(), default_pipeline_params());
+  batch.set_trace(&batch_trace);
   StreamingAnalyzer streaming(suite().models(), default_pipeline_params(), {});
+  streaming.set_trace(&streaming_trace);
   std::vector<SessionReport> probe_reports;
   MultiSessionProbe probe(
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
       [&](const SessionReport& r) { probe_reports.push_back(r); });
+  probe.set_trace(&probe_trace);
 
   std::size_t combos = 0;
   for (const sim::CloudPlatform platform : kPlatforms) {
@@ -84,6 +104,13 @@ TEST(SessionEngineEquivalence, BatchStreamingProbeByteIdenticalAcrossSweep) {
         EXPECT_EQ(batch_report->detection->flow, session.tuple.canonical());
         EXPECT_EQ(streamed, *batch_report);
         EXPECT_EQ(probe_reports.front(), *batch_report);
+
+        const std::vector<obs::TraceEvent> story = drain_story(batch_trace);
+        ASSERT_GE(story.size(), 3u);
+        EXPECT_EQ(story.front().type, obs::TraceEventType::kFlowPromoted);
+        EXPECT_EQ(story.back().type, obs::TraceEventType::kSessionRetired);
+        EXPECT_EQ(drain_story(streaming_trace), story);
+        EXPECT_EQ(drain_story(probe_trace), story);
         ++combos;
       }
     }
@@ -100,12 +127,12 @@ TEST(SessionEngine, PooledResetReproducesFreshEngineByteIdentically) {
   const auto second = packet_session(sim::CloudPlatform::kXboxCloud,
                                      sim::GameTitle::kDota2, 8);
 
-  NullSessionSink sink;
+  const SessionObserver observer;
   const auto run = [&](SessionEngine& engine,
                        const sim::LabeledSession& session) {
     engine.start(session.packets.front().timestamp);
-    for (const auto& pkt : session.packets) engine.on_packet(pkt, sink);
-    return engine.finish(sink);  // copies via the caller's SessionReport
+    for (const auto& pkt : session.packets) engine.on_packet(pkt, observer);
+    return engine.finish(observer);  // copies via the caller's SessionReport
   };
 
   SessionEngine reused(suite().models(), &params);
@@ -136,7 +163,7 @@ TEST(SessionEngine, TelemetryModeMatchesPipelineProcessSession) {
   engine.start(session.launch_begin);
   engine.set_title(suite().models().title->classify(session.packets,
                                                     session.launch_begin));
-  NullSessionSink sink;
+  const SessionObserver observer;
   for (const sim::SlotSample& sample : session.slots) {
     SlotTelemetry slot;
     slot.volumetrics = RawSlotVolumetrics{sample.down_bytes,
@@ -145,9 +172,9 @@ TEST(SessionEngine, TelemetryModeMatchesPipelineProcessSession) {
     slot.frames = sample.frames;
     slot.rtt_ms = sample.rtt_ms;
     slot.loss_rate = sample.loss_rate;
-    engine.push_slot(slot, sink);
+    engine.push_slot(slot, observer);
   }
-  EXPECT_EQ(engine.finish(sink), expected);
+  EXPECT_EQ(engine.finish(observer), expected);
 }
 
 TEST(SessionEngine, RequiresModelsAndParams) {

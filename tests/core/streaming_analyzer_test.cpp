@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/model_suite.hpp"
 #include "sim/cross_traffic.hpp"
 
@@ -135,6 +137,53 @@ TEST(StreamingAnalyzer, ReusableAcrossSessions) {
   StreamingAnalyzer fresh(suite().models(), default_pipeline_params(), {});
   for (const auto& pkt : second.packets) fresh.push(pkt);
   EXPECT_EQ(report_b, fresh.finish());
+}
+
+TEST(StreamingAnalyzer, LookbackCapBoundsAFloodAndCountsDrops) {
+  // A UDP flood on a GeForce NOW port passes is_candidate() but never
+  // detects (no RTP), so it fills the lookback faster than 10 s ages it.
+  constexpr std::size_t kExcess = 4464;
+  constexpr std::size_t kFlood = LaunchLookback::kCap + kExcess;
+  net::PacketRecord flood;
+  flood.direction = net::Direction::kUpstream;
+  flood.tuple = net::FiveTuple{net::Ipv4Addr::from_octets(10, 9, 9, 9),
+                               net::Ipv4Addr::from_octets(198, 51, 100, 7),
+                               50000, 49003, 17};
+  flood.payload_size = 1200;
+
+  StreamingAnalyzer analyzer(suite().models(), default_pipeline_params(), {});
+  std::size_t peak = 0;
+  for (std::size_t i = 0; i < kFlood; ++i) {  // 10 k pkts/s for 7 s
+    flood.timestamp = static_cast<net::Timestamp>(i) * 100'000;
+    analyzer.push(flood);
+    peak = std::max(peak, analyzer.lookback_size());
+  }
+  EXPECT_EQ(peak, LaunchLookback::kCap);
+  EXPECT_EQ(analyzer.lookback_drops(), kExcess);
+  EXPECT_FALSE(analyzer.flow_detected());
+
+  // A gaming session that starts after the flood is reported exactly as
+  // on an empty wire.
+  const sim::SessionGenerator gen;
+  sim::SessionSpec spec;
+  spec.title = sim::GameTitle::kCsgo;
+  spec.gameplay_seconds = 30.0;
+  spec.seed = 62;
+  spec.start_time = net::duration_from_seconds(8.0);
+  const sim::LabeledSession session = gen.generate(spec);
+  ASSERT_NE(session.tuple.canonical(), flood.tuple.canonical());
+  for (const auto& pkt : session.packets) {
+    analyzer.push(pkt);
+    peak = std::max(peak, analyzer.lookback_size());
+  }
+  EXPECT_EQ(peak, LaunchLookback::kCap);
+  const SessionReport flooded = analyzer.finish();
+  ASSERT_TRUE(flooded.detection.has_value());
+
+  StreamingAnalyzer alone(suite().models(), default_pipeline_params(), {});
+  for (const auto& pkt : session.packets) alone.push(pkt);
+  EXPECT_EQ(flooded, alone.finish());
+  EXPECT_EQ(alone.lookback_drops(), 0u);
 }
 
 TEST(StreamingAnalyzer, RequiresModels) {

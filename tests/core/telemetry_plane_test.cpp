@@ -1,18 +1,20 @@
 // The telemetry plane wired through the session pipeline: the
 // classification-health counters PipelineMetrics publishes, the decision
-// trace the engine emits through trace-aware sinks, and the promise that
+// trace the engine emits through its SessionObserver, and the promise that
 // instrumentation never changes a report.
 #include "core/pipeline_metrics.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "core/multi_session_probe.hpp"
 #include "core/pipeline.hpp"
 #include "core/sharded_probe.hpp"
 #include "core/streaming_analyzer.hpp"
-#include "core/trace_sink.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "probe_test_models.hpp"
@@ -142,6 +144,78 @@ TEST(TelemetryPlane, StreamingAnalyzerTracesAndHidesQoeFromCallbacks) {
   // one, traced or not.
   for (const StreamEventType type : callback_events)
     EXPECT_NE(type, StreamEventType::kQoeChanged);
+}
+
+/// What one front-end run delivered to each event consumer.
+struct ObservedRun {
+  std::vector<StreamEvent> events;
+  std::vector<obs::TraceEvent> trace;
+};
+
+/// Runs a front-end with the callback only, the trace only, and both: each
+/// consumer must see exactly the same thing whether or not the other one
+/// is installed.
+template <class RunFn>
+void expect_callback_and_trace_independent(const RunFn& run) {
+  const ObservedRun callback_only = run(true, false);
+  const ObservedRun trace_only = run(false, true);
+  const ObservedRun both = run(true, true);
+  ASSERT_FALSE(callback_only.events.empty());
+  ASSERT_FALSE(trace_only.trace.empty());
+  EXPECT_TRUE(callback_only.trace.empty());
+  EXPECT_TRUE(trace_only.events.empty());
+  EXPECT_EQ(both.events, callback_only.events);
+  EXPECT_EQ(both.trace, trace_only.trace);
+}
+
+TEST(TelemetryPlane, CallbackAndTraceAreIndependent) {
+  // Two overlapping sessions, so the probe routes interleaved events of
+  // two live sessions.
+  const sim::LabeledSession first = packet_session(101);
+  const sim::LabeledSession second = packet_session(202, 5.0);
+  ASSERT_NE(first.tuple.canonical(), second.tuple.canonical());
+  std::vector<net::PacketRecord> wire;
+  std::merge(first.packets.begin(), first.packets.end(),
+             second.packets.begin(), second.packets.end(),
+             std::back_inserter(wire),
+             [](const net::PacketRecord& a, const net::PacketRecord& b) {
+               return a.timestamp < b.timestamp;
+             });
+  const auto callback = [](ObservedRun& run, bool install) {
+    if (!install) return SessionEventCallback{};
+    return SessionEventCallback(
+        [&run](const StreamEvent& event) { run.events.push_back(event); });
+  };
+
+  expect_callback_and_trace_independent([&](bool with_callback,
+                                            bool with_trace) {
+    ObservedRun run;
+    obs::DecisionTraceRing ring(1024);
+    std::size_t reports = 0;
+    MultiSessionProbe probe(
+        suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+        [&reports](const SessionReport&) { ++reports; },
+        callback(run, with_callback));
+    if (with_trace) probe.set_trace(&ring);
+    for (const auto& pkt : wire) probe.push(pkt);
+    probe.flush();
+    EXPECT_EQ(reports, 2u);
+    ring.append_to(run.trace);
+    return run;
+  });
+
+  expect_callback_and_trace_independent([&](bool with_callback,
+                                            bool with_trace) {
+    ObservedRun run;
+    obs::DecisionTraceRing ring(1024);
+    StreamingAnalyzer analyzer(suite().models(), default_pipeline_params(),
+                               callback(run, with_callback));
+    if (with_trace) analyzer.set_trace(&ring);
+    for (const auto& pkt : wire) analyzer.push(pkt);
+    EXPECT_FALSE(analyzer.finish().slots.empty());
+    ring.append_to(run.trace);
+    return run;
+  });
 }
 
 TEST(TelemetryPlane, ShardedProbePublishesRegistryAndTrace) {
