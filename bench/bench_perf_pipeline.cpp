@@ -292,10 +292,9 @@ void BM_EngineTelemetrySessionSteadyState(benchmark::State& state) {
 BENCHMARK(BM_EngineTelemetrySessionSteadyState);
 
 void BM_ProbeCrossTrafficSteadyState(benchmark::State& state) {
-  // Undetected cross traffic through a probe whose flow table already
-  // holds every flow: each op is one VoIP/web/video packet stamped 1 ms
-  // after the last, so the probe demuxes, accounts, rejects and ages its
-  // lookback as at a vantage point. None of it may touch the heap.
+  // Cross traffic through a probe: each op is one VoIP/web/video packet
+  // stamped 1 ms after the last, which the probe gates out before its
+  // flow table as at a vantage point. None of it may touch the heap.
   const auto& suite = bench::bench_models();
   sim::FleetReplayOptions options;
   options.sessions = 0;
@@ -319,7 +318,7 @@ void BM_ProbeCrossTrafficSteadyState(benchmark::State& state) {
   };
   for (std::size_t i = 0; i < kPacketPool; ++i) push_next();  // warm-up
   run_zero_alloc(state, push_next);
-  benchmark::DoNotOptimize(probe.flow_table_size());
+  benchmark::DoNotOptimize(probe.gated_packets());
 }
 BENCHMARK(BM_ProbeCrossTrafficSteadyState);
 

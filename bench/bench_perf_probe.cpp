@@ -6,7 +6,10 @@
 // drops, queue high-water marks, state bounds, and per-packet latency
 // percentiles. Also verifies that the single-shard engine reproduces
 // MultiSessionProbe's reports byte-identically — sharding is a pure
-// scale-out transform, not a behavior change.
+// scale-out transform, not a behavior change — and that at every shard
+// count each pushed packet was accepted, dropped or gated exactly once
+// (packets_in + packets_dropped + packets_gated == pushed). Either check
+// failing makes the bench exit non-zero.
 //
 // Scaling: one capture thread hashes and hands off every packet, so once
 // the shard workers together outpace it, more shards add nothing; and
@@ -114,11 +117,13 @@ int main(int argc, char** argv) {
 
   std::cout << std::setw(7) << "shards" << std::setw(12) << "pkts/s"
             << std::setw(10) << "speedup" << std::setw(9) << "drops"
-            << std::setw(8) << "q_hwm" << std::setw(10) << "evicted"
+            << std::setw(8) << "q_hwm" << std::setw(10) << "gated"
+            << std::setw(10) << "evicted"
             << std::setw(9) << "reports" << std::setw(10) << "p50_us"
             << std::setw(10) << "p99_us" << "\n";
   double one_shard_pps = 0.0;
   bool parity_ok = true;
+  bool accounting_ok = true;
   const std::vector<std::size_t> shard_counts =
       smoke ? std::vector<std::size_t>{1, 2}
             : std::vector<std::size_t>{1, 2, 4, 8};
@@ -132,10 +137,20 @@ int main(int argc, char** argv) {
               << run.packets_per_sec / one_shard_pps << "x" << std::setw(9)
               << run.stats.packets_dropped << std::setw(8)
               << run.stats.queue_depth_hwm << std::setw(10)
+              << run.stats.packets_gated << std::setw(10)
               << run.stats.flow_evictions << std::setw(9)
               << run.reports.size() << std::setw(10) << std::setprecision(1)
               << latency.p50_us << std::setw(10) << latency.p99_us << "\n";
 
+    const std::uint64_t accounted = run.stats.packets_in +
+                                    run.stats.packets_dropped +
+                                    run.stats.packets_gated;
+    if (accounted != replay.wire.size()) {
+      accounting_ok = false;
+      std::cout << "        in + dropped + gated = " << accounted
+                << " != pushed " << replay.wire.size()
+                << " — REGRESSION\n";
+    }
     if (shards == 1) {
       parity_ok = run.reports == baseline.reports;
       std::cout << "        single-shard reports identical to "
@@ -143,5 +158,5 @@ int main(int argc, char** argv) {
                 << (parity_ok ? "yes" : "NO — REGRESSION") << "\n";
     }
   }
-  return parity_ok ? 0 : 1;
+  return parity_ok && accounting_ok ? 0 : 1;
 }

@@ -4,10 +4,11 @@
 // but the launch packets seen in that time belong to the title window.
 // So front-ends buffer recent undetected packets and replay the promoted
 // flow's share into its new engine. LaunchLookback owns the rules for
-// that buffer: only tuples that pass is_candidate() are kept (no other
-// flow can ever promote), packets older than kSpan behind the newest
-// packet age out, and at most kCap packets are held, the oldest dropped
-// and counted beyond that.
+// that buffer: packets older than kSpan behind the newest packet age
+// out, and at most kCap packets are held, the oldest dropped and counted
+// beyond that. Callers feed it only packets whose tuple passes
+// CloudGamingFlowDetector::is_candidate() (no other flow can ever
+// promote, so the front-ends gate those packets out before the demux).
 #pragma once
 
 #include <algorithm>
@@ -15,7 +16,6 @@
 #include <deque>
 #include <optional>
 
-#include "core/flow_detector.hpp"
 #include "net/packet.hpp"
 #include "net/time.hpp"
 
@@ -29,12 +29,12 @@ class LaunchLookback {
   /// engine still sees the flow's very first launch packets.
   static constexpr net::Duration kSpan = 10 * net::kNanosPerSecond;
 
-  /// Accounts one undetected packet whose canonical tuple is `key`:
-  /// buffers it if the tuple is a candidate, then ages out and caps the
-  /// buffer against the packet's timestamp. Inline: it runs on every
-  /// undetected packet.
-  void observe(const net::PacketRecord& pkt, const net::FiveTuple& key) {
-    if (CloudGamingFlowDetector::is_candidate(key)) buffer_.push_back(pkt);
+  /// Buffers one undetected candidate packet, then ages out and caps the
+  /// buffer against its timestamp. Precondition: the packet's canonical
+  /// tuple passes CloudGamingFlowDetector::is_candidate(). Inline: it
+  /// runs on every undetected candidate packet.
+  void observe(const net::PacketRecord& pkt) {
+    buffer_.push_back(pkt);
     while (!buffer_.empty() &&
            pkt.timestamp - buffer_.front().timestamp > kSpan)
       buffer_.pop_front();

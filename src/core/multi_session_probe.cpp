@@ -56,14 +56,23 @@ void MultiSessionProbe::retire(const net::FiveTuple& key) {
 }
 
 void MultiSessionProbe::push(const net::PacketRecord& pkt) {
+  // Gate: a tuple outside every platform port range can never promote,
+  // so its packet is counted and touches no other state, not even the
+  // sweep clock. Everything below sees the candidate sub-stream only.
+  const net::FiveTuple key = pkt.tuple.canonical();
+  if (!CloudGamingFlowDetector::is_candidate(key)) {
+    ++gated_;
+    return;
+  }
+
   if (!saw_packet_) {
     saw_packet_ = true;
     last_sweep_ = pkt.timestamp;
   }
 
-  // Periodic idle sweep, driven by packet time: retire silent sessions
-  // and evict idle undetected flows (cross traffic churns constantly; an
-  // unswept table grows without bound at vantage-point scale).
+  // Periodic idle sweep, driven by candidate packet time: retire silent
+  // sessions and evict idle undetected flows (candidate-port churn that
+  // never promotes must not grow the table without bound).
   if (pkt.timestamp - last_sweep_ > 5 * net::kNanosPerSecond) {
     last_sweep_ = pkt.timestamp;
     std::vector<net::FiveTuple> idle;
@@ -74,7 +83,6 @@ void MultiSessionProbe::push(const net::PacketRecord& pkt) {
     table_.evict_idle(pkt.timestamp);
   }
 
-  const net::FiveTuple key = pkt.tuple.canonical();
   const auto live = sessions_.find(key);
   if (live != sessions_.end()) {
     live->second.engine->on_packet(pkt, live->second.observer);
@@ -83,9 +91,8 @@ void MultiSessionProbe::push(const net::PacketRecord& pkt) {
     return;
   }
 
-  // Undetected traffic: account it, and keep a lookback of the packets
-  // detect() could ever promote.
-  lookback_.observe(pkt, key);
+  // Undetected candidate: account it, and keep it in the lookback.
+  lookback_.observe(pkt);
 
   const net::FlowState& flow = table_.add(pkt);
   const auto detection = detector_.detect(flow);
@@ -126,6 +133,10 @@ void MultiSessionProbe::push(const net::PacketRecord& pkt) {
 
 void MultiSessionProbe::sync_stats() {
   if (stats_ == nullptr) return;
+  if (gated_ > gated_reported_) {
+    stats_->add_gated(gated_ - gated_reported_);
+    gated_reported_ = gated_;
+  }
   const std::uint64_t evictions = table_.evictions();
   if (evictions > evictions_reported_) {
     stats_->add_evictions(evictions - evictions_reported_);

@@ -7,6 +7,13 @@
 // core::SessionEngine, and retiring sessions when their flow goes idle —
 // so the single-session machinery scales to the deployment shape.
 //
+// Only UDP flows on a platform streaming port can ever be detected
+// (CloudGamingFlowDetector::is_candidate), so push() gates every other
+// packet out first: it is counted (gated_packets()) and touches no flow
+// table, lookback, detector or session state. The probe's state, its
+// idle-sweep clock included, therefore depends on the candidate
+// sub-stream alone.
+//
 // Engines are pooled: a retired session's engine is reset (buffer
 // capacity retained, including the compiled-forest scratch) and reused
 // for the next detected session, so the steady-state per-packet path
@@ -31,10 +38,13 @@ namespace cgctx::core {
 struct MultiSessionProbeParams {
   PipelineParams pipeline{};
   /// A detected session whose flow has been silent this long is retired
-  /// (its report emitted).
+  /// (its report emitted) by the next idle sweep. Sweeps run every 5 s of
+  /// candidate packet time, so after a silence carrying only gated
+  /// traffic the session retires at the next candidate packet or flush().
   net::Duration session_idle_timeout = 30 * net::kNanosPerSecond;
-  /// An undetected flow silent this long is evicted from the shared flow
-  /// table (cross traffic must not accumulate state forever).
+  /// An undetected candidate flow silent this long is evicted from the
+  /// shared flow table (never-promoting churn must not accumulate state
+  /// forever).
   net::Duration flow_idle_timeout = 60 * net::kNanosPerSecond;
 };
 
@@ -56,14 +66,18 @@ class MultiSessionProbe {
   MultiSessionProbe& operator=(const MultiSessionProbe&) = delete;
 
   /// Feeds one packet from the aggregate stream (timestamp order).
+  /// Non-candidate packets are only counted.
   void push(const net::PacketRecord& pkt);
 
   /// Retires all live sessions, emitting their reports.
   void flush();
 
   /// Optional counter sink (e.g. a ShardedProbe shard's ProbeStats). The
-  /// probe records evictions, lookback drops, session starts, reports, and
-  /// the live flow/session gauges into it; it must outlive the probe.
+  /// probe records gated packets, evictions, lookback drops, session
+  /// starts, reports, and the live flow/session gauges into it; it must
+  /// outlive the probe. Gated packets are tallied locally and forwarded
+  /// on the next candidate packet or at flush(), so the gated path does
+  /// no atomic write.
   void set_stats(ProbeStats* stats) { stats_ = stats; }
 
   /// Optional pipeline instrumentation, shared across all pooled engines.
@@ -86,9 +100,12 @@ class MultiSessionProbe {
   /// Engines parked in the reuse pool (grows to the high-water mark of
   /// concurrent sessions, never beyond).
   [[nodiscard]] std::size_t pooled_engines() const { return pool_.size(); }
-  /// Current size of the shared (undetected-traffic) flow table.
+  /// Packets gated out as non-candidates over the probe's lifetime.
+  [[nodiscard]] std::uint64_t gated_packets() const { return gated_; }
+  /// Current size of the shared flow table (undetected candidate flows).
   [[nodiscard]] std::size_t flow_table_size() const { return table_.size(); }
-  /// Idle flows evicted from the shared table over the probe's lifetime.
+  /// Idle candidate flows evicted from the shared table over the probe's
+  /// lifetime.
   [[nodiscard]] std::uint64_t flow_evictions() const {
     return table_.evictions();
   }
@@ -112,8 +129,8 @@ class MultiSessionProbe {
   [[nodiscard]] std::unique_ptr<SessionEngine> acquire_engine();
   void release_engine(std::unique_ptr<SessionEngine> engine);
   void retire(const net::FiveTuple& key);
-  /// Forwards eviction and lookback-drop deltas and live gauges to stats_
-  /// (no-op unset).
+  /// Forwards gated, eviction and lookback-drop deltas and live gauges to
+  /// stats_ (no-op unset).
   void sync_stats();
 
   PipelineModels models_;
@@ -121,7 +138,8 @@ class MultiSessionProbe {
   ReportCallback on_report_;
   SessionEventCallback on_event_;
 
-  /// Shared front-end: one flow table + detector across all traffic.
+  /// Shared front-end: one flow table + detector across all candidate
+  /// traffic.
   net::FlowTable table_;
   CloudGamingFlowDetector detector_;
   /// Live sessions keyed by canonical flow tuple.
@@ -137,7 +155,11 @@ class MultiSessionProbe {
   /// would fire an immediate empty sweep on every capture).
   net::Timestamp last_sweep_ = 0;
   bool saw_packet_ = false;
+  /// Non-candidate packets gated out (lifetime).
+  std::uint64_t gated_ = 0;
   ProbeStats* stats_ = nullptr;
+  /// Gated packets already forwarded to stats_.
+  std::uint64_t gated_reported_ = 0;
   /// Evictions already forwarded to stats_ (table_ counts lifetime).
   std::uint64_t evictions_reported_ = 0;
   /// Lookback drops already forwarded to stats_.

@@ -29,6 +29,9 @@ std::optional<SessionReport> RealtimePipeline::process_packets(
   std::optional<DetectionResult> detection;
   net::Timestamp detected_at = 0;
   for (const net::PacketRecord& pkt : packets) {
+    // Gate, as the streaming front-ends do: only candidates can detect.
+    if (!CloudGamingFlowDetector::is_candidate(pkt.tuple.canonical()))
+      continue;
     detection = detector.detect(table.add(pkt));
     if (detection) {
       detected_at = pkt.timestamp;

@@ -14,7 +14,8 @@ std::string ProbeStatsSnapshot::to_string() const {
   const LatencySummary lat = latency();
   std::ostringstream os;
   os << "packets: in=" << packets_in << " processed=" << packets_processed
-     << " dropped=" << packets_dropped << "\n"
+     << " dropped=" << packets_dropped << " gated=" << packets_gated
+     << "\n"
      << "flows:   live=" << live_flows << " evicted=" << flow_evictions
      << " lookback_dropped=" << lookback_dropped << "\n"
      << "sessions: live=" << live_sessions
@@ -25,6 +26,14 @@ std::string ProbeStatsSnapshot::to_string() const {
      << lat.p50_us << "us p90=" << lat.p90_us << "us p99=" << lat.p99_us
      << "us max=" << lat.max_us << "us";
   return os.str();
+}
+
+obs::Counter& gated_counter(obs::MetricsRegistry& registry,
+                            obs::MetricLabels labels) {
+  return registry.counter(
+      "cgctx_probe_packets_gated_total",
+      "Non-candidate packets gated out before the flow table",
+      std::move(labels));
 }
 
 ProbeStats::ProbeStats()
@@ -45,6 +54,7 @@ void ProbeStats::bind(obs::MetricsRegistry& registry,
   packets_dropped_ = &registry.counter(
       "cgctx_probe_packets_dropped_total",
       "Packets rejected by the queue overflow policy", labels);
+  packets_gated_ = &gated_counter(registry, labels);
   packets_processed_ = &registry.counter(
       "cgctx_probe_packets_processed_total",
       "Packets fully pushed through a probe", labels);
@@ -82,6 +92,7 @@ ProbeStatsSnapshot ProbeStats::snapshot() const {
   ProbeStatsSnapshot snap;
   snap.packets_in = packets_in_->value();
   snap.packets_dropped = packets_dropped_->value();
+  snap.packets_gated = packets_gated_->value();
   snap.packets_processed = packets_processed_->value();
   snap.flow_evictions = flow_evictions_->value();
   snap.lookback_dropped = lookback_dropped_->value();
@@ -103,6 +114,7 @@ ProbeStatsSnapshot ProbeStats::aggregate(
   for (const ProbeStatsSnapshot& s : shards) {
     total.packets_in += s.packets_in;
     total.packets_dropped += s.packets_dropped;
+    total.packets_gated += s.packets_gated;
     total.packets_processed += s.packets_processed;
     total.flow_evictions += s.flow_evictions;
     total.lookback_dropped += s.lookback_dropped;

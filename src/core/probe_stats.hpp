@@ -42,9 +42,12 @@ struct ProbeStatsSnapshot {
   // Under ShardedProbe the capture-side fields (packets_in,
   // packets_dropped, queue_depth_hwm) are published every 256 pushes per
   // shard, so a mid-run snapshot lags by up to that many packets per
-  // shard; after flush() every field is exact.
+  // shard, and packets_gated every 256 gated packets; after flush()
+  // every field is exact and packets_in + packets_dropped +
+  // packets_gated equals the packets pushed.
   std::uint64_t packets_in = 0;        ///< accepted into a shard queue
   std::uint64_t packets_dropped = 0;   ///< rejected by the overflow policy
+  std::uint64_t packets_gated = 0;     ///< non-candidates gated before demux
   std::uint64_t packets_processed = 0; ///< fully pushed through a probe
   std::uint64_t flow_evictions = 0;    ///< idle flows dropped from tables
   std::uint64_t lookback_dropped = 0;  ///< lookback packets over the cap
@@ -60,6 +63,13 @@ struct ProbeStatsSnapshot {
   /// Multi-line human-readable block (benches, operator logging).
   [[nodiscard]] std::string to_string() const;
 };
+
+/// The `cgctx_probe_packets_gated_total` series labeled `labels`. Every
+/// ProbeStats binds one; ShardedProbe also binds an unlabeled one for its
+/// capture thread, because the gate runs before the shard hash and gated
+/// packets belong to no shard.
+obs::Counter& gated_counter(obs::MetricsRegistry& registry,
+                            obs::MetricLabels labels);
 
 class ProbeStats {
  public:
@@ -77,6 +87,7 @@ class ProbeStats {
 
   void add_packets_in(std::uint64_t n) { packets_in_->add(n); }
   void add_drops(std::uint64_t n) { packets_dropped_->add(n); }
+  void add_gated(std::uint64_t n) { packets_gated_->add(n); }
   void add_processed(std::uint64_t n) { packets_processed_->add(n); }
   void add_evictions(std::uint64_t n) { flow_evictions_->add(n); }
   void add_lookback_drops(std::uint64_t n) { lookback_dropped_->add(n); }
@@ -118,6 +129,7 @@ class ProbeStats {
   std::unique_ptr<obs::MetricsRegistry> owned_;
   obs::Counter* packets_in_ = nullptr;
   obs::Counter* packets_dropped_ = nullptr;
+  obs::Counter* packets_gated_ = nullptr;
   obs::Counter* packets_processed_ = nullptr;
   obs::Counter* flow_evictions_ = nullptr;
   obs::Counter* lookback_dropped_ = nullptr;

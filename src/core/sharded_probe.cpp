@@ -13,7 +13,7 @@ namespace cgctx::core {
 namespace {
 
 /// Capture-side counters reach the registry once per this many pushes to
-/// a shard, and at flush().
+/// a shard (or gated packets), and at flush().
 constexpr std::uint32_t kPublishStride = 256;
 /// Most packets the worker processes before it frees their slots.
 constexpr std::uint64_t kMaxBatch = 256;
@@ -206,6 +206,7 @@ ShardedProbe::ShardedProbe(PipelineModels models, ShardedProbeParams params,
   if (params_.queue_capacity == 0)
     throw std::invalid_argument("ShardedProbe: queue_capacity must be >= 1");
   pipeline_metrics_ = PipelineMetrics::create(registry_);
+  packets_gated_ = &gated_counter(registry_, {});
 
   // Per-shard report sink: serialize across workers, then forward.
   const auto sink = [this](const SessionReport& report) {
@@ -244,11 +245,18 @@ std::size_t ShardedProbe::shard_of(const net::FiveTuple& canonical) const {
 }
 
 bool ShardedProbe::push(const net::PacketRecord& pkt) {
-  Shard& s = *shards_[shard_of(pkt.tuple.canonical())];
+  const net::FiveTuple key = pkt.tuple.canonical();
   if (flushed_) {
-    s.stats.add_drops(1);
+    shards_[shard_of(key)]->stats.add_drops(1);
     return false;
   }
+  // Gate before the hash and the ring copy: no shard could ever promote
+  // this packet, and a shard's probe would only count and skip it.
+  if (!CloudGamingFlowDetector::is_candidate(key)) {
+    if (++gated_unpublished_ == kPublishStride) publish_gated();
+    return true;
+  }
+  Shard& s = *shards_[shard_of(key)];
   Shard::Producer& p = s.producer;
   const bool admitted =
       p.tail - p.head_seen < params_.queue_capacity || make_room(s);
@@ -299,9 +307,15 @@ bool ShardedProbe::make_room(Shard& s) {
   return room;
 }
 
+void ShardedProbe::publish_gated() {
+  packets_gated_->add(gated_unpublished_);
+  gated_unpublished_ = 0;
+}
+
 void ShardedProbe::flush() {
   if (flushed_) return;
   flushed_ = true;
+  publish_gated();
   for (const auto& shard : shards_) {
     shard->publish();
     {
@@ -318,7 +332,9 @@ ProbeStatsSnapshot ShardedProbe::stats() const {
   std::vector<ProbeStatsSnapshot> snaps;
   snaps.reserve(shards_.size());
   for (const auto& shard : shards_) snaps.push_back(shard->stats.snapshot());
-  return ProbeStats::aggregate(snaps);
+  ProbeStatsSnapshot total = ProbeStats::aggregate(snaps);
+  total.packets_gated += packets_gated_->value();
+  return total;
 }
 
 std::vector<obs::TraceEvent> ShardedProbe::drain_trace() {

@@ -3,16 +3,19 @@
 // One MultiSessionProbe keeps up with a handful of subscribers; an ISP
 // vantage point carries tens of thousands concurrently. ShardedProbe
 // scales the same pipeline across cores by partitioning the five-tuple
-// space: the capture thread hashes each packet's canonical tuple to one
-// of N shards and writes it into that shard's single-producer/single-
-// consumer ring, and each shard's worker thread owns a private FlowTable
-// + session map (a full MultiSessionProbe), so workers share nothing and
-// the packet path takes no lock.
+// space: the capture thread gates out packets no platform port range can
+// promote (counting them), hashes each remaining packet's canonical tuple
+// to one of N shards and writes it into that shard's single-producer/
+// single-consumer ring, and each shard's worker thread owns a private
+// FlowTable + session map (a full MultiSessionProbe), so workers share
+// nothing and the packet path takes no lock.
 //
 // Properties this buys:
 //  - per-flow ordering is preserved by construction (a flow maps to
-//    exactly one shard, whose ring is FIFO), so with num_shards == 1
-//    the engine's reports are byte-identical to MultiSessionProbe's;
+//    exactly one shard, whose ring is FIFO), and MultiSessionProbe's
+//    state depends only on the candidate packets it is fed, so with
+//    num_shards == 1 the engine's reports are byte-identical to
+//    MultiSessionProbe's;
 //  - the capture thread never blocks indefinitely: rings are bounded,
 //    and overflow follows an explicit policy (drop immediately, or wait
 //    a bounded time then drop) with every drop counted;
@@ -80,7 +83,9 @@ class ShardedProbe {
   ShardedProbe& operator=(const ShardedProbe&) = delete;
 
   /// Feeds one packet from the capture thread (single producer).
-  /// Returns false iff the packet was dropped by the overflow policy.
+  /// Returns false iff the packet was dropped by the overflow policy (or
+  /// pushed after flush()). A non-candidate packet is gated on the
+  /// capture thread: counted, never hashed or queued, and not a drop.
   bool push(const net::PacketRecord& pkt);
 
   /// Drains all queues, retires every live session (emitting reports),
@@ -92,9 +97,11 @@ class ShardedProbe {
   /// Aggregated snapshot across shards; callable from any thread, before
   /// or after flush(). The capture-side counters (packets_in,
   /// packets_dropped, queue_depth_hwm) reach it every 256 pushes per
-  /// shard, so mid-run they lag by up to 255 packets per shard; after
-  /// flush() they are exact. queue_depth_hwm is sampled at those
-  /// publishes and whenever the ring looks full.
+  /// shard, so mid-run they lag by up to 255 packets per shard, and
+  /// packets_gated every 256 gated packets; after flush() they are exact,
+  /// and packets_in + packets_dropped + packets_gated equals the packets
+  /// pushed. queue_depth_hwm is sampled at those publishes and whenever
+  /// the ring looks full.
   [[nodiscard]] ProbeStatsSnapshot stats() const;
 
   /// The probe's unified metrics registry: per-shard `cgctx_probe_*`
@@ -124,6 +131,8 @@ class ShardedProbe {
   /// Full-ring slow path of push(): reloads the worker's progress, then
   /// applies the overflow policy. True iff the packet now fits.
   bool make_room(Shard& s);
+  /// Moves the capture thread's gated tally into packets_gated_.
+  void publish_gated();
 
   ShardedProbeParams params_;
   /// Declared before shards_: shard ProbeStats and the shared
@@ -135,6 +144,11 @@ class ShardedProbe {
   mutable std::mutex sink_mu_;
   std::size_t reports_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// The capture thread's gated-packet series, unlabeled: the gate runs
+  /// before the shard hash, so gated packets belong to no shard.
+  obs::Counter* packets_gated_ = nullptr;
+  /// Gated packets since the last publish_gated() (capture thread only).
+  std::uint32_t gated_unpublished_ = 0;
   bool flushed_ = false;
 };
 

@@ -13,6 +13,10 @@ StreamingAnalyzer::StreamingAnalyzer(PipelineModels models,
 
 void StreamingAnalyzer::push(const net::PacketRecord& pkt) {
   const net::FiveTuple key = pkt.tuple.canonical();
+  if (!CloudGamingFlowDetector::is_candidate(key)) {
+    ++gated_;  // can never be detected: skip the demux, as the probe does
+    return;
+  }
   if (detection_) {
     if (key == detection_->flow) engine_.on_packet(pkt, observer_);
     return;
@@ -21,7 +25,7 @@ void StreamingAnalyzer::push(const net::PacketRecord& pkt) {
   // before the verdict still belong to the title-classification window,
   // so buffer recent candidate traffic and replay the flow's share once
   // the verdict lands (the triggering packet is among them).
-  lookback_.observe(pkt, key);
+  lookback_.observe(pkt);
   const net::FlowState& flow = table_.add(pkt);
   detection_ = detector_.detect(flow);
   if (!detection_) return;

@@ -36,9 +36,10 @@ class StreamingAnalyzer {
   StreamingAnalyzer(const StreamingAnalyzer&) = delete;
   StreamingAnalyzer& operator=(const StreamingAnalyzer&) = delete;
 
-  /// Feeds one packet in arrival order. Packets of undetected flows feed
-  /// the detector; once the gaming flow is identified, only its packets
-  /// are analyzed.
+  /// Feeds one packet in arrival order. Non-candidate packets (no
+  /// platform port range) are only counted; candidate packets of
+  /// undetected flows feed the detector; once the gaming flow is
+  /// identified, only its packets are analyzed.
   void push(const net::PacketRecord& pkt);
 
   /// Flushes the partially filled final slot and returns the session
@@ -62,6 +63,8 @@ class StreamingAnalyzer {
   /// the analyzer.
   void set_trace(obs::DecisionTraceRing* ring) { observer_.trace = ring; }
 
+  /// Non-candidate packets gated out over the analyzer's lifetime.
+  [[nodiscard]] std::uint64_t gated_packets() const { return gated_; }
   /// Candidate packets buffered before detection.
   [[nodiscard]] std::size_t lookback_size() const { return lookback_.size(); }
   /// Buffered packets dropped by the LaunchLookback::kCap bound over the
@@ -83,6 +86,7 @@ class StreamingAnalyzer {
   /// Candidate packets seen before detection, so the detected flow's
   /// earliest packets still reach the title window.
   LaunchLookback lookback_;
+  std::uint64_t gated_ = 0;
 
   /// The shared per-session state machine (declared after params_, which
   /// it references).

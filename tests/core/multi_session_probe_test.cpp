@@ -148,23 +148,62 @@ TEST(MultiSessionProbe, RetireThenResumeSameTupleRedetects) {
   }
 }
 
+/// Moves `flow` onto server port `port` and strips its RTP headers:
+/// candidate-port traffic the detector can never promote.
+void move_to_candidate_port(std::vector<net::PacketRecord>& flow,
+                            std::uint16_t port) {
+  for (net::PacketRecord& pkt : flow) {
+    if (pkt.direction == net::Direction::kUpstream) {
+      pkt.tuple.dst_port = port;
+    } else {
+      pkt.tuple.src_port = port;
+    }
+    pkt.rtp.reset();
+  }
+}
+
 TEST(MultiSessionProbe, FlowTableStaysBoundedUnderSustainedCrossTraffic) {
-  // A vantage point sees an endless churn of short non-gaming flows; the
-  // shared table must evict them instead of growing monotonically.
+  // A vantage point sees an endless churn of short non-gaming flows. Off
+  // the platform ports they are gated and never reach the shared table;
+  // on them they enter it, and it must evict them instead of growing
+  // monotonically.
   MultiSessionProbe probe(
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
       {});
   ml::Rng rng(58);
   constexpr std::size_t kFlows = 120;
-  std::size_t peak_table = 0;
-  for (std::size_t i = 0; i < kFlows; ++i) {
+  // Flow i: a 4 s VoIP call starting at 2i seconds of wire time.
+  const auto churn_flow = [&rng](std::size_t i, std::uint8_t subnet) {
     const auto client = net::Ipv4Addr::from_octets(
-        10, 50, static_cast<std::uint8_t>(i / 250 + 1),
+        10, subnet, static_cast<std::uint8_t>(i / 250 + 1),
         static_cast<std::uint8_t>(i % 250 + 1));
     auto flow = sim::voip_flow(client, 4.0, rng);
     const net::Duration offset =
         static_cast<net::Duration>(i) * 2 * net::kNanosPerSecond;
     for (auto& pkt : flow) pkt.timestamp += offset;
+    return flow;
+  };
+
+  // Ordinary VoIP churn (server ports 10000-19999): gated, no table entry.
+  std::uint64_t voip_packets = 0;
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const auto flow = churn_flow(i, 50);
+    for (const auto& pkt : flow) {
+      probe.push(pkt);
+      ASSERT_EQ(probe.flow_table_size(), 0u);
+    }
+    voip_packets += flow.size();
+  }
+  EXPECT_EQ(probe.gated_packets(), voip_packets);
+
+  // The same churn on GeForce NOW and Xbox ports, without RTP so that it
+  // never promotes, over the next ~240 s.
+  std::size_t peak_table = 0;
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    auto flow = churn_flow(kFlows + i, 60);
+    move_to_candidate_port(
+        flow, static_cast<std::uint16_t>(i % 2 == 0 ? 49003 + (i / 2) % 4
+                                                    : 9002 + (i / 2) % 29));
     for (const auto& pkt : flow) probe.push(pkt);
     peak_table = std::max(peak_table, probe.flow_table_size());
   }
@@ -173,6 +212,70 @@ TEST(MultiSessionProbe, FlowTableStaysBoundedUnderSustainedCrossTraffic) {
   EXPECT_LT(peak_table, 60u);
   EXPECT_GT(probe.flow_evictions(), 60u);
   EXPECT_EQ(probe.live_sessions(), 0u);
+  EXPECT_EQ(probe.gated_packets(), voip_packets);
+}
+
+TEST(MultiSessionProbe, GatedTrafficDoesNotAdvanceTheRetireClock) {
+  // The idle sweep runs on candidate packet time. A session whose flow
+  // goes silent, followed by 40 s of gated traffic only, stays live past
+  // its 30 s idle timeout. It retires at the next candidate packet, or at
+  // flush(), with the report it gets on an otherwise empty wire.
+  const auto session = make_session(sim::GameTitle::kFortnite, 0.0, 63);
+  SessionReport alone;
+  {
+    MultiSessionProbe reference(
+        suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+        [&](const SessionReport& r) { alone = r; });
+    for (const auto& pkt : session.packets) reference.push(pkt);
+    reference.flush();
+  }
+
+  const net::Timestamp silent_from = session.packets.back().timestamp;
+  ml::Rng rng(64);
+  auto voip =
+      sim::voip_flow(net::Ipv4Addr::from_octets(10, 7, 7, 8), 40.0, rng);
+  for (auto& pkt : voip)
+    pkt.timestamp += silent_from + net::kNanosPerSecond / 10;
+  ASSERT_GT(voip.back().timestamp - silent_from,
+            MultiSessionProbeParams{}.session_idle_timeout +
+                5 * net::kNanosPerSecond);
+
+  // A candidate packet that can never promote: one small non-RTP datagram.
+  net::PacketRecord candidate;
+  candidate.direction = net::Direction::kUpstream;
+  candidate.tuple = net::FiveTuple{net::Ipv4Addr::from_octets(10, 9, 9, 9),
+                                   net::Ipv4Addr::from_octets(198, 51, 100, 7),
+                                   50000, 49003, 17};
+  candidate.payload_size = 100;
+  candidate.timestamp = voip.back().timestamp + net::kNanosPerSecond / 1000;
+
+  for (const bool candidate_follows : {true, false}) {
+    SCOPED_TRACE(candidate_follows ? "retired by a candidate packet"
+                                   : "retired by flush()");
+    ProbeStats stats;
+    std::vector<SessionReport> reports;
+    MultiSessionProbe probe(
+        suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+        [&](const SessionReport& r) { reports.push_back(r); });
+    probe.set_stats(&stats);
+    for (const auto& pkt : session.packets) probe.push(pkt);
+    for (const auto& pkt : voip) probe.push(pkt);
+    EXPECT_EQ(probe.live_sessions(), 1u);
+    EXPECT_TRUE(reports.empty());
+    EXPECT_EQ(probe.gated_packets(), voip.size());
+    // The gated tally is local until a candidate packet or flush().
+    EXPECT_EQ(stats.snapshot().packets_gated, 0u);
+    if (candidate_follows) {
+      probe.push(candidate);
+      EXPECT_EQ(probe.live_sessions(), 0u);
+      EXPECT_EQ(reports.size(), 1u);
+      EXPECT_EQ(stats.snapshot().packets_gated, voip.size());
+    }
+    probe.flush();
+    EXPECT_EQ(stats.snapshot().packets_gated, voip.size());
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports.front(), alone);
+  }
 }
 
 TEST(MultiSessionProbe, LookbackReplayReproducesSingleAnalyzerExactly) {

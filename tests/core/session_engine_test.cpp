@@ -8,10 +8,14 @@
 // seed. The sweep reuses one analyzer and one probe across all combos,
 // so the pooled reset path is exercised dozens of times, not once. Each
 // front-end also records a decision trace, and the traces must tell the
-// same story event for event.
+// same story event for event. Every combo runs twice: clean, and
+// interleaved with non-candidate cross traffic, which every front-end
+// gates out before its demux, so both runs must tell the same story.
 #include "core/session_engine.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/model_suite.hpp"
 #include "core/multi_session_probe.hpp"
@@ -19,6 +23,7 @@
 #include "core/streaming_analyzer.hpp"
 #include "obs/trace.hpp"
 #include "probe_test_models.hpp"
+#include "sim/cross_traffic.hpp"
 
 namespace cgctx::core {
 namespace {
@@ -36,6 +41,32 @@ sim::LabeledSession packet_session(sim::CloudPlatform platform,
   spec.seed = seed;
   spec.start_time = net::duration_from_seconds(start_s);
   return gen.generate(spec);
+}
+
+/// `session`'s packets interleaved with two other subscribers' flows over
+/// its whole span: a VoIP call (RTP over UDP) and web browsing (TCP),
+/// neither on a platform port.
+std::vector<net::PacketRecord> with_cross_traffic(
+    const sim::LabeledSession& session, std::uint64_t seed) {
+  ml::Rng rng(seed);
+  const net::Timestamp begin = session.packets.front().timestamp;
+  const double span_s =
+      net::duration_to_seconds(session.packets.back().timestamp - begin);
+  std::vector<net::PacketRecord> wire = session.packets;
+  const auto add = [&](std::vector<net::PacketRecord> flow) {
+    for (net::PacketRecord& pkt : flow) {
+      pkt.timestamp += begin;
+      wire.push_back(pkt);
+    }
+  };
+  add(sim::voip_flow(net::Ipv4Addr::from_octets(10, 200, 0, 1), span_s, rng));
+  add(sim::web_browsing_flow(net::Ipv4Addr::from_octets(10, 200, 0, 2),
+                             span_s, rng));
+  std::stable_sort(wire.begin(), wire.end(),
+                   [](const net::PacketRecord& a, const net::PacketRecord& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  return wire;
 }
 
 /// Drains `ring` and zeroes each event's session id: the front-ends
@@ -73,6 +104,19 @@ TEST(SessionEngineEquivalence, BatchStreamingProbeByteIdenticalAcrossSweep) {
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
       [&](const SessionReport& r) { probe_reports.push_back(r); });
   probe.set_trace(&probe_trace);
+  // The cross-traffic runs use their own streaming front-ends, so each
+  // probe sees monotonic wire time.
+  obs::DecisionTraceRing mixed_streaming_trace(1024);
+  obs::DecisionTraceRing mixed_probe_trace(1024);
+  StreamingAnalyzer mixed_streaming(suite().models(), default_pipeline_params(),
+                                    {});
+  mixed_streaming.set_trace(&mixed_streaming_trace);
+  std::vector<SessionReport> mixed_probe_reports;
+  MultiSessionProbe mixed_probe(
+      suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+      [&](const SessionReport& r) { mixed_probe_reports.push_back(r); });
+  mixed_probe.set_trace(&mixed_probe_trace);
+  std::uint64_t cross_packets = 0;
 
   std::size_t combos = 0;
   for (const sim::CloudPlatform platform : kPlatforms) {
@@ -111,6 +155,27 @@ TEST(SessionEngineEquivalence, BatchStreamingProbeByteIdenticalAcrossSweep) {
         EXPECT_EQ(story.back().type, obs::TraceEventType::kSessionRetired);
         EXPECT_EQ(drain_story(streaming_trace), story);
         EXPECT_EQ(drain_story(probe_trace), story);
+
+        const std::vector<net::PacketRecord> mixed =
+            with_cross_traffic(session, seed + combos);
+        ASSERT_GT(mixed.size(), session.packets.size());
+        cross_packets += mixed.size() - session.packets.size();
+
+        const auto batch_mixed = batch.process_packets(mixed);
+        ASSERT_TRUE(batch_mixed.has_value());
+        EXPECT_EQ(*batch_mixed, *batch_report);
+        EXPECT_EQ(drain_story(batch_trace), story);
+
+        for (const auto& pkt : mixed) mixed_streaming.push(pkt);
+        EXPECT_EQ(mixed_streaming.finish(), *batch_report);
+        EXPECT_EQ(drain_story(mixed_streaming_trace), story);
+
+        mixed_probe_reports.clear();
+        for (const auto& pkt : mixed) mixed_probe.push(pkt);
+        mixed_probe.flush();
+        ASSERT_EQ(mixed_probe_reports.size(), 1u);
+        EXPECT_EQ(mixed_probe_reports.front(), *batch_report);
+        EXPECT_EQ(drain_story(mixed_probe_trace), story);
         ++combos;
       }
     }
@@ -118,6 +183,12 @@ TEST(SessionEngineEquivalence, BatchStreamingProbeByteIdenticalAcrossSweep) {
   EXPECT_EQ(combos, 24u);
   // One engine served all the probe's sessions via the pool.
   EXPECT_EQ(probe.pooled_engines(), 1u);
+  EXPECT_EQ(mixed_probe.pooled_engines(), 1u);
+  // Every cross-traffic packet was gated, and no clean one.
+  EXPECT_EQ(streaming.gated_packets(), 0u);
+  EXPECT_EQ(probe.gated_packets(), 0u);
+  EXPECT_EQ(mixed_streaming.gated_packets(), cross_packets);
+  EXPECT_EQ(mixed_probe.gated_packets(), cross_packets);
 }
 
 TEST(SessionEngine, PooledResetReproducesFreshEngineByteIdentically) {

@@ -29,6 +29,29 @@ sim::FleetReplay small_fleet(std::size_t sessions, std::size_t cross_flows,
   return sim::build_fleet_replay(options);
 }
 
+/// The wire's packets that belong to one of its gaming sessions. The
+/// fleet's cross traffic never uses a platform port, so these are exactly
+/// the packets the candidate gate lets through.
+std::vector<net::PacketRecord> session_packets(const sim::FleetReplay& replay) {
+  const std::set<net::FiveTuple> flows(replay.session_flows.begin(),
+                                       replay.session_flows.end());
+  std::vector<net::PacketRecord> out;
+  for (const net::PacketRecord& pkt : replay.wire)
+    if (flows.count(pkt.tuple.canonical()) != 0) out.push_back(pkt);
+  return out;
+}
+
+/// Exact capture-side accounting after flush(): every session packet went
+/// through a ring and was processed, and every other packet was gated.
+void expect_gated_accounting(const ProbeStatsSnapshot& stats,
+                             const sim::FleetReplay& replay) {
+  const std::uint64_t candidates = session_packets(replay).size();
+  ASSERT_LT(candidates, replay.wire.size());  // the wire has cross traffic
+  EXPECT_EQ(stats.packets_in, candidates);
+  EXPECT_EQ(stats.packets_gated, replay.wire.size() - candidates);
+  EXPECT_EQ(stats.packets_processed, stats.packets_in);
+}
+
 std::vector<SessionReport> run_sharded(
     const std::vector<net::PacketRecord>& wire, std::size_t shards,
     ProbeStatsSnapshot* stats_out = nullptr) {
@@ -45,19 +68,36 @@ std::vector<SessionReport> run_sharded(
 }
 
 TEST(ShardedProbe, SingleShardMatchesMultiSessionProbeExactly) {
-  const sim::FleetReplay replay = small_fleet(3, 2, 71);
+  const sim::FleetReplay replay = small_fleet(3, 9, 71);
+  const std::vector<net::PacketRecord> clean = session_packets(replay);
 
-  std::vector<SessionReport> direct;
-  MultiSessionProbe probe(
-      suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-      [&](const SessionReport& r) { direct.push_back(r); });
-  for (const auto& pkt : replay.wire) probe.push(pkt);
-  probe.flush();
+  const auto run_direct = [](const std::vector<net::PacketRecord>& wire,
+                             std::uint64_t& gated) {
+    std::vector<SessionReport> reports;
+    MultiSessionProbe probe(
+        suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+        [&](const SessionReport& r) { reports.push_back(r); });
+    for (const auto& pkt : wire) probe.push(pkt);
+    probe.flush();
+    gated = probe.gated_packets();
+    return reports;
+  };
+  std::uint64_t gated = 0;
+  const std::vector<SessionReport> direct = run_direct(replay.wire, gated);
+  EXPECT_EQ(gated, replay.wire.size() - clean.size());
+  ASSERT_EQ(direct.size(), replay.session_flows.size());
 
-  const std::vector<SessionReport> sharded = run_sharded(replay.wire, 1);
+  ProbeStatsSnapshot stats;
+  const std::vector<SessionReport> sharded =
+      run_sharded(replay.wire, 1, &stats);
   // One shard preserves global packet order, so the engine must be a
   // behavior-preserving wrapper: same reports, same order, every field.
   EXPECT_EQ(sharded, direct);
+  expect_gated_accounting(stats, replay);
+  // Cross traffic changes nothing: both match the session-only wire.
+  EXPECT_EQ(run_direct(clean, gated), direct);
+  EXPECT_EQ(gated, 0u);
+  EXPECT_EQ(run_sharded(clean, 1), direct);
 }
 
 TEST(ShardedProbe, MultiShardReportsAreComplete) {
@@ -79,8 +119,7 @@ TEST(ShardedProbe, MultiShardReportsAreComplete) {
   EXPECT_EQ(reported, expected);
   EXPECT_EQ(stats.packets_dropped, 0u);
   EXPECT_EQ(stats.lookback_dropped, 0u);
-  EXPECT_EQ(stats.packets_in, replay.wire.size());
-  EXPECT_EQ(stats.packets_processed, replay.wire.size());
+  expect_gated_accounting(stats, replay);
   EXPECT_EQ(stats.reports_emitted, reports.size());
   EXPECT_EQ(stats.sessions_started, reports.size());
   EXPECT_GE(stats.queue_depth_hwm, 1u);
@@ -132,12 +171,12 @@ TEST(ShardedProbe, TinyRingWrapsThousandsOfTimesWithoutChangingReports) {
   for (const auto& pkt : replay.wire) ASSERT_TRUE(engine.push(pkt));
   engine.flush();
 
-  ASSERT_GT(replay.wire.size(), 8u * 1000u);  // >= 1000 wraps of the ring
+  // >= 1000 wraps of the ring (only gate-passing packets enter it).
+  ASSERT_GT(session_packets(replay).size(), 8u * 1000u);
   EXPECT_EQ(sharded, direct);
   const ProbeStatsSnapshot stats = engine.stats();
-  EXPECT_EQ(stats.packets_in, replay.wire.size());
+  expect_gated_accounting(stats, replay);
   EXPECT_EQ(stats.packets_dropped, 0u);
-  EXPECT_EQ(stats.packets_processed, replay.wire.size());
   EXPECT_LE(stats.queue_depth_hwm, 8u);
 }
 
@@ -207,9 +246,14 @@ TEST(ShardedProbe, PushAfterFlushIsDroppedAndCounted) {
 
   EXPECT_FALSE(probe.push(pkt));
   EXPECT_FALSE(probe.push(pkt));
+  // A packet the gate would pass over is still a drop after flush().
+  net::PacketRecord web = pkt;
+  web.tuple.dst_port = 443;
+  EXPECT_FALSE(probe.push(web));
   const ProbeStatsSnapshot stats = probe.stats();
   EXPECT_EQ(stats.packets_in, 1u);
-  EXPECT_EQ(stats.packets_dropped, 2u);
+  EXPECT_EQ(stats.packets_dropped, 3u);
+  EXPECT_EQ(stats.packets_gated, 0u);
   EXPECT_EQ(stats.packets_processed, 1u);
 }
 
@@ -274,16 +318,32 @@ TEST(ShardedProbe, StatsSnapshotReadableWhileRunning) {
   params.probe.pipeline = default_pipeline_params();
   params.num_shards = 2;
   ShardedProbe probe(suite().models(), params, {});
-  std::uint64_t mid_run_packets = 0;
+  const std::size_t mid = replay.wire.size() / 2;
+  ProbeStatsSnapshot mid_run;
   for (std::size_t i = 0; i < replay.wire.size(); ++i) {
     probe.push(replay.wire[i]);
-    if (i == replay.wire.size() / 2)
-      mid_run_packets = probe.stats().packets_in;
+    if (i == mid) mid_run = probe.stats();
   }
   probe.flush();
-  EXPECT_GT(mid_run_packets, 0u);
-  EXPECT_EQ(probe.stats().packets_in, replay.wire.size());
-  EXPECT_GT(probe.stats().latency().samples, 0u);
+  EXPECT_GT(mid_run.packets_in, 0u);
+  // The capture thread publishes its gated tally every 256 packets.
+  const std::set<net::FiveTuple> flows(replay.session_flows.begin(),
+                                       replay.session_flows.end());
+  const auto gated_by_mid = static_cast<std::uint64_t>(std::count_if(
+      replay.wire.begin(), replay.wire.begin() + mid + 1,
+      [&](const net::PacketRecord& pkt) {
+        return flows.count(pkt.tuple.canonical()) == 0;
+      }));
+  ASSERT_GT(gated_by_mid, 256u);
+  EXPECT_LE(mid_run.packets_gated, gated_by_mid);
+  EXPECT_GT(mid_run.packets_gated + 256, gated_by_mid);
+  const ProbeStatsSnapshot stats = probe.stats();
+  expect_gated_accounting(stats, replay);
+  EXPECT_EQ(stats.packets_dropped, 0u);
+  // The registry export carries the same gated total.
+  EXPECT_EQ(metric_total(probe, "cgctx_probe_packets_gated_total"),
+            static_cast<double>(stats.packets_gated));
+  EXPECT_GT(stats.latency().samples, 0u);
 }
 
 TEST(ShardedProbe, RejectsZeroShards) {
