@@ -13,8 +13,7 @@ MultiSessionProbe::MultiSessionProbe(PipelineModels models,
       params_(std::move(params)),
       on_report_(std::move(on_report)),
       on_event_(std::move(on_event)),
-      table_(params_.flow_idle_timeout),
-      detector_(params_.pipeline.detector) {
+      front_end_(params_.pipeline.detector, params_.flow_idle_timeout) {
   if (models_.title == nullptr || models_.stage == nullptr ||
       models_.pattern == nullptr)
     throw std::invalid_argument("MultiSessionProbe: all models are required");
@@ -42,11 +41,6 @@ void MultiSessionProbe::retire(const net::FiveTuple& key) {
   if (it == sessions_.end()) return;
   std::unique_ptr<SessionEngine> engine = std::move(it->second.engine);
   const SessionObserver observer = it->second.observer;
-  // Drop any residual flow-table entry so a later session on the same
-  // five-tuple starts its detection from fresh statistics instead of a
-  // lifetime mean diluted by the idle gap. Done before erasing the
-  // session: `key` may alias the session map node being destroyed.
-  table_.erase(key);
   sessions_.erase(it);
   ++reports_;
   if (stats_ != nullptr) stats_->count_report();
@@ -80,7 +74,7 @@ void MultiSessionProbe::push(const net::PacketRecord& pkt) {
       if (pkt.timestamp - session.last_seen > params_.session_idle_timeout)
         idle.push_back(key);
     for (const net::FiveTuple& key : idle) retire(key);
-    table_.evict_idle(pkt.timestamp);
+    front_end_.evict_idle(pkt.timestamp);
   }
 
   const auto live = sessions_.find(key);
@@ -91,42 +85,31 @@ void MultiSessionProbe::push(const net::PacketRecord& pkt) {
     return;
   }
 
-  // Undetected candidate: account it, and keep it in the lookback.
-  lookback_.observe(pkt);
-
-  const net::FlowState& flow = table_.add(pkt);
-  const auto detection = detector_.detect(flow);
-  if (!detection) {
+  // Undetected candidate: the front-end accounts and buffers it.
+  const auto promotion = front_end_.observe(pkt, key);
+  if (!promotion) {
     sync_stats();
     return;
   }
 
-  // New session: acquire a pooled engine and replay the flow's lookback
-  // packets into it. The session clock starts at the flow's earliest
-  // buffered packet — for flows detected within the lookback span (the
-  // detector fires in 1–2 s) that is the flow's true first packet, so
-  // the title window and slot boundaries match a from-the-start
-  // analyzer's exactly. The promoted tuple leaves the shared table — its
-  // packets bypass it from now on, and stale cumulative stats must not
-  // greet a future session that reuses the tuple.
-  const net::Timestamp flow_begin =
-      lookback_.first_of(key).value_or(pkt.timestamp);
-
+  // New session: acquire a pooled engine, start it at the flow's oldest
+  // buffered packet and replay the flow's buffered packets into it. The
+  // take() also drops the flow's table entry, so a live session's key is
+  // never in the table and a later session on the tuple is re-detected
+  // from fresh statistics.
   Session session;
   session.engine = acquire_engine();
   session.last_seen = pkt.timestamp;
   session.observer = {on_event_ ? &on_event_ : nullptr, trace_,
                       next_session_id_};
   next_session_id_ += id_stride_;
-  session.engine->start(flow_begin);
-  session.engine->set_detection(*detection, pkt.timestamp, session.observer);
-  // Replay and remove: a later session on this tuple, e.g. after flush(),
-  // must not replay packets that belong to this one.
-  lookback_.take(key, [&session](const net::PacketRecord& earlier) {
+  session.engine->start(promotion->flow_begin);
+  session.engine->set_detection(promotion->detection, pkt.timestamp,
+                                session.observer);
+  front_end_.take(key, [&session](const net::PacketRecord& earlier) {
     session.engine->on_packet(earlier, session.observer);
   });
   sessions_.emplace(key, std::move(session));
-  table_.erase(key);
   if (stats_ != nullptr) stats_->count_session_started();
   sync_stats();
 }
@@ -137,17 +120,17 @@ void MultiSessionProbe::sync_stats() {
     stats_->add_gated(gated_ - gated_reported_);
     gated_reported_ = gated_;
   }
-  const std::uint64_t evictions = table_.evictions();
+  const std::uint64_t evictions = front_end_.evictions();
   if (evictions > evictions_reported_) {
     stats_->add_evictions(evictions - evictions_reported_);
     evictions_reported_ = evictions;
   }
-  const std::uint64_t lookback_drops = lookback_.drops();
+  const std::uint64_t lookback_drops = front_end_.lookback_drops();
   if (lookback_drops > lookback_drops_reported_) {
     stats_->add_lookback_drops(lookback_drops - lookback_drops_reported_);
     lookback_drops_reported_ = lookback_drops;
   }
-  stats_->set_live_flows(table_.size());
+  stats_->set_live_flows(front_end_.flows());
   stats_->set_live_sessions(sessions_.size());
 }
 

@@ -26,11 +26,10 @@
 #include <memory>
 #include <vector>
 
-#include "core/launch_lookback.hpp"
+#include "core/launch_front_end.hpp"
 #include "core/pipeline_metrics.hpp"
 #include "core/probe_stats.hpp"
 #include "core/session_engine.hpp"
-#include "net/flow_table.hpp"
 #include "obs/trace.hpp"
 
 namespace cgctx::core {
@@ -103,18 +102,22 @@ class MultiSessionProbe {
   /// Packets gated out as non-candidates over the probe's lifetime.
   [[nodiscard]] std::uint64_t gated_packets() const { return gated_; }
   /// Current size of the shared flow table (undetected candidate flows).
-  [[nodiscard]] std::size_t flow_table_size() const { return table_.size(); }
+  [[nodiscard]] std::size_t flow_table_size() const {
+    return front_end_.flows();
+  }
   /// Idle candidate flows evicted from the shared table over the probe's
   /// lifetime.
   [[nodiscard]] std::uint64_t flow_evictions() const {
-    return table_.evictions();
+    return front_end_.evictions();
   }
   /// Candidate packets buffered for replay at promotion.
-  [[nodiscard]] std::size_t lookback_size() const { return lookback_.size(); }
-  /// Buffered packets dropped by the LaunchLookback::kCap bound over the
+  [[nodiscard]] std::size_t lookback_size() const {
+    return front_end_.lookback_size();
+  }
+  /// Buffered packets dropped by the LaunchFrontEnd::kCap bound over the
   /// probe's lifetime.
   [[nodiscard]] std::uint64_t lookback_drops() const {
-    return lookback_.drops();
+    return front_end_.lookback_drops();
   }
 
  private:
@@ -138,17 +141,13 @@ class MultiSessionProbe {
   ReportCallback on_report_;
   SessionEventCallback on_event_;
 
-  /// Shared front-end: one flow table + detector across all candidate
-  /// traffic.
-  net::FlowTable table_;
-  CloudGamingFlowDetector detector_;
+  /// Shared front-end: one flow table, detector and lookback across all
+  /// candidate traffic of undetected flows.
+  LaunchFrontEnd front_end_;
   /// Live sessions keyed by canonical flow tuple.
   std::map<net::FiveTuple, Session> sessions_;
   /// Reset engines awaiting reuse.
   std::vector<std::unique_ptr<SessionEngine>> pool_;
-  /// Candidate packets of undetected flows; a promotion replays and
-  /// removes its flow's share.
-  LaunchLookback lookback_;
   std::size_t reports_ = 0;
   /// Packet time of the last idle sweep; initialized from the first
   /// packet (timestamps are wall-clock nanoseconds, so starting from 0
@@ -160,7 +159,7 @@ class MultiSessionProbe {
   ProbeStats* stats_ = nullptr;
   /// Gated packets already forwarded to stats_.
   std::uint64_t gated_reported_ = 0;
-  /// Evictions already forwarded to stats_ (table_ counts lifetime).
+  /// Evictions already forwarded to stats_ (front_end_ counts lifetime).
   std::uint64_t evictions_reported_ = 0;
   /// Lookback drops already forwarded to stats_.
   std::uint64_t lookback_drops_reported_ = 0;

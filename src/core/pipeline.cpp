@@ -1,10 +1,8 @@
 #include "core/pipeline.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <vector>
 
-#include "net/flow_table.hpp"
+#include "core/streaming_analyzer.hpp"
 
 namespace cgctx::core {
 
@@ -23,43 +21,16 @@ SessionObserver RealtimePipeline::next_observer() const {
 
 std::optional<SessionReport> RealtimePipeline::process_packets(
     std::span<const net::PacketRecord> packets) const {
-  // Front-end: demux until the cloud-gaming streaming flow is found.
-  net::FlowTable table;
-  const CloudGamingFlowDetector detector(params_.detector);
-  std::optional<DetectionResult> detection;
-  net::Timestamp detected_at = 0;
-  for (const net::PacketRecord& pkt : packets) {
-    // Gate, as the streaming front-ends do: only candidates can detect.
-    if (!CloudGamingFlowDetector::is_candidate(pkt.tuple.canonical()))
-      continue;
-    detection = detector.detect(table.add(pkt));
-    if (detection) {
-      detected_at = pkt.timestamp;
-      break;
-    }
-  }
-  if (!detection) return std::nullopt;
-
-  // Keep only the detected flow's packets, in time order. The sort is
-  // stable so equal-timestamp packets replay in wire order, exactly as a
-  // streaming consumer would see them.
-  std::vector<net::PacketRecord> flow_packets;
-  for (const net::PacketRecord& pkt : packets)
-    if (pkt.tuple.canonical() == detection->flow) flow_packets.push_back(pkt);
-  std::stable_sort(flow_packets.begin(), flow_packets.end(),
-                   [](const net::PacketRecord& a, const net::PacketRecord& b) {
-                     return a.timestamp < b.timestamp;
-                   });
-
-  // Replay the flow through the shared session engine.
-  const SessionObserver observer = next_observer();
-  SessionEngine engine(models_, &params_);
-  engine.set_metrics(metrics_);
-  engine.start(flow_packets.front().timestamp);
-  engine.set_detection(*detection, detected_at, observer);
-  for (const net::PacketRecord& pkt : flow_packets)
-    engine.on_packet(pkt, observer);
-  return engine.finish(observer);
+  // A batch run is a streaming run over the whole capture.
+  StreamingAnalyzer analyzer(models_, params_, {});
+  analyzer.set_metrics(metrics_);
+  // With a trace the process_* calls do not run concurrently, so the next
+  // id is read here and claimed only once a flow is detected.
+  analyzer.set_trace(trace_, next_trace_id_.load(std::memory_order_relaxed));
+  for (const net::PacketRecord& pkt : packets) analyzer.push(pkt);
+  if (!analyzer.flow_detected()) return std::nullopt;
+  if (trace_ != nullptr) next_trace_id_.fetch_add(1, std::memory_order_relaxed);
+  return analyzer.finish();
 }
 
 SessionReport RealtimePipeline::process_session(

@@ -10,9 +10,9 @@
 //   4. objective QoE measurement and context-calibrated effective QoE.
 // Steps 2–4 are core::SessionEngine — the same state machine the
 // streaming analyzer and vantage-point probes advance packet by packet.
-// RealtimePipeline is the offline driver: it detects the flow over a
-// whole capture, then replays it into an engine, so batch results are
-// identical to streaming ones by construction. The output is one
+// RealtimePipeline is the offline driver: process_packets() runs a
+// StreamingAnalyzer over a whole capture, so batch results are identical
+// to streaming ones by construction. The output is one
 // SessionReport per streaming session, the record the partner ISP's
 // observability platform ingests.
 #pragma once
@@ -33,8 +33,9 @@ class RealtimePipeline {
   RealtimePipeline(PipelineModels models, PipelineParams params);
 
   /// Batch entry point for a raw packet stream that may interleave many
-  /// flows: detects the cloud-gaming streaming flow, then analyzes it.
-  /// Returns nullopt when no flow passes the detector.
+  /// flows, in wire order: a StreamingAnalyzer run over the span, which
+  /// detects the cloud-gaming streaming flow and analyzes it. Returns
+  /// nullopt when no flow passes the detector.
   [[nodiscard]] std::optional<SessionReport> process_packets(
       std::span<const net::PacketRecord> packets) const;
 

@@ -6,12 +6,12 @@
 
 namespace cgctx::core {
 
-LatencySummary ProbeStatsSnapshot::latency() const {
-  return summarize_latency(latency_buckets, latency_max_ns);
+obs::LatencySummary ProbeStatsSnapshot::latency() const {
+  return obs::summarize_latency(latency_buckets, latency_max_ns);
 }
 
 std::string ProbeStatsSnapshot::to_string() const {
-  const LatencySummary lat = latency();
+  const obs::LatencySummary lat = latency();
   std::ostringstream os;
   os << "packets: in=" << packets_in << " processed=" << packets_processed
      << " dropped=" << packets_dropped << " gated=" << packets_gated
@@ -110,7 +110,7 @@ ProbeStatsSnapshot ProbeStats::snapshot() const {
 ProbeStatsSnapshot ProbeStats::aggregate(
     std::span<const ProbeStatsSnapshot> shards) {
   ProbeStatsSnapshot total;
-  total.latency_buckets.assign(LatencyHistogram::kNumBuckets, 0);
+  total.latency_buckets.assign(obs::LatencyHistogram::kNumBuckets, 0);
   for (const ProbeStatsSnapshot& s : shards) {
     total.packets_in += s.packets_in;
     total.packets_dropped += s.packets_dropped;

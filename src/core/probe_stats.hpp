@@ -28,13 +28,6 @@
 
 namespace cgctx::core {
 
-// The histogram/summary types predate the obs library and moved there so
-// every registry histogram shares them; these aliases keep the original
-// core spellings working.
-using LatencyHistogram = obs::LatencyHistogram;
-using LatencySummary = obs::LatencySummary;
-using obs::summarize_latency;
-
 /// Point-in-time view of one probe's (or one shard's) counters. Also the
 /// aggregation unit: ProbeStats::aggregate sums counters, maxes the
 /// high-water marks, and merges latency histograms across shards.
@@ -57,9 +50,9 @@ struct ProbeStatsSnapshot {
   std::uint64_t live_sessions = 0;     ///< gauge: current session count
   std::uint64_t queue_depth_hwm = 0;   ///< high-water mark (max on merge)
   std::uint64_t latency_max_ns = 0;
-  std::vector<std::uint64_t> latency_buckets;  ///< LatencyHistogram counts
+  std::vector<std::uint64_t> latency_buckets;  ///< obs::LatencyHistogram counts
 
-  [[nodiscard]] LatencySummary latency() const;
+  [[nodiscard]] obs::LatencySummary latency() const;
   /// Multi-line human-readable block (benches, operator logging).
   [[nodiscard]] std::string to_string() const;
 };

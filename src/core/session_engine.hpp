@@ -5,11 +5,12 @@
 // tracking -> player-activity stage classification -> transition
 // accumulation -> confidence-gated pattern inference, plus objective and
 // context-calibrated effective QoE per slot. SessionEngine is that
-// process, extracted so the batch pipeline (RealtimePipeline), the
-// event-driven analyzer (StreamingAnalyzer) and the vantage-point probes
-// (MultiSessionProbe / ShardedProbe) all replay into the *same* code —
-// batch ≡ streaming ≡ probe equivalence holds by construction instead of
-// by test.
+// process. The event-driven analyzer (StreamingAnalyzer) and the
+// vantage-point probes (MultiSessionProbe / ShardedProbe) promote flows
+// through one core::LaunchFrontEnd and replay them into an engine, and
+// the batch pipeline (RealtimePipeline) is an analyzer run over a
+// capture. One engine, one front-end and one session-start rule make
+// batch ≡ streaming ≡ probe equivalence hold by construction.
 //
 // Hot-path contract:
 //  - on_packet() performs zero heap allocations in steady state (once

@@ -8,7 +8,7 @@ StreamingAnalyzer::StreamingAnalyzer(PipelineModels models,
     : params_(std::move(params)),
       on_event_(std::move(on_event)),
       observer_{on_event_ ? &on_event_ : nullptr, nullptr, 1},
-      detector_(params_.detector),
+      front_end_(params_.detector, 60 * net::kNanosPerSecond),
       engine_(models, &params_) {}
 
 void StreamingAnalyzer::push(const net::PacketRecord& pkt) {
@@ -17,24 +17,22 @@ void StreamingAnalyzer::push(const net::PacketRecord& pkt) {
     ++gated_;  // can never be detected: skip the demux, as the probe does
     return;
   }
-  if (detection_) {
-    if (key == detection_->flow) engine_.on_packet(pkt, observer_);
+  if (const auto& detection = engine_.report().detection) {
+    if (key == detection->flow) engine_.on_packet(pkt, observer_);
     return;
   }
   // Detection needs a few hundred packets; the launch-stage packets seen
   // before the verdict still belong to the title-classification window,
-  // so buffer recent candidate traffic and replay the flow's share once
+  // so the front-end buffers them and the flow's share is replayed once
   // the verdict lands (the triggering packet is among them).
-  lookback_.observe(pkt);
-  const net::FlowState& flow = table_.add(pkt);
-  detection_ = detector_.detect(flow);
-  if (!detection_) return;
-  engine_.start(flow.first_seen);
-  engine_.set_detection(*detection_, pkt.timestamp, observer_);
-  lookback_.take(key, [this](const net::PacketRecord& earlier) {
+  const auto promotion = front_end_.observe(pkt, key);
+  if (!promotion) return;
+  engine_.start(promotion->flow_begin);
+  engine_.set_detection(promotion->detection, pkt.timestamp, observer_);
+  front_end_.take(key, [this](const net::PacketRecord& earlier) {
     engine_.on_packet(earlier, observer_);
   });
-  lookback_.clear();  // only the detected flow is analyzed from here on
+  front_end_.clear();  // only the detected flow is analyzed from here on
 }
 
 SessionReport StreamingAnalyzer::finish() {
@@ -43,9 +41,7 @@ SessionReport StreamingAnalyzer::finish() {
 
   // Reset for the next session.
   engine_.reset();
-  table_ = net::FlowTable();
-  detection_.reset();
-  lookback_.clear();
+  front_end_.clear();
   return out;
 }
 

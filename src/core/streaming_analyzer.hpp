@@ -2,11 +2,11 @@
 //
 // RealtimePipeline's batch entry points suit offline evaluation; an
 // inline probe sees one packet at a time and wants to be told the moment
-// something becomes known. StreamingAnalyzer owns the pre-detection
-// front-end (flow table + detector + lookback buffer) and adapts one
-// core::SessionEngine — the same state machine every entry point drives —
-// to a std::function callback, surfacing classification milestones as
-// typed events:
+// something becomes known. StreamingAnalyzer drives the shared launch
+// front-end (core::LaunchFrontEnd: flow table + detector + lookback) and
+// adapts one core::SessionEngine — the same state machine every entry
+// point drives — to a std::function callback, surfacing classification
+// milestones as typed events:
 //   kFlowDetected    — the cloud-gaming streaming flow was identified;
 //   kTitleClassified — the five-second title verdict (or "unknown");
 //   kStageChanged    — the player activity stage flipped;
@@ -14,11 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
-#include "core/launch_lookback.hpp"
+#include "core/launch_front_end.hpp"
 #include "core/session_engine.hpp"
-#include "net/flow_table.hpp"
 #include "obs/trace.hpp"
 
 namespace cgctx::core {
@@ -47,7 +45,9 @@ class StreamingAnalyzer {
   /// (state resets for the next session).
   SessionReport finish();
 
-  [[nodiscard]] bool flow_detected() const { return detection_.has_value(); }
+  [[nodiscard]] bool flow_detected() const {
+    return engine_.report().detection.has_value();
+  }
   [[nodiscard]] bool title_classified() const {
     return engine_.title_classified();
   }
@@ -59,18 +59,23 @@ class StreamingAnalyzer {
   }
 
   /// Optional decision trace. Successive sessions the analyzer processes
-  /// are numbered 1, 2, ... (advanced by finish()). The ring must outlive
-  /// the analyzer.
-  void set_trace(obs::DecisionTraceRing* ring) { observer_.trace = ring; }
+  /// are numbered `first_id`, `first_id + 1`, ... (advanced by finish()).
+  /// The ring must outlive the analyzer.
+  void set_trace(obs::DecisionTraceRing* ring, std::uint64_t first_id = 1) {
+    observer_.trace = ring;
+    observer_.session_id = first_id;
+  }
 
   /// Non-candidate packets gated out over the analyzer's lifetime.
   [[nodiscard]] std::uint64_t gated_packets() const { return gated_; }
   /// Candidate packets buffered before detection.
-  [[nodiscard]] std::size_t lookback_size() const { return lookback_.size(); }
-  /// Buffered packets dropped by the LaunchLookback::kCap bound over the
+  [[nodiscard]] std::size_t lookback_size() const {
+    return front_end_.lookback_size();
+  }
+  /// Buffered packets dropped by the LaunchFrontEnd::kCap bound over the
   /// analyzer's lifetime.
   [[nodiscard]] std::uint64_t lookback_drops() const {
-    return lookback_.drops();
+    return front_end_.lookback_drops();
   }
 
  private:
@@ -80,12 +85,8 @@ class StreamingAnalyzer {
   /// at each finish().
   SessionObserver observer_;
 
-  net::FlowTable table_;
-  CloudGamingFlowDetector detector_;
-  std::optional<DetectionResult> detection_;
-  /// Candidate packets seen before detection, so the detected flow's
-  /// earliest packets still reach the title window.
-  LaunchLookback lookback_;
+  /// Flow table, detector and lookback until the flow is detected.
+  LaunchFrontEnd front_end_;
   std::uint64_t gated_ = 0;
 
   /// The shared per-session state machine (declared after params_, which

@@ -81,6 +81,12 @@ class FlowTable {
   /// entry existed. Erasure is not counted as an eviction.
   bool erase(const FiveTuple& tuple);
 
+  /// Drops every flow, as a fresh table would; evictions() stays lifetime.
+  void clear() {
+    flows_.clear();
+    adds_since_sweep_ = 0;
+  }
+
   [[nodiscard]] std::size_t size() const { return flows_.size(); }
 
   /// Total flows evicted for idleness over the table's lifetime (both

@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
+#include "core/launch_front_end.hpp"
 #include "core/model_suite.hpp"
 #include "core/multi_session_probe.hpp"
 #include "core/pipeline.hpp"
@@ -189,6 +191,124 @@ TEST(SessionEngineEquivalence, BatchStreamingProbeByteIdenticalAcrossSweep) {
   EXPECT_EQ(probe.gated_packets(), 0u);
   EXPECT_EQ(mixed_streaming.gated_packets(), cross_packets);
   EXPECT_EQ(mixed_probe.gated_packets(), cross_packets);
+}
+
+/// Runs `wire` through fresh batch, streaming and probe front-ends and
+/// expects one report and one decision trace from all three; returns them
+/// through `report` and `story`.
+void expect_front_ends_agree(std::span<const net::PacketRecord> wire,
+                             SessionReport& report,
+                             std::vector<obs::TraceEvent>& story) {
+  obs::DecisionTraceRing batch_trace(1024);
+  RealtimePipeline batch(suite().models(), default_pipeline_params());
+  batch.set_trace(&batch_trace);
+  const auto batch_report = batch.process_packets(wire);
+  ASSERT_TRUE(batch_report.has_value());
+  report = *batch_report;
+  story = drain_story(batch_trace);
+  ASSERT_FALSE(story.empty());
+
+  obs::DecisionTraceRing streaming_trace(1024);
+  StreamingAnalyzer streaming(suite().models(), default_pipeline_params(), {});
+  streaming.set_trace(&streaming_trace);
+  for (const net::PacketRecord& pkt : wire) streaming.push(pkt);
+  EXPECT_EQ(streaming.finish(), report);
+  EXPECT_EQ(drain_story(streaming_trace), story);
+
+  obs::DecisionTraceRing probe_trace(1024);
+  std::vector<SessionReport> probe_reports;
+  MultiSessionProbe probe(
+      suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+      [&](const SessionReport& r) { probe_reports.push_back(r); });
+  probe.set_trace(&probe_trace);
+  for (const net::PacketRecord& pkt : wire) probe.push(pkt);
+  probe.flush();
+  ASSERT_EQ(probe_reports.size(), 1u);
+  EXPECT_EQ(probe_reports.front(), report);
+  EXPECT_EQ(drain_story(probe_trace), story);
+}
+
+// Off the happy path (detection later than the lookback span, flow
+// packets out of order) the front-ends still agree: they share one
+// launch front-end and one rule, the session starts at the flow's oldest
+// buffered packet and replays in wire order.
+TEST(SessionEngineEquivalence, FrontEndsAgreeOffTheHappyPath) {
+  const sim::LabeledSession session = packet_session(
+      sim::CloudPlatform::kXboxCloud, sim::GameTitle::kGenshinImpact, 202,
+      20.0);
+  const net::Timestamp begin = session.packets.front().timestamp;
+  SessionReport report;
+  std::vector<obs::TraceEvent> story;
+
+  {
+    SCOPED_TRACE("slow detection");
+    // 12 s of 20 pkt/s, 160 B downstream RTP on the session's tuple and
+    // SSRC dilute the flow's mean rate, so the detector fires more than
+    // the lookback span after the flow's first packet.
+    const auto down = std::find_if(
+        session.packets.begin(), session.packets.end(),
+        [](const net::PacketRecord& pkt) {
+          return pkt.direction == net::Direction::kDownstream && pkt.rtp;
+        });
+    ASSERT_NE(down, session.packets.end());
+    constexpr int kPrelude = 240;
+    std::vector<net::PacketRecord> wire;
+    for (int i = 0; i < kPrelude; ++i) {
+      net::PacketRecord pkt = *down;
+      pkt.timestamp = begin - (kPrelude - i) * (net::kNanosPerSecond / 20);
+      pkt.payload_size = 160;
+      pkt.rtp->sequence = static_cast<std::uint16_t>(down->rtp->sequence -
+                                                     (kPrelude - i));
+      wire.push_back(pkt);
+    }
+    wire.insert(wire.end(), session.packets.begin(), session.packets.end());
+
+    // Where the detector fires, and the oldest flow packet still in the
+    // lookback then: the session must start there.
+    net::FlowTable table;
+    const CloudGamingFlowDetector detector;
+    const auto detected =
+        std::find_if(wire.begin(), wire.end(), [&](const auto& pkt) {
+          return detector.detect(table.add(pkt)).has_value();
+        });
+    ASSERT_NE(detected, wire.end());
+    const net::Timestamp detected_at = detected->timestamp;
+    ASSERT_GT(detected_at - wire.front().timestamp, LaunchFrontEnd::kSpan);
+    const net::Timestamp oldest =
+        std::find_if(wire.begin(), wire.end(), [&](const auto& pkt) {
+          return detected_at - pkt.timestamp <= LaunchFrontEnd::kSpan;
+        })->timestamp;
+
+    ASSERT_NO_FATAL_FAILURE(expect_front_ends_agree(wire, report, story));
+    EXPECT_EQ(story.front().type, obs::TraceEventType::kFlowPromoted);
+    EXPECT_EQ(story.front().at_seconds,
+              net::duration_to_seconds(detected_at - oldest));
+    EXPECT_EQ(report.slots.size(),
+              static_cast<std::size_t>((wire.back().timestamp - oldest) /
+                                       net::kNanosPerSecond) +
+                  1);
+  }
+  {
+    SCOPED_TRACE("reordered flow packets");
+    // Swap the two packets that straddle each slot boundary after slot 8,
+    // so the later one arrives first.
+    std::vector<net::PacketRecord> wire = session.packets;
+    std::size_t swaps = 0;
+    for (std::size_t i = 1; i < wire.size(); ++i) {
+      const net::Timestamp prev = wire[i - 1].timestamp - begin;
+      const net::Timestamp cur = wire[i].timestamp - begin;
+      if (prev / net::kNanosPerSecond == cur / net::kNanosPerSecond ||
+          cur < 9 * net::kNanosPerSecond)
+        continue;
+      std::swap(wire[i - 1], wire[i]);
+      ++swaps;
+      ++i;  // the swapped pair is done
+    }
+    ASSERT_GT(swaps, 60u);
+
+    ASSERT_NO_FATAL_FAILURE(expect_front_ends_agree(wire, report, story));
+    EXPECT_EQ(story.front().type, obs::TraceEventType::kFlowPromoted);
+  }
 }
 
 TEST(SessionEngine, PooledResetReproducesFreshEngineByteIdentically) {

@@ -143,7 +143,7 @@ TEST(StreamingAnalyzer, LookbackCapBoundsAFloodAndCountsDrops) {
   // A UDP flood on a GeForce NOW port passes is_candidate() but never
   // detects (no RTP), so it fills the lookback faster than 10 s ages it.
   constexpr std::size_t kExcess = 4464;
-  constexpr std::size_t kFlood = LaunchLookback::kCap + kExcess;
+  constexpr std::size_t kFlood = LaunchFrontEnd::kCap + kExcess;
   net::PacketRecord flood;
   flood.direction = net::Direction::kUpstream;
   flood.tuple = net::FiveTuple{net::Ipv4Addr::from_octets(10, 9, 9, 9),
@@ -158,7 +158,7 @@ TEST(StreamingAnalyzer, LookbackCapBoundsAFloodAndCountsDrops) {
     analyzer.push(flood);
     peak = std::max(peak, analyzer.lookback_size());
   }
-  EXPECT_EQ(peak, LaunchLookback::kCap);
+  EXPECT_EQ(peak, LaunchFrontEnd::kCap);
   EXPECT_EQ(analyzer.lookback_drops(), kExcess);
   EXPECT_FALSE(analyzer.flow_detected());
 
@@ -176,7 +176,7 @@ TEST(StreamingAnalyzer, LookbackCapBoundsAFloodAndCountsDrops) {
     analyzer.push(pkt);
     peak = std::max(peak, analyzer.lookback_size());
   }
-  EXPECT_EQ(peak, LaunchLookback::kCap);
+  EXPECT_EQ(peak, LaunchFrontEnd::kCap);
   const SessionReport flooded = analyzer.finish();
   ASSERT_TRUE(flooded.detection.has_value());
 
