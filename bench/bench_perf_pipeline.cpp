@@ -3,17 +3,19 @@
 // an operator vantage point — flow-table accounting, RTP parsing, packet
 // group labeling, launch-attribute extraction, model inference, the
 // end-to-end per-session pipeline, and the SessionEngine and
-// MultiSessionProbe steady-state hot paths (which must not touch the
-// heap — asserted, not just reported: the binary exits non-zero if a
-// steady-state bench allocates).
+// MultiSessionProbe (cross traffic, live sessions) steady-state hot paths
+// (which must not touch the heap — asserted, not just reported: the
+// binary exits non-zero if a steady-state bench allocates).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <vector>
 
 #include "common/bench_support.hpp"
 #include "core/multi_session_probe.hpp"
@@ -321,6 +323,60 @@ void BM_ProbeCrossTrafficSteadyState(benchmark::State& state) {
   benchmark::DoNotOptimize(probe.gated_packets());
 }
 BENCHMARK(BM_ProbeCrossTrafficSteadyState);
+
+void BM_ProbeLiveSessionSteadyState(benchmark::State& state) {
+  // Gaming packets through a probe holding 16 live sessions: each op is
+  // one packet of a live session, which the probe canonicalises, finds
+  // in its live-session table and hands to that session's engine. Each
+  // packet is stamped at its session's last packet time, inside the open
+  // slot as in BM_EnginePacketSteadyState, so no slot closes and no sweep
+  // runs. Consecutive ops hit different sessions. None of it may touch
+  // the heap.
+  constexpr std::size_t kSessions = 16;
+  constexpr std::size_t kPerSession = kPacketPool / kSessions;
+  const auto& suite = bench::bench_models();
+  sim::FleetReplayOptions options;
+  options.sessions = kSessions;
+  options.seed = 11;
+  options.gameplay_seconds = 10.0;
+  options.start_spread_s = 2.0;
+  const sim::FleetReplay replay = sim::build_fleet_replay(options);
+
+  core::MultiSessionProbe probe(
+      suite.models(),
+      core::MultiSessionProbeParams{core::default_pipeline_params()}, {});
+  for (const auto& pkt : replay.wire) probe.push(pkt);
+  if (probe.live_sessions() != kSessions) {
+    state.SkipWithError("not every session is live");
+    return;
+  }
+
+  // The last kPerSession packets of each session, interleaved.
+  std::vector<std::vector<net::PacketRecord>> tails(kSessions);
+  const auto& flows = replay.session_flows;
+  for (auto it = replay.wire.rbegin(); it != replay.wire.rend(); ++it) {
+    const auto flow =
+        std::find(flows.begin(), flows.end(), it->tuple.canonical());
+    if (flow == flows.end()) continue;
+    auto& tail = tails[static_cast<std::size_t>(flow - flows.begin())];
+    if (tail.size() == kPerSession) continue;
+    tail.push_back(*it);
+    tail.back().timestamp = tail.front().timestamp;
+  }
+  std::vector<net::PacketRecord> packets;
+  for (std::size_t i = 0; i < kPerSession; ++i)
+    for (const auto& tail : tails) packets.push_back(tail[i]);
+
+  std::size_t next = 0;
+  const auto push_next = [&] {
+    probe.push(packets[next]);
+    next = (next + 1) & (kPacketPool - 1);
+  };
+  for (std::size_t i = 0; i < kPacketPool; ++i) push_next();  // warm-up
+  run_zero_alloc(state, push_next);
+  benchmark::DoNotOptimize(probe.live_sessions());
+}
+BENCHMARK(BM_ProbeLiveSessionSteadyState);
 
 // --- Instrumented steady state -----------------------------------------
 // Same hot paths with the full telemetry plane enabled: a registry-bound

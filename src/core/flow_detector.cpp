@@ -12,27 +12,6 @@ const char* to_string(Platform platform) {
   return "?";
 }
 
-namespace {
-
-/// Server UDP port ranges of the four platforms' streaming flows
-/// (GeForce NOW's 49003-49006 is documented by NVIDIA [46]; the others
-/// follow the signatures of the works the paper adapts).
-std::optional<Platform> platform_for_port(std::uint16_t port) {
-  if (port >= 49003 && port <= 49006) return Platform::kGeforceNow;
-  if (port >= 9002 && port <= 9002 + 28) return Platform::kXboxCloud;
-  if (port >= 44300 && port <= 44380) return Platform::kAmazonLuna;
-  if (port >= 9295 && port <= 9304) return Platform::kPsCloudStreaming;
-  return std::nullopt;
-}
-
-}  // namespace
-
-bool CloudGamingFlowDetector::is_candidate(const net::FiveTuple& canonical) {
-  return canonical.protocol == 17 &&
-         (platform_for_port(canonical.dst_port) ||
-          platform_for_port(canonical.src_port));
-}
-
 std::optional<DetectionResult> CloudGamingFlowDetector::detect(
     const net::FlowState& flow) const {
   // Observation floor: don't judge a flow from its first handful of

@@ -25,6 +25,17 @@ enum class Platform : std::uint8_t {
 
 const char* to_string(Platform platform);
 
+/// The platform whose streaming flows use this server UDP port, if any
+/// (GeForce NOW's 49003-49006 is documented by NVIDIA [46]; the others
+/// follow the signatures of the works the paper adapts).
+constexpr std::optional<Platform> platform_for_port(std::uint16_t port) {
+  if (port >= 49003 && port <= 49006) return Platform::kGeforceNow;
+  if (port >= 9002 && port <= 9002 + 28) return Platform::kXboxCloud;
+  if (port >= 44300 && port <= 44380) return Platform::kAmazonLuna;
+  if (port >= 9295 && port <= 9304) return Platform::kPsCloudStreaming;
+  return std::nullopt;
+}
+
 struct FlowDetectorParams {
   /// Minimum downstream payload throughput for a gaming stream (VoIP sits
   /// around 0.1 Mbps; cloud-game launch animations exceed 1 Mbps).
@@ -57,11 +68,16 @@ class CloudGamingFlowDetector {
   [[nodiscard]] std::optional<DetectionResult> detect(
       const net::FlowState& flow) const;
 
-  /// Whether detect() could ever accept a flow with this canonical tuple:
-  /// UDP with either port in a platform streaming range. Depends on the
-  /// tuple alone, so front-ends use it to decide which undetected packets
-  /// are worth buffering for replay; detect() applies the same test.
-  [[nodiscard]] static bool is_candidate(const net::FiveTuple& canonical);
+  /// Whether detect() could ever accept a flow with this tuple: UDP with
+  /// either port in a platform streaming range. It depends on the tuple
+  /// alone and not on its orientation, so the packet front-ends apply it
+  /// to the tuple as it came off the wire, before canonicalising, and
+  /// gate every other packet out; detect() applies the same test.
+  [[nodiscard]] static constexpr bool is_candidate(
+      const net::FiveTuple& tuple) {
+    return tuple.protocol == 17 && (platform_for_port(tuple.dst_port) ||
+                                    platform_for_port(tuple.src_port));
+  }
 
   [[nodiscard]] const FlowDetectorParams& params() const { return params_; }
 

@@ -1,5 +1,6 @@
 #include "core/multi_session_probe.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -37,27 +38,25 @@ void MultiSessionProbe::release_engine(std::unique_ptr<SessionEngine> engine) {
 }
 
 void MultiSessionProbe::retire(const net::FiveTuple& key) {
-  const auto it = sessions_.find(key);
-  if (it == sessions_.end()) return;
-  std::unique_ptr<SessionEngine> engine = std::move(it->second.engine);
-  const SessionObserver observer = it->second.observer;
-  sessions_.erase(it);
+  std::optional<Session> session = sessions_.erase(key);
+  if (!session) return;
   ++reports_;
   if (stats_ != nullptr) stats_->count_report();
-  const SessionReport& report = engine->finish(observer);
+  const SessionReport& report = session->engine->finish(session->observer);
   if (on_report_) on_report_(report);
-  release_engine(std::move(engine));
+  release_engine(std::move(session->engine));
 }
 
-void MultiSessionProbe::push(const net::PacketRecord& pkt) {
-  // Gate: a tuple outside every platform port range can never promote,
-  // so its packet is counted and touches no other state, not even the
-  // sweep clock. Everything below sees the candidate sub-stream only.
+void MultiSessionProbe::retire_sorted(std::vector<net::FiveTuple>& keys) {
+  std::sort(keys.begin(), keys.end());
+  for (const net::FiveTuple& key : keys) retire(key);
+}
+
+void MultiSessionProbe::push_candidate(const net::PacketRecord& pkt) {
+  // The gate is orientation-independent, so push() ran it on the wire
+  // tuple; only candidates pay for canonical(). Everything below sees
+  // the candidate sub-stream only.
   const net::FiveTuple key = pkt.tuple.canonical();
-  if (!CloudGamingFlowDetector::is_candidate(key)) {
-    ++gated_;
-    return;
-  }
 
   if (!saw_packet_) {
     saw_packet_ = true;
@@ -66,26 +65,30 @@ void MultiSessionProbe::push(const net::PacketRecord& pkt) {
 
   // Periodic idle sweep, driven by candidate packet time: retire silent
   // sessions and evict idle undetected flows (candidate-port churn that
-  // never promotes must not grow the table without bound).
+  // never promotes must not grow the table without bound). Stats are
+  // published here, after the retires, not per live-session packet.
   if (pkt.timestamp - last_sweep_ > 5 * net::kNanosPerSecond) {
     last_sweep_ = pkt.timestamp;
     std::vector<net::FiveTuple> idle;
-    for (const auto& [key, session] : sessions_)
-      if (pkt.timestamp - session.last_seen > params_.session_idle_timeout)
+    sessions_.for_each([&](const net::FiveTuple& key, const Session& live) {
+      if (pkt.timestamp - live.last_seen > params_.session_idle_timeout)
         idle.push_back(key);
-    for (const net::FiveTuple& key : idle) retire(key);
+    });
+    retire_sorted(idle);
     front_end_.evict_idle(pkt.timestamp);
+    sync_stats();
   }
 
-  const auto live = sessions_.find(key);
-  if (live != sessions_.end()) {
-    live->second.engine->on_packet(pkt, live->second.observer);
-    live->second.last_seen = pkt.timestamp;
-    sync_stats();
+  if (Session* live = sessions_.find(key)) {
+    live->engine->on_packet(pkt, live->observer);
+    live->last_seen = pkt.timestamp;
     return;
   }
 
-  // Undetected candidate: the front-end accounts and buffers it.
+  // Undetected candidate: the front-end accounts and buffers it. These
+  // are rare (the detector promotes a gaming flow within seconds), so
+  // they keep the lookback-drop and eviction counters current during a
+  // candidate-port flood.
   const auto promotion = front_end_.observe(pkt, key);
   if (!promotion) {
     sync_stats();
@@ -109,7 +112,7 @@ void MultiSessionProbe::push(const net::PacketRecord& pkt) {
   front_end_.take(key, [&session](const net::PacketRecord& earlier) {
     session.engine->on_packet(earlier, session.observer);
   });
-  sessions_.emplace(key, std::move(session));
+  sessions_.insert(key, std::move(session));
   if (stats_ != nullptr) stats_->count_session_started();
   sync_stats();
 }
@@ -135,7 +138,12 @@ void MultiSessionProbe::sync_stats() {
 }
 
 void MultiSessionProbe::flush() {
-  while (!sessions_.empty()) retire(sessions_.begin()->first);
+  std::vector<net::FiveTuple> live;
+  live.reserve(sessions_.size());
+  sessions_.for_each([&live](const net::FiveTuple& key, const Session&) {
+    live.push_back(key);
+  });
+  retire_sorted(live);
   sync_stats();  // the live-session gauge must read 0 after a flush
 }
 

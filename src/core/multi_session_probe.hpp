@@ -9,10 +9,12 @@
 //
 // Only UDP flows on a platform streaming port can ever be detected
 // (CloudGamingFlowDetector::is_candidate), so push() gates every other
-// packet out first: it is counted (gated_packets()) and touches no flow
-// table, lookback, detector or session state. The probe's state, its
-// idle-sweep clock included, therefore depends on the candidate
-// sub-stream alone.
+// packet out first, on its wire tuple and before canonicalising it: it
+// is counted (gated_packets()) and touches no flow table, lookback,
+// detector or session state. The probe's state, its idle-sweep clock
+// included, therefore depends on the candidate sub-stream alone. A
+// gaming packet then costs one canonical() and one lookup in the hashed
+// live-session table (net::FlowMap) before its engine tallies it.
 //
 // Engines are pooled: a retired session's engine is reset (buffer
 // capacity retained, including the compiled-forest scratch) and reused
@@ -22,7 +24,6 @@
 // is empty and the engine builds no events.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "core/pipeline_metrics.hpp"
 #include "core/probe_stats.hpp"
 #include "core/session_engine.hpp"
+#include "net/flow_map.hpp"
 #include "obs/trace.hpp"
 
 namespace cgctx::core {
@@ -65,18 +67,29 @@ class MultiSessionProbe {
   MultiSessionProbe& operator=(const MultiSessionProbe&) = delete;
 
   /// Feeds one packet from the aggregate stream (timestamp order).
-  /// Non-candidate packets are only counted.
-  void push(const net::PacketRecord& pkt);
+  /// Non-candidate packets are only counted. The gate is inline, so a
+  /// gated packet costs the caller no call: a tuple outside every
+  /// platform port range can never promote and touches no other state,
+  /// not even the sweep clock.
+  void push(const net::PacketRecord& pkt) {
+    if (CloudGamingFlowDetector::is_candidate(pkt.tuple))
+      push_candidate(pkt);
+    else
+      ++gated_;
+  }
 
-  /// Retires all live sessions, emitting their reports.
+  /// Retires all live sessions, emitting their reports in canonical-tuple
+  /// order.
   void flush();
 
   /// Optional counter sink (e.g. a ShardedProbe shard's ProbeStats). The
   /// probe records gated packets, evictions, lookback drops, session
   /// starts, reports, and the live flow/session gauges into it; it must
-  /// outlive the probe. Gated packets are tallied locally and forwarded
-  /// on the next candidate packet or at flush(), so the gated path does
-  /// no atomic write.
+  /// outlive the probe. Counters and gauges are tallied locally and
+  /// published at the next sweep, session start, undetected candidate
+  /// packet or flush(), so neither the gated path nor a live session's
+  /// packet does an atomic write. Gated packets are thus forwarded at the
+  /// next sweep or flush() at the latest.
   void set_stats(ProbeStats* stats) { stats_ = stats; }
 
   /// Optional pipeline instrumentation, shared across all pooled engines.
@@ -129,9 +142,15 @@ class MultiSessionProbe {
     SessionObserver observer;
   };
 
+  /// push() past the gate: the candidate sub-stream.
+  void push_candidate(const net::PacketRecord& pkt);
   [[nodiscard]] std::unique_ptr<SessionEngine> acquire_engine();
   void release_engine(std::unique_ptr<SessionEngine> engine);
   void retire(const net::FiveTuple& key);
+  /// Retires the sessions in `keys` in ascending key order (the order a
+  /// sorted map would visit them), so reports do not depend on the
+  /// table's layout.
+  void retire_sorted(std::vector<net::FiveTuple>& keys);
   /// Forwards gated, eviction and lookback-drop deltas and live gauges to
   /// stats_ (no-op unset).
   void sync_stats();
@@ -145,7 +164,7 @@ class MultiSessionProbe {
   /// candidate traffic of undetected flows.
   LaunchFrontEnd front_end_;
   /// Live sessions keyed by canonical flow tuple.
-  std::map<net::FiveTuple, Session> sessions_;
+  net::FlowMap<Session> sessions_;
   /// Reset engines awaiting reuse.
   std::vector<std::unique_ptr<SessionEngine>> pool_;
   std::size_t reports_ = 0;

@@ -245,18 +245,18 @@ std::size_t ShardedProbe::shard_of(const net::FiveTuple& canonical) const {
 }
 
 bool ShardedProbe::push(const net::PacketRecord& pkt) {
-  const net::FiveTuple key = pkt.tuple.canonical();
   if (flushed_) {
-    shards_[shard_of(key)]->stats.add_drops(1);
+    shards_[shard_of(pkt.tuple.canonical())]->stats.add_drops(1);
     return false;
   }
-  // Gate before the hash and the ring copy: no shard could ever promote
-  // this packet, and a shard's probe would only count and skip it.
-  if (!CloudGamingFlowDetector::is_candidate(key)) {
+  // Gate before canonical(), the hash and the ring copy: no shard could
+  // ever promote this packet, and a shard's probe would only count and
+  // skip it. The test is orientation-independent, so the wire tuple will do.
+  if (!CloudGamingFlowDetector::is_candidate(pkt.tuple)) {
     if (++gated_unpublished_ == kPublishStride) publish_gated();
     return true;
   }
-  Shard& s = *shards_[shard_of(key)];
+  Shard& s = *shards_[shard_of(pkt.tuple.canonical())];
   Shard::Producer& p = s.producer;
   const bool admitted =
       p.tail - p.head_seen < params_.queue_capacity || make_room(s);

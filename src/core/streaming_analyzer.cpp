@@ -12,11 +12,11 @@ StreamingAnalyzer::StreamingAnalyzer(PipelineModels models,
       engine_(models, &params_) {}
 
 void StreamingAnalyzer::push(const net::PacketRecord& pkt) {
-  const net::FiveTuple key = pkt.tuple.canonical();
-  if (!CloudGamingFlowDetector::is_candidate(key)) {
+  if (!CloudGamingFlowDetector::is_candidate(pkt.tuple)) {
     ++gated_;  // can never be detected: skip the demux, as the probe does
     return;
   }
+  const net::FiveTuple key = pkt.tuple.canonical();
   if (const auto& detection = engine_.report().detection) {
     if (key == detection->flow) engine_.on_packet(pkt, observer_);
     return;

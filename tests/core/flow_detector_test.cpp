@@ -195,6 +195,41 @@ TEST(FlowDetector, IsCandidateMatchesDetectAtEveryPortBoundary) {
   }
 }
 
+TEST(FlowDetector, IsCandidateIsOrientationIndependentAtRangeEdges) {
+  // The front-ends gate on the wire tuple before canonicalising it, so
+  // the verdict must not depend on which endpoint sent the packet.
+  static_assert(CloudGamingFlowDetector::is_candidate(
+      net::FiveTuple{net::Ipv4Addr{1}, net::Ipv4Addr{2}, 49003, 50000, 17}));
+  struct Range {
+    int lo, hi;
+  };
+  const Range kRanges[] = {{49003, 49006}, {9002, 9030}, {44300, 44380},
+                           {9295, 9304}};
+  const net::Ipv4Addr kServers[] = {net::Ipv4Addr::from_octets(203, 0, 113, 9),
+                                    net::Ipv4Addr::from_octets(1, 0, 0, 9)};
+  for (const Range& range : kRanges) {
+    for (const int edge : {range.lo - 1, range.lo, range.lo + 1, range.hi - 1,
+                           range.hi, range.hi + 1}) {
+      const auto port = static_cast<std::uint16_t>(edge);
+      const bool in_range = port >= range.lo && port <= range.hi;
+      for (const std::uint8_t protocol : {std::uint8_t{6}, std::uint8_t{17}}) {
+        for (const net::Ipv4Addr server : kServers) {
+          const net::FiveTuple up{kClient, server, 12345, port, protocol};
+          for (const net::FiveTuple& t : {up, up.reversed()}) {
+            SCOPED_TRACE(net::to_string(t));
+            const bool candidate = CloudGamingFlowDetector::is_candidate(t);
+            EXPECT_EQ(candidate, in_range && protocol == 17);
+            EXPECT_EQ(CloudGamingFlowDetector::is_candidate(t.reversed()),
+                      candidate);
+            EXPECT_EQ(CloudGamingFlowDetector::is_candidate(t.canonical()),
+                      candidate);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(FlowDetector, PlatformNames) {
   EXPECT_STREQ(to_string(Platform::kGeforceNow), "GeForce NOW");
   EXPECT_STREQ(to_string(Platform::kXboxCloud), "Xbox Cloud Gaming");

@@ -435,6 +435,149 @@ TEST(MultiSessionProbe, LookbackCapBoundsAFloodAndCountsDrops) {
   EXPECT_EQ(reports.front(), alone);
 }
 
+/// Rewrites `session`'s flow onto client `client` and server `server`.
+void move_session(sim::LabeledSession& session, net::Ipv4Addr client,
+                  net::Ipv4Addr server) {
+  for (net::PacketRecord& pkt : session.packets) {
+    const bool up = pkt.direction == net::Direction::kUpstream;
+    (up ? pkt.tuple.src_ip : pkt.tuple.dst_ip) = client;
+    (up ? pkt.tuple.dst_ip : pkt.tuple.src_ip) = server;
+  }
+  session.tuple.src_ip = client;
+  session.tuple.dst_ip = server;
+}
+
+TEST(MultiSessionProbe, SweepAndFlushRetireInCanonicalKeyOrder) {
+  // Two groups of four sessions, each promoted in descending tuple order.
+  // Group A goes idle; group B's first packet sweeps it out, and flush()
+  // retires group B. Both report in ascending canonical-tuple order, the
+  // order of a sorted map, whatever the live-session table's layout.
+  const auto server = net::Ipv4Addr::from_octets(198, 51, 100, 7);
+  std::vector<std::vector<net::FiveTuple>> groups(2);
+  std::vector<net::PacketRecord> wire;
+  for (std::size_t g = 0; g < 2; ++g) {
+    for (std::uint8_t k = 0; k < 4; ++k) {
+      auto session = make_session(sim::GameTitle::kFortnite,
+                                  200.0 * static_cast<double>(g) + 3.0 * k,
+                                  70 + 4 * g + k);
+      move_session(session,
+                   net::Ipv4Addr::from_octets(10, 0, 0,
+                                              static_cast<std::uint8_t>(
+                                                  100 - 10 * g - k)),
+                   server);
+      groups[g].push_back(session.tuple.canonical());
+      wire.insert(wire.end(), session.packets.begin(), session.packets.end());
+    }
+  }
+  std::stable_sort(wire.begin(), wire.end(), [](const auto& a, const auto& b) {
+    return a.timestamp < b.timestamp;
+  });
+
+  std::vector<net::FiveTuple> promoted;
+  std::vector<net::FiveTuple> retired;
+  MultiSessionProbe probe(
+      suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+      [&](const SessionReport& r) { retired.push_back(r.detection->flow); },
+      [&](const StreamEvent& event) {
+        if (event.type == StreamEventType::kFlowDetected)
+          promoted.push_back(event.detection->flow);
+      });
+  const net::Timestamp group_b_start = net::duration_from_seconds(200.0);
+  std::size_t retired_by_sweep = 0;
+  for (const auto& pkt : wire) {
+    probe.push(pkt);
+    // Group B's first packet runs the sweep that retires group A.
+    if (pkt.timestamp >= group_b_start && retired_by_sweep == 0)
+      retired_by_sweep = retired.size();
+  }
+  probe.flush();
+
+  // Promotion followed start order, which is descending tuple order.
+  std::vector<net::FiveTuple> expected_promotion;
+  for (const auto& group : groups)
+    expected_promotion.insert(expected_promotion.end(), group.begin(),
+                              group.end());
+  ASSERT_EQ(promoted, expected_promotion);
+  ASSERT_FALSE(std::is_sorted(groups[0].begin(), groups[0].end()));
+  ASSERT_FALSE(std::is_sorted(groups[1].begin(), groups[1].end()));
+
+  EXPECT_EQ(retired_by_sweep, 4u);
+  std::vector<net::FiveTuple> expected;
+  for (auto group : groups) {
+    std::sort(group.begin(), group.end());
+    expected.insert(expected.end(), group.begin(), group.end());
+  }
+  EXPECT_EQ(retired, expected);
+}
+
+TEST(MultiSessionProbe, StatsMatchAccessorsAfterSweepAndFlush) {
+  // Stats are published at the idle sweep and at flush(), not per live
+  // packet. Right after either, the ProbeStats snapshot must agree with
+  // the probe's own accessors.
+  const auto session = make_session(sim::GameTitle::kGenshinImpact, 0.0, 65);
+  ml::Rng rng(66);
+  std::vector<net::PacketRecord> wire = session.packets;
+  const auto voip =
+      sim::voip_flow(net::Ipv4Addr::from_octets(10, 7, 7, 9), 20.0, rng);
+  wire.insert(wire.end(), voip.begin(), voip.end());
+  // Non-promoting candidate flows: early ones idle out and are evicted,
+  // late ones are still in the flow table at the end.
+  for (const double start_s : {0.0, 2.0, 60.0, 62.0}) {
+    auto flow = sim::voip_flow(
+        net::Ipv4Addr::from_octets(10, 8, 0,
+                                   static_cast<std::uint8_t>(start_s + 1)),
+        4.0, rng);
+    for (auto& pkt : flow)
+      pkt.timestamp += net::duration_from_seconds(start_s);
+    move_to_candidate_port(flow, 49004);
+    wire.insert(wire.end(), flow.begin(), flow.end());
+  }
+  std::stable_sort(wire.begin(), wire.end(), [](const auto& a, const auto& b) {
+    return a.timestamp < b.timestamp;
+  });
+  ASSERT_GT(wire.back().timestamp, net::duration_from_seconds(70.0));
+
+  const auto expect_stats_match = [](const MultiSessionProbe& probe,
+                                     const ProbeStats& stats) {
+    const ProbeStatsSnapshot snapshot = stats.snapshot();
+    EXPECT_EQ(snapshot.live_flows, probe.flow_table_size());
+    EXPECT_EQ(snapshot.live_sessions, probe.live_sessions());
+    EXPECT_EQ(snapshot.flow_evictions, probe.flow_evictions());
+    EXPECT_EQ(snapshot.lookback_dropped, probe.lookback_drops());
+    EXPECT_EQ(snapshot.packets_gated, probe.gated_packets());
+    EXPECT_EQ(snapshot.reports_emitted, probe.reports_emitted());
+  };
+
+  ProbeStats stats;
+  MultiSessionProbe probe(
+      suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+      {});
+  probe.set_stats(&stats);
+  for (const auto& pkt : wire) probe.push(pkt);
+  ASSERT_EQ(probe.live_sessions(), 1u);
+
+  // One more packet of the live session, 6 s on: it runs a sweep first.
+  net::PacketRecord late = session.packets.back();
+  late.timestamp = wire.back().timestamp + 6 * net::kNanosPerSecond;
+  probe.push(late);
+  EXPECT_EQ(probe.live_sessions(), 1u);
+  EXPECT_GT(probe.flow_evictions(), 0u);
+  EXPECT_GT(probe.flow_table_size(), 0u);
+  EXPECT_EQ(probe.gated_packets(), voip.size());
+  {
+    SCOPED_TRACE("after a sweep");
+    expect_stats_match(probe, stats);
+  }
+
+  probe.flush();
+  EXPECT_EQ(probe.live_sessions(), 0u);
+  EXPECT_EQ(probe.reports_emitted(), 1u);
+  {
+    SCOPED_TRACE("after flush()");
+    expect_stats_match(probe, stats);
+  }
+}
+
 TEST(MultiSessionProbe, RequiresModels) {
   EXPECT_THROW(
       MultiSessionProbe(PipelineModels{}, MultiSessionProbeParams{}, {}),
