@@ -25,101 +25,59 @@ CompiledForest::CompiledForest(const RandomForest& forest) {
   std::size_t total_leaves = 0;
   for (const DecisionTree& tree : forest.trees()) {
     total_nodes += tree.node_count();
-    for (const DecisionTree::Node& node : tree.nodes())
-      if (node.is_leaf()) ++total_leaves;
+    total_leaves += (tree.node_count() + 1) / 2;  // full binary tree
   }
-  feature_.reserve(total_nodes);
-  threshold_.reserve(total_nodes);
-  children_.reserve(2 * total_nodes);
-  leaf_offset_.reserve(total_nodes);
-  leaf_pool_.reserve(total_leaves * num_classes_);
-  roots_.reserve(forest.tree_count());
   walk_.reserve(total_nodes);
   walk_roots_.reserve(forest.tree_count());
+  leaf_pool_.reserve(total_leaves * num_classes_);
 
-  std::vector<std::size_t> depth;
-  std::vector<std::int32_t> order;   // tree-local node ids in BFS order
-  std::vector<std::int32_t> newpos;  // tree-local node id -> BFS rank
+  // BFS queue of (tree-local node id, depth). A BFS hands sibling pairs
+  // consecutive ranks, so a split only stores its left child's index
+  // (right = left + 1), and that index is the queue length at the moment
+  // the pair is enqueued.
+  struct Pending {
+    std::int32_t node;
+    std::size_t depth;
+  };
+  std::vector<Pending> queue;
   for (const DecisionTree& tree : forest.trees()) {
     if (tree.num_classes() != num_classes_)
       throw std::logic_error("CompiledForest: inconsistent class counts");
     if (num_features_ == 0) num_features_ = tree.num_features();
     if (tree.num_features() != num_features_)
       throw std::logic_error("CompiledForest: inconsistent feature widths");
-    const auto base = static_cast<std::int32_t>(feature_.size());
-    roots_.push_back(base);  // a tree's node 0 is its root
-    // Children always sit at larger local indices than their parent, so
-    // one forward pass yields every node's depth.
-    depth.assign(tree.node_count(), 0);
-    std::int32_t local = 0;
-    for (const DecisionTree::Node& node : tree.nodes()) {
-      const auto self = base + local;
+    const auto& nodes = tree.nodes();
+    const auto wbase = static_cast<std::int32_t>(walk_.size());
+    walk_roots_.push_back(wbase);
+    queue.clear();
+    queue.push_back({0, 0});  // a tree's node 0 is its root
+    for (std::size_t rank = 0; rank < queue.size(); ++rank) {
+      const auto [id, depth] = queue[rank];
+      const DecisionTree::Node& node = nodes[static_cast<std::size_t>(id)];
+      const auto self = wbase + static_cast<std::int32_t>(rank);
       if (node.is_leaf()) {
         if (node.distribution.size() != num_classes_)
           throw std::logic_error("CompiledForest: bad leaf width");
-        feature_.push_back(-1);
-        threshold_.push_back(0.0);
-        children_.push_back(self);
-        children_.push_back(self);
-        leaf_offset_.push_back(static_cast<std::int32_t>(leaf_pool_.size()));
-        leaf_pool_.insert(leaf_pool_.end(), node.distribution.begin(),
-                          node.distribution.end());
-        max_depth_ = std::max(max_depth_,
-                              depth[static_cast<std::size_t>(local)]);
-      } else {
-        feature_.push_back(node.feature);
-        threshold_.push_back(node.threshold);
-        children_.push_back(base + node.left);
-        children_.push_back(base + node.right);
-        leaf_offset_.push_back(-1);
-        const std::size_t d = depth[static_cast<std::size_t>(local)] + 1;
-        depth[static_cast<std::size_t>(node.left)] = d;
-        depth[static_cast<std::size_t>(node.right)] = d;
-      }
-      ++local;
-    }
-
-    // Walk mirror: re-lay the tree out in BFS order. A BFS queue hands
-    // sibling pairs consecutive ranks, so a split only needs its left
-    // child's index (right = left + 1).
-    const auto wbase = static_cast<std::int32_t>(walk_.size());
-    walk_roots_.push_back(wbase);
-    const auto& nodes = tree.nodes();
-    order.clear();
-    order.push_back(0);
-    for (std::size_t head = 0; head < order.size(); ++head) {
-      const DecisionTree::Node& node =
-          nodes[static_cast<std::size_t>(order[head])];
-      if (!node.is_leaf()) {
-        order.push_back(node.left);
-        order.push_back(node.right);
-      }
-    }
-    newpos.assign(nodes.size(), 0);
-    for (std::size_t rank = 0; rank < order.size(); ++rank)
-      newpos[static_cast<std::size_t>(order[rank])] =
-          static_cast<std::int32_t>(rank);
-    for (std::size_t rank = 0; rank < order.size(); ++rank) {
-      const auto old_local = static_cast<std::size_t>(order[rank]);
-      const DecisionTree::Node& node = nodes[old_local];
-      const auto self = wbase + static_cast<std::int32_t>(rank);
-      if (node.is_leaf()) {
         // Quiet NaN whose low bits are the leaf's pool offset: still
         // compares false against everything (the self-loop driver) and
         // doubles as the accumulation pass's distribution pointer.
-        const auto offset = static_cast<std::uint64_t>(
-            leaf_offset_[static_cast<std::size_t>(base) + old_local]);
+        const auto offset = static_cast<std::uint64_t>(leaf_pool_.size());
+        leaf_pool_.insert(leaf_pool_.end(), node.distribution.begin(),
+                          node.distribution.end());
         walk_.push_back(WalkNode{
             .threshold = std::bit_cast<double>(kLeafNanBits | offset),
             .feature = 0,
             .child = self - 1,
         });
+        max_depth_ = std::max(max_depth_, depth);
       } else {
         walk_.push_back(WalkNode{
             .threshold = node.threshold,
             .feature = node.feature,
-            .child = wbase + newpos[static_cast<std::size_t>(node.left)],
+            .child = wbase + static_cast<std::int32_t>(queue.size()),
         });
+        queue.push_back({node.left, depth + 1});
+        queue.push_back({node.right, depth + 1});
       }
     }
   }
@@ -195,7 +153,7 @@ void CompiledForest::predict_proba_into(std::span<const double> row,
         "CompiledForest: output span size must equal num_classes()");
   std::fill(out.begin(), out.end(), 0.0);
   walk_accumulate(row, out);
-  const auto k = static_cast<double>(roots_.size());
+  const auto k = static_cast<double>(walk_roots_.size());
   for (double& p : out) p /= k;
 }
 

@@ -5,24 +5,22 @@
 // fine for training, hostile to the prediction hot path: a 500-tree
 // title verdict chases ~5000 pointer-laden 48-byte nodes and touches as
 // many scattered leaf vectors. CompiledForest flattens the whole
-// ensemble once, after fit, into contiguous structure-of-arrays node
-// storage (feature / threshold / left / right) with every leaf
-// distribution pooled into one flat double array addressed by offset.
-// predict_proba_into then runs with zero heap allocations per call.
+// ensemble once, after fit, into one layout: packed 16-byte walk nodes
+// (threshold + feature + one child index), each tree laid out by one BFS
+// pass so siblings are adjacent, with every leaf distribution pooled
+// into one flat double array addressed by offset. predict_proba_into
+// then runs with zero heap allocations per call.
 //
 // Tree descent is a chain of dependent loads, so a single walk is bound
 // by memory latency, not compute. The engine therefore walks trees in
 // interleaved blocks of kWalkGroup: the independent descent chains
 // overlap their cache misses, which is where most of the speedup over
-// the reference walk comes from. The hot loop reads a packed 16-byte
-// traversal mirror of the SoA arrays (threshold + feature + one child
-// index; siblings are laid out adjacently by a per-tree BFS) so each
-// descent step touches one cache line instead of three. The walk itself
-// is branchless — a leaf stores threshold = NaN and child = self - 1,
-// so whatever the row holds (including NaN) the comparison is false and
-// the chain spins in place on the leaf — and all chains simply advance
-// for max_depth() passes with no per-node "am I done" branch to
-// mispredict.
+// the reference walk comes from. Each descent step reads one 16-byte
+// node, a quarter of a cache line. The walk itself is branchless — a
+// leaf stores threshold = NaN and child = self - 1, so whatever the row
+// holds (including NaN) the comparison is false and the chain spins in
+// place on the leaf — and all chains simply advance for max_depth()
+// passes with no per-node "am I done" branch to mispredict.
 //
 // Parity guarantee: predictions are bitwise-identical to the reference
 // forest. Leaf distributions are accumulated strictly in tree order
@@ -51,9 +49,9 @@ class CompiledForest {
   /// has no trees (compile before fit).
   explicit CompiledForest(const RandomForest& forest);
 
-  [[nodiscard]] bool compiled() const { return !roots_.empty(); }
-  [[nodiscard]] std::size_t tree_count() const { return roots_.size(); }
-  [[nodiscard]] std::size_t node_count() const { return feature_.size(); }
+  [[nodiscard]] bool compiled() const { return !walk_roots_.empty(); }
+  [[nodiscard]] std::size_t tree_count() const { return walk_roots_.size(); }
+  [[nodiscard]] std::size_t node_count() const { return walk_.size(); }
   [[nodiscard]] std::size_t num_classes() const { return num_classes_; }
   [[nodiscard]] std::size_t num_features() const { return num_features_; }
   /// Longest root-to-leaf path (edges) over all trees; the number of
@@ -115,25 +113,12 @@ class CompiledForest {
   };
   static_assert(sizeof(WalkNode) == 16);
 
-  // Canonical structure-of-arrays node storage, all trees concatenated,
-  // in the source forest's node order. Node i splits on feature_[i] at
-  // threshold_[i]; its left/right children sit at children_[2i] /
-  // children_[2i+1] (absolute indices). A leaf has feature_[i] = -1,
-  // children_ pointing at itself, and leaf_offset_[i] holding the offset
-  // of its num_classes_-wide distribution in leaf_pool_ (-1 for split
-  // nodes).
-  std::vector<std::int32_t> feature_;
-  std::vector<double> threshold_;
-  std::vector<std::int32_t> children_;
-  std::vector<std::int32_t> leaf_offset_;
-  std::vector<double> leaf_pool_;
-  /// Root node index per tree, in the reference forest's vote order.
-  std::vector<std::int32_t> roots_;
-  // Walk-optimized mirror of the node arrays (per-tree BFS order so
-  // siblings are adjacent), derived from the canonical layout at
-  // compile time and used by the hot descent loop.
+  // All trees concatenated, each in BFS order (siblings adjacent).
   std::vector<WalkNode> walk_;
+  /// Root node index per tree, in the reference forest's vote order.
   std::vector<std::int32_t> walk_roots_;
+  /// Leaf distributions, num_classes_ wide each, in walk order.
+  std::vector<double> leaf_pool_;
   std::size_t num_classes_ = 0;
   std::size_t num_features_ = 0;
   std::size_t max_depth_ = 0;

@@ -45,6 +45,13 @@ const FlowState& FlowTable::add(const PacketRecord& pkt) {
   const FiveTuple key = pkt.tuple.canonical();
   auto [it, inserted] = flows_.try_emplace(key);
   FlowState& state = it->second;
+  if (!inserted && pkt.timestamp - state.last_seen > idle_timeout_) {
+    // Silent past the timeout: the flow restarts here whether or not a
+    // sweep has run since, so every front-end sees the same flow.
+    state = FlowState{};
+    ++evictions_;
+    inserted = true;
+  }
   if (inserted) {
     state.key = key;
     state.first_seen = pkt.timestamp;

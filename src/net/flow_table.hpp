@@ -55,8 +55,11 @@ struct FlowState {
   [[nodiscard]] double downstream_rtp_consistency() const;
 };
 
-/// Demultiplexes packets into FlowStates. Flows idle longer than
-/// `idle_timeout` are evicted lazily: every `kLazyEvictStride` calls to
+/// Demultiplexes packets into FlowStates. A flow silent for longer than
+/// `idle_timeout` restarts at its own next packet: add() resets it to
+/// fresh statistics (counted in evictions()) before accounting the
+/// packet, so the restart does not depend on when a sweep last ran.
+/// Idle flows are also evicted lazily: every `kLazyEvictStride` calls to
 /// add(), the table sweeps and discards idle entries (amortized O(1) per
 /// packet, no timer machinery), so the table stays bounded under
 /// sustained churn even if the owner never sweeps explicitly. Callers
@@ -89,8 +92,9 @@ class FlowTable {
 
   [[nodiscard]] std::size_t size() const { return flows_.size(); }
 
-  /// Total flows evicted for idleness over the table's lifetime (both
-  /// explicit evict_idle() sweeps and the lazy add() sweeps).
+  /// Total flows evicted for idleness over the table's lifetime
+  /// (explicit evict_idle() sweeps, the lazy add() sweeps and add()'s
+  /// restarts of stale flows).
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
   /// Looks up a flow by (any orientation of) its tuple.

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "obs/export.hpp"
+
 namespace cgctx::obs {
 
 const char* to_string(TraceEventType type) {
@@ -61,23 +63,20 @@ void DecisionTraceRing::append_to(std::vector<TraceEvent>& out) const {
 }
 
 std::string to_jsonl(const TraceEvent& event) {
-  // The name field is operator-supplied class-name text; escape the JSON
-  // specials by hand (it cannot contain control characters in practice,
-  // but a quote or backslash must not break the line format).
-  std::string name;
-  for (const char c : event.name_view()) {
-    if (c == '\\') name += "\\\\";
-    else if (c == '"') name += "\\\"";
-    else name += c;
-  }
+  // Only the fixed-width fields go through the buffer; the name is
+  // operator-supplied class-name text (a CRLF model file leaves a '\r' on
+  // it), so it is JSON-escaped and appended after.
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "{\"session\":%llu,\"t\":%.3f,\"event\":\"%s\",\"label\":%d,"
-                "\"confidence\":%.4f,\"name\":\"%s\"}\n",
+                "\"confidence\":%.4f,\"name\":\"",
                 static_cast<unsigned long long>(event.session_id),
                 event.at_seconds, to_string(event.type), event.label,
-                event.confidence, name.c_str());
-  return buf;
+                event.confidence);
+  std::string line = buf;
+  line += json_escape(event.name_view());
+  line += "\"}\n";
+  return line;
 }
 
 void write_jsonl(const DecisionTraceRing& ring, std::ostream& out) {

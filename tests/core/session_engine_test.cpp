@@ -309,6 +309,39 @@ TEST(SessionEngineEquivalence, FrontEndsAgreeOffTheHappyPath) {
     ASSERT_NO_FATAL_FAILURE(expect_front_ends_agree(wire, report, story));
     EXPECT_EQ(story.front().type, obs::TraceEventType::kFlowPromoted);
   }
+  {
+    SCOPED_TRACE("stale flow on the session's tuple");
+    // 100 downstream RTP packets on the session's tuple under another
+    // SSRC, the last one 70 s (past the flow idle timeout) before the
+    // session: the flow restarts at the session's first packet in every
+    // front-end, whenever each one last swept its flow table.
+    const sim::LabeledSession later = packet_session(
+        sim::CloudPlatform::kXboxCloud, sim::GameTitle::kGenshinImpact, 202,
+        90.0);
+    const auto down = std::find_if(
+        later.packets.begin(), later.packets.end(),
+        [](const net::PacketRecord& pkt) {
+          return pkt.direction == net::Direction::kDownstream && pkt.rtp;
+        });
+    ASSERT_NE(down, later.packets.end());
+    constexpr int kStale = 100;
+    const net::Timestamp stale_end =
+        later.packets.front().timestamp - 70 * net::kNanosPerSecond;
+    std::vector<net::PacketRecord> wire;
+    for (int i = 0; i < kStale; ++i) {
+      net::PacketRecord pkt = *down;
+      pkt.timestamp =
+          stale_end - (kStale - 1 - i) * (net::kNanosPerSecond / 20);
+      pkt.rtp->ssrc = down->rtp->ssrc + 1;
+      pkt.rtp->sequence = static_cast<std::uint16_t>(i);
+      wire.push_back(pkt);
+    }
+    ASSERT_GT(wire.front().timestamp, 0);
+    wire.insert(wire.end(), later.packets.begin(), later.packets.end());
+
+    ASSERT_NO_FATAL_FAILURE(expect_front_ends_agree(wire, report, story));
+    EXPECT_EQ(story.front().type, obs::TraceEventType::kFlowPromoted);
+  }
 }
 
 TEST(SessionEngine, PooledResetReproducesFreshEngineByteIdentically) {

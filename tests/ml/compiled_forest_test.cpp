@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -147,6 +148,37 @@ TEST(CompiledForest, ThreeWayTieStillPicksLowestLabel) {
   const FeatureRow row{0.5, -0.5};
   EXPECT_EQ(forest.predict(row), 0);
   EXPECT_EQ(compiled.predict(row), 0);
+}
+
+TEST(CompiledForest, MaxDepthIsDeepestReferenceLeaf) {
+  // Too small a max_depth() breaks parity; too large one only costs
+  // idle passes, so it is pinned here exactly. Unlimited depth on
+  // overlapping blobs: each bootstrap sample grows to its own depth.
+  const Dataset data = blobs(60, 2.0, 3, 3);
+  RandomForest forest(
+      RandomForestParams{.n_trees = 30, .max_depth = 0, .seed = 26});
+  forest.fit(data);
+  // DecisionTree::depth() recurses over the source nodes' child links.
+  std::size_t shallowest = SIZE_MAX;
+  std::size_t deepest = 0;
+  for (const DecisionTree& tree : forest.trees()) {
+    shallowest = std::min(shallowest, tree.depth());
+    deepest = std::max(deepest, tree.depth());
+  }
+  ASSERT_LT(shallowest, deepest) << "want a forest of mixed tree depths";
+  EXPECT_EQ(CompiledForest(forest).max_depth(), deepest);
+
+  // Unsplittable rows: every tree is a single leaf, so no descent pass.
+  Dataset flat({"x", "y"}, {"a", "b"});
+  for (int i = 0; i < 8; ++i) flat.add({1.0, 2.0}, i % 2);
+  RandomForest stumps(
+      RandomForestParams{.n_trees = 5, .bootstrap = false, .seed = 27});
+  stumps.fit(flat);
+  const CompiledForest compiled_stumps(stumps);
+  EXPECT_EQ(compiled_stumps.max_depth(), 0u);
+  EXPECT_EQ(compiled_stumps.node_count(), 5u);
+  expect_bitwise_equal(compiled_stumps.predict_proba({1.0, 2.0}),
+                       stumps.predict_proba({1.0, 2.0}));
 }
 
 TEST(CompiledForest, UncompiledThrowsLogicError) {

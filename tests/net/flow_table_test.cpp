@@ -136,6 +136,31 @@ TEST(FlowTable, AddEvictsIdleFlowsLazily) {
   EXPECT_EQ(table.evictions(), 1u);
 }
 
+TEST(FlowTable, AddRestartsAFlowSilentPastTheTimeout) {
+  // No sweep runs between the two bursts, yet the flow restarts at its
+  // own next packet: fresh statistics, counted as one eviction.
+  FlowTable table(10 * kNanosPerSecond);
+  table.add(packet(tuple_a(), Direction::kUpstream, 0, 10));
+  table.add(packet(tuple_a(), Direction::kDownstream, kNanosPerSecond, 900));
+  const Timestamp back = 12 * kNanosPerSecond;
+  const FlowState& flow =
+      table.add(packet(tuple_a(), Direction::kDownstream, back, 700));
+  EXPECT_EQ(flow.key, tuple_a().canonical());
+  EXPECT_EQ(flow.first_seen, back);
+  EXPECT_EQ(flow.last_seen, back);
+  EXPECT_EQ(flow.total_packets(), 1u);
+  EXPECT_EQ(flow.up.packets, 0u);
+  EXPECT_EQ(flow.down.min_payload, 700u);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.evictions(), 1u);
+
+  // A gap of exactly the timeout is not idle: the flow carries on.
+  table.add(packet(tuple_a(), Direction::kUpstream,
+                   back + 10 * kNanosPerSecond, 10));
+  EXPECT_EQ(table.find(tuple_a())->total_packets(), 2u);
+  EXPECT_EQ(table.evictions(), 1u);
+}
+
 TEST(FlowTable, EraseDropsFlowWithoutCountingEviction) {
   FlowTable table;
   table.add(packet(tuple_a(), Direction::kUpstream, 0, 10));

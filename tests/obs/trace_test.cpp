@@ -99,6 +99,31 @@ TEST(TraceJsonl, EscapesNameQuotes) {
   EXPECT_NE(line.find("\"name\":\"a\\\"b\\\\c\""), std::string::npos);
 }
 
+TEST(TraceJsonl, EscapesControlCharacters) {
+  // A class name read from a CRLF model file keeps its '\r'.
+  TraceEvent event;
+  event.set_name("Halo\r\t\x01");
+  const std::string line = to_jsonl(event);
+  EXPECT_NE(line.find("\"name\":\"Halo\\r\\t\\u0001\"}\n"),
+            std::string::npos);
+  // The only raw control byte is the line's own terminator.
+  for (std::size_t i = 0; i + 1 < line.size(); ++i)
+    EXPECT_GE(static_cast<unsigned char>(line[i]), 0x20u) << "at " << i;
+
+  // A full-width name of control bytes escapes to six bytes each; with
+  // wide numeric fields the line still closes.
+  event.session_id = ~std::uint64_t{0};
+  event.at_seconds = 1e12;
+  event.label = -2147483647;
+  event.confidence = -1e9;
+  event.set_name(std::string(event.name.size() - 1, '\x1f'));
+  const std::string wide = to_jsonl(event);
+  std::string escaped;
+  for (std::size_t i = 0; i + 1 < event.name.size(); ++i)
+    escaped += "\\u001f";
+  EXPECT_TRUE(wide.ends_with("\"name\":\"" + escaped + "\"}\n")) << wide;
+}
+
 TEST(TraceJsonl, WritesOneLinePerHeldEvent) {
   DecisionTraceRing ring(8);
   for (int i = 0; i < 3; ++i)
