@@ -18,10 +18,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "common/bench_support.hpp"
 #include "core/launch_attributes.hpp"
+#include "core/stage_classifier.hpp"
+#include "core/transition_model.hpp"
 #include "ml/compiled_forest.hpp"
 #include "sim/session.hpp"
 
@@ -187,9 +190,71 @@ void BM_StageCompiled(benchmark::State& state) {
 }
 BENCHMARK(BM_StageCompiled);
 
-// --- Batched title predictions -----------------------------------------
+// --- Tree-major batches: stage and pattern forests -----------------------
+// RealtimePipeline::process_session classifies slots in batches of
+// RealtimePipeline::kSlotBatch rows. Each batch holds distinct rows (the
+// rotating-pool rule: no flow-second is classified twice), so the
+// tree-major walk cannot lean on repeated descent paths either.
 
 constexpr std::size_t kBatch = 256;
+
+/// kBatch distinct stage rows, packed row-major.
+std::vector<double> stage_batch() {
+  std::vector<double> rows;
+  rows.reserve(kBatch * core::kNumVolumetricAttributes);
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    const ml::FeatureRow row = stage_row(i);
+    rows.insert(rows.end(), row.begin(), row.end());
+  }
+  return rows;
+}
+
+/// kBatch distinct transition-probability rows, packed row-major: each
+/// from a sticky random stage sequence of its own length past the
+/// pattern forest's transition floor.
+std::vector<double> pattern_batch() {
+  ml::Rng rng(41);
+  std::vector<double> rows(kBatch * core::kNumTransitionAttributes);
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    core::TransitionTracker tracker;
+    ml::Label stage = core::kStageActive;
+    const double stay = rng.uniform(0.6, 0.98);
+    for (std::size_t slot = 0; slot < 150 + 3 * i; ++slot) {
+      if (rng.next_double() > stay)
+        stage = static_cast<ml::Label>(rng.next_below(core::kNumStageLabels));
+      tracker.push(stage);
+    }
+    tracker.probabilities_into(std::span(
+        rows.data() + i * core::kNumTransitionAttributes,
+        core::kNumTransitionAttributes));
+  }
+  return rows;
+}
+
+/// One predict_proba_rows_into call over `rows` per op.
+void run_batch(benchmark::State& state, const ml::CompiledForest& compiled,
+               const std::vector<double>& rows) {
+  std::vector<double> out(kBatch * compiled.num_classes());
+  run_counted(state, [&] {
+    compiled.predict_proba_rows_into(rows, out);
+    benchmark::DoNotOptimize(out.data());
+  });
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBatch));
+}
+
+void BM_StageBatchCompiled(benchmark::State& state) {
+  run_batch(state, bench::bench_models().stage.compiled(), stage_batch());
+}
+BENCHMARK(BM_StageBatchCompiled);
+
+void BM_PatternBatchCompiled(benchmark::State& state) {
+  run_batch(state, bench::bench_models().pattern.compiled(), pattern_batch());
+}
+BENCHMARK(BM_PatternBatchCompiled);
+
+// --- Batched title predictions -----------------------------------------
+// predict_rows packs its rows into one buffer and walks tree-major.
 
 std::vector<ml::FeatureRow> title_batch() {
   std::vector<ml::FeatureRow> rows;

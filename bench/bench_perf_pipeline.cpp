@@ -3,9 +3,10 @@
 // an operator vantage point — flow-table accounting, RTP parsing, packet
 // group labeling, launch-attribute extraction, model inference, the
 // end-to-end per-session pipeline, and the SessionEngine and
-// MultiSessionProbe (cross traffic, live sessions) steady-state hot paths
-// (which must not touch the heap — asserted, not just reported: the
-// binary exits non-zero if a steady-state bench allocates).
+// MultiSessionProbe (cross traffic, live sessions) steady-state hot paths,
+// per slot and in process_session's push_slots batches (which must not
+// touch the heap — asserted, not just reported: the binary exits non-zero
+// if a steady-state bench allocates).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,10 +16,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "common/bench_support.hpp"
 #include "core/multi_session_probe.hpp"
+#include "core/pipeline.hpp"
 #include "core/pipeline_metrics.hpp"
 #include "core/session_engine.hpp"
 #include "core/training.hpp"
@@ -292,6 +295,57 @@ void BM_EngineTelemetrySessionSteadyState(benchmark::State& state) {
                           static_cast<std::int64_t>(session.slots.size()));
 }
 BENCHMARK(BM_EngineTelemetrySessionSteadyState);
+
+void BM_EngineTelemetryBatchSteadyState(benchmark::State& state) {
+  // The same pooled-engine sessions, pushed the way process_session
+  // pushes them: push_slots in RealtimePipeline::kSlotBatch chunks, so
+  // each session crosses chunk boundaries (the last chunk is partial) and
+  // the stage and pattern forests walk tree-major. After the warm-up
+  // session sizes the batch buffers, no session may allocate.
+  const auto& suite = bench::bench_models();
+  static const core::PipelineParams params = core::default_pipeline_params();
+  sim::SessionGenerator generator;
+  sim::SessionSpec spec;
+  spec.title = sim::GameTitle::kCsgo;
+  spec.gameplay_seconds = 600.0;
+  spec.seed = 10;
+  const sim::LabeledSession session = generator.generate_slots_only(spec);
+  const core::TitleResult title =
+      suite.models().title->classify(session.packets, session.launch_begin);
+  std::vector<core::SlotTelemetry> slots;
+  for (const sim::SlotSample& sample : session.slots) {
+    core::SlotTelemetry& slot = slots.emplace_back();
+    slot.volumetrics =
+        core::RawSlotVolumetrics{sample.down_bytes, sample.down_packets,
+                                 sample.up_bytes, sample.up_packets};
+    slot.frames = sample.frames;
+    slot.rtt_ms = sample.rtt_ms;
+    slot.loss_rate = sample.loss_rate;
+  }
+  constexpr std::size_t kChunk = core::RealtimePipeline::kSlotBatch;
+  if (slots.size() <= 2 * kChunk || slots.size() % kChunk == 0) {
+    state.SkipWithError("session must end in a partial third chunk");
+    return;
+  }
+
+  core::SessionEngine engine(suite.models(), &params);
+  const core::SessionObserver observer;
+  const auto run_session = [&] {
+    engine.reset();
+    engine.start(session.launch_begin);
+    engine.set_title(title);
+    const std::span<const core::SlotTelemetry> all(slots);
+    for (std::size_t at = 0; at < all.size(); at += kChunk)
+      engine.push_slots(all.subspan(at, std::min(kChunk, all.size() - at)),
+                        observer);
+    benchmark::DoNotOptimize(&engine.finish(observer));
+  };
+  run_session();  // warm-up: install buffer capacities
+  run_zero_alloc(state, run_session);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(slots.size()));
+}
+BENCHMARK(BM_EngineTelemetryBatchSteadyState);
 
 void BM_ProbeCrossTrafficSteadyState(benchmark::State& state) {
   // Cross traffic through a probe: each op is one VoIP/web/video packet

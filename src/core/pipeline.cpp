@@ -1,5 +1,6 @@
 #include "core/pipeline.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "core/streaming_analyzer.hpp"
@@ -44,16 +45,24 @@ SessionReport RealtimePipeline::process_session(
   engine.set_title(
       models_.title->classify(session.packets, session.launch_begin));
 
-  SlotTelemetry slot;
+  // Fixed-size chunks bound the engine's batch buffers (and the forest
+  // batches' working set) whatever the session length.
+  std::array<SlotTelemetry, kSlotBatch> chunk;
+  std::size_t filled = 0;
   for (const sim::SlotSample& sample : session.slots) {
+    SlotTelemetry& slot = chunk[filled++];
     slot.volumetrics = RawSlotVolumetrics{sample.down_bytes,
                                           sample.down_packets, sample.up_bytes,
                                           sample.up_packets};
     slot.frames = sample.frames;
     slot.rtt_ms = sample.rtt_ms;
     slot.loss_rate = sample.loss_rate;
-    engine.push_slot(slot, observer);
+    if (filled == kSlotBatch) {
+      engine.push_slots(chunk, observer);
+      filled = 0;
+    }
   }
+  engine.push_slots(std::span(chunk.data(), filled), observer);
   return engine.finish(observer);
 }
 

@@ -41,9 +41,15 @@ class RealtimePipeline {
 
   /// ISP-scale entry point: launch packet window (title classification)
   /// plus per-second flow telemetry (everything else). Detection is
-  /// assumed done upstream.
+  /// assumed done upstream. Slots go to SessionEngine::push_slots in
+  /// chunks of kSlotBatch; the report equals a push_slot loop's.
   [[nodiscard]] SessionReport process_session(
       const sim::LabeledSession& session) const;
+
+  /// Slots per process_session batch: long enough for the tree-major
+  /// forest walks to pay off, short enough to keep a session's batch
+  /// buffers small (a compile-time bound, not a tuning knob).
+  static constexpr std::size_t kSlotBatch = 256;
 
   [[nodiscard]] const PipelineParams& params() const { return params_; }
 

@@ -41,7 +41,9 @@ struct PipelineMetrics {
   /// reads — the dominant instrumentation cost — off most slots, the same
   /// trade ShardedProbeParams::latency_sample_stride makes; the counters
   /// above are exact regardless. The title timer ignores the stride (one
-  /// classification per session). Must be >= 1.
+  /// classification per session). A SessionEngine::push_slots batch times
+  /// each step once and records, for every sampled slot in it, the step's
+  /// time divided by the batch's slot count. Must be >= 1.
   std::uint32_t timer_sample_stride = 8;
 
   /// Registers all instruments in `registry` (idempotent: registering

@@ -1,6 +1,7 @@
 #include "core/session_engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 namespace cgctx::core {
@@ -186,12 +187,17 @@ void SessionEngine::close_title(double at_seconds,
 }
 
 void SessionEngine::close_slot(const SessionObserver& observer) {
-  deliver(close_slot_core(), observer);
-}
-
-void SessionEngine::push_slot(const SlotTelemetry& slot,
-                              const SessionObserver& observer) {
-  deliver(ingest_slot(slot), observer);
+  const EstimatedSlotQoe estimated = qoe_.end_slot();
+  SlotTelemetry slot;
+  slot.volumetrics = current_slot_;
+  slot.frames = estimated.frame_rate;
+  // No passive RTT estimate exists for one-way UDP observation; the
+  // deployment feeds RTT from its QoS probes (slot-fidelity telemetry
+  // carries it). Packet mode falls back to a configured value.
+  slot.rtt_ms = params_->assumed_rtt_ms;
+  slot.loss_rate = estimated.loss_rate;
+  current_slot_ = RawSlotVolumetrics{};
+  push_slot(slot, observer);
 }
 
 void SessionEngine::deliver(const SlotOutcome& outcome,
@@ -233,58 +239,99 @@ const SessionReport& SessionEngine::finish(const SessionObserver& observer) {
   return report_;
 }
 
-SessionEngine::SlotOutcome SessionEngine::close_slot_core() {
-  const EstimatedSlotQoe estimated = qoe_.end_slot();
-  SlotTelemetry slot;
-  slot.volumetrics = current_slot_;
-  slot.frames = estimated.frame_rate;
-  // No passive RTT estimate exists for one-way UDP observation; the
-  // deployment feeds RTT from its QoS probes (slot-fidelity telemetry
-  // carries it). Packet mode falls back to a configured value.
-  slot.rtt_ms = params_->assumed_rtt_ms;
-  slot.loss_rate = estimated.loss_rate;
-  current_slot_ = RawSlotVolumetrics{};
-  return ingest_slot(slot);
+void SessionEngine::push_slots(std::span<const SlotTelemetry> slots,
+                               const SessionObserver& observer) {
+  const std::size_t n = slots.size();
+  if (n == 0) return;
+  // Stage timers are sampled per slot: the tick deliberately survives
+  // reset() so pooled engines running short sessions still hit sampled
+  // slots. A batch times each step once and records, for every sampled
+  // slot, the step's time divided by the batch's slots.
+  std::size_t sampled = 0;
+  if (metrics_ != nullptr)
+    for (std::size_t i = 0; i < n; ++i)
+      if (++timer_tick_ >= metrics_->timer_sample_stride) {
+        timer_tick_ = 0;
+        ++sampled;
+      }
+  const auto now = [&]() -> std::uint64_t {
+    if (sampled == 0) return 0;
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+  };
+  const std::uint64_t t0 = now();
+
+  // 1. Stage: every slot's volumetric row, then one forest batch. rows_
+  // holds the stage rows, then (once they are classified) the wider
+  // pattern rows.
+  static_assert(kNumTransitionAttributes >= kNumVolumetricAttributes);
+  if (rows_.size() < n * kNumTransitionAttributes)
+    rows_.resize(n * kNumTransitionAttributes);
+  if (stages_.size() < n) {
+    stages_.resize(n);
+    inferences_.resize(n);
+  }
+  const std::span<ml::Label> stages(stages_.data(), n);
+  for (std::size_t i = 0; i < n; ++i)
+    tracker_.push_into(slots[i].volumetrics,
+                       std::span(rows_.data() + i * kNumVolumetricAttributes,
+                                 kNumVolumetricAttributes));
+  models_.stage->classify_rows(
+      std::span<const double>(rows_.data(), n * kNumVolumetricAttributes),
+      scratch(n * models_.stage->scratch_size()), stages);
+  const std::uint64_t t1 = now();
+
+  // 2. Pattern: replay the stages into the transition matrix, keeping the
+  // probability row of every slot at or past the floor (ready() is
+  // monotone, so those are the batch's last `ready` slots), then one
+  // forest batch. Pattern inference runs continuously: the report
+  // carries the most recent confident verdict (it sharpens as the
+  // transition matrix matures), while pattern_decided_at_s records when
+  // the operator first had a usable answer.
+  std::size_t ready = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    transitions_.push(stages[i]);
+    if (!models_.pattern->ready(transitions_)) continue;
+    transitions_.probabilities_into(
+        std::span(rows_.data() + ready * kNumTransitionAttributes,
+                  kNumTransitionAttributes));
+    ++ready;
+  }
+  models_.pattern->infer_rows(
+      std::span<const double>(rows_.data(), ready * kNumTransitionAttributes),
+      scratch(ready * models_.pattern->scratch_size()),
+      std::span(inferences_.data(), ready));
+  const std::uint64_t t2 = now();
+
+  // 3. Everything else, slot by slot.
+  const std::size_t first_ready = n - ready;
+  const std::optional<PatternResult> below_floor;
+  for (std::size_t i = 0; i < n; ++i)
+    deliver(record_slot(slots[i], stages[i],
+                        i < first_ready ? below_floor
+                                        : inferences_[i - first_ready]),
+            observer);
+
+  if (sampled != 0) {
+    const std::uint64_t t3 = now();
+    for (std::size_t k = 0; k < sampled; ++k) {
+      metrics_->stage_classify_ns->record((t1 - t0) / n);
+      metrics_->pattern_infer_ns->record((t2 - t1) / n);
+      metrics_->slot_close_ns->record((t3 - t0) / n);
+    }
+  }
 }
 
-SessionEngine::SlotOutcome SessionEngine::ingest_slot(
-    const SlotTelemetry& slot) {
-  // Stage timers are sampled: the tick deliberately survives reset() so
-  // pooled engines running short sessions still hit sampled slots.
-  bool timed = false;
-  if (metrics_ != nullptr && ++timer_tick_ >= metrics_->timer_sample_stride) {
-    timer_tick_ = 0;
-    timed = true;
-  }
-  const obs::ScopedTimer slot_timer(timed ? metrics_->slot_close_ns : nullptr);
+SessionEngine::SlotOutcome SessionEngine::record_slot(
+    const SlotTelemetry& slot, ml::Label stage,
+    const std::optional<PatternResult>& inference) {
   SlotOutcome outcome;
   outcome.at_seconds = static_cast<double>(next_slot_ + 1);
-
-  tracker_.push_into(slot.volumetrics, attrs_);
-  ml::Label stage;
-  {
-    const obs::ScopedTimer timer(timed ? metrics_->stage_classify_ns
-                                       : nullptr);
-    stage = models_.stage->classify(std::span<const double>(attrs_),
-                                    scratch(models_.stage->scratch_size()));
-  }
-  transitions_.push(stage);
-
   if (stage != last_stage_) {
     outcome.stage_changed = true;
     last_stage_ = stage;
-  }
-
-  // Pattern inference runs continuously: the report carries the most
-  // recent confident verdict (it sharpens as the transition matrix
-  // matures), while pattern_decided_at_s records when the operator first
-  // had a usable answer.
-  std::optional<PatternResult> inference;
-  {
-    const obs::ScopedTimer timer(timed ? metrics_->pattern_infer_ns
-                                       : nullptr);
-    inference = models_.pattern->infer(
-        transitions_, scratch(models_.pattern->scratch_size()));
   }
   if (inference) {
     const bool first = !pattern_.has_value();

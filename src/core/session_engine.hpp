@@ -16,8 +16,8 @@
 //  - on_packet() performs zero heap allocations in steady state (once
 //    the title window has closed and the engine's internal buffers have
 //    reached session size). All scratch — the classifier probability
-//    buffer, the volumetric attribute row, the slot records — is
-//    engine-owned and reused.
+//    buffer, the forest input rows, the slot records — is engine-owned
+//    and reused.
 //  - reset() clears session state but retains buffer capacity, so a
 //    pooled engine (MultiSessionProbe keeps a free list) analyzes its
 //    second and later sessions without allocating at all.
@@ -216,8 +216,21 @@ class SessionEngine {
   /// Closes the open packet-mode slot explicitly (classify + QoE + record).
   void close_slot(const SessionObserver& observer);
 
-  /// Telemetry mode: ingests one pre-aggregated slot.
-  void push_slot(const SlotTelemetry& slot, const SessionObserver& observer);
+  /// Telemetry mode: ingests one pre-aggregated slot (push_slots of one).
+  void push_slot(const SlotTelemetry& slot, const SessionObserver& observer) {
+    push_slots(std::span(&slot, 1), observer);
+  }
+
+  /// Telemetry mode: ingests consecutive pre-aggregated slots. Reports,
+  /// events and counters are exactly those of push_slot per slot. Stage
+  /// verdicts depend only on the volumetric history, so every stage row
+  /// is built first and the stage forest runs once over the span, then
+  /// the pattern forest once over the slots past its transition floor;
+  /// the per-slot record, QoE and event work follows in slot order. The
+  /// engine's batch buffers grow to the largest span pushed and are kept
+  /// (allocation-free once warm).
+  void push_slots(std::span<const SlotTelemetry> slots,
+                  const SessionObserver& observer);
 
   /// Flushes the partial final slot, classifies a still-pending title
   /// window (sessions shorter than the window), and finalizes session
@@ -255,8 +268,10 @@ class SessionEngine {
     bool qoe_changed = false;    ///< effective level differs from last slot
   };
 
-  SlotOutcome close_slot_core();
-  SlotOutcome ingest_slot(const SlotTelemetry& slot);
+  /// The per-slot tail of push_slots, once the slot's stage and pattern
+  /// inference are known: pattern bookkeeping, record, QoE, counters.
+  SlotOutcome record_slot(const SlotTelemetry& slot, ml::Label stage,
+                          const std::optional<PatternResult>& inference);
   void classify_pending_title();
   /// Classifies the buffered title window and emits kTitleClassified.
   void close_title(double at_seconds, const SessionObserver& observer);
@@ -282,11 +297,15 @@ class SessionEngine {
   double demand_hint_mbps_ = 0.0;
 
   /// One probability scratch buffer reused by every classification the
-  /// engine performs (sized once for the widest model; the
-  /// compiled-forest path allocates nothing per call given it).
+  /// engine performs (sized for the widest model times the largest slot
+  /// batch; the compiled-forest path allocates nothing per call given it).
   std::vector<double> scratch_;
-  /// Volumetric attribute row reused across slots.
-  std::array<double, kNumVolumetricAttributes> attrs_{};
+  /// push_slots batch buffers, sized to the largest span pushed: forest
+  /// input rows (the stage rows, then the pattern rows), stage labels and
+  /// pattern inferences.
+  std::vector<double> rows_;
+  std::vector<ml::Label> stages_;
+  std::vector<std::optional<PatternResult>> inferences_;
 
   // Slot machinery.
   std::size_t next_slot_ = 0;

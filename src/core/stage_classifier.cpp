@@ -31,14 +31,23 @@ ml::Label StageClassifier::classify(const ml::FeatureRow& attributes,
   return compiled_.predict(attributes, scratch);
 }
 
-ml::Label StageClassifier::classify(std::span<const double> attributes,
-                                    std::span<double> scratch) const {
-  return compiled_.predict(attributes, scratch);
-}
-
 ml::Classifier::Prediction StageClassifier::classify_with_confidence(
     const ml::FeatureRow& attributes, std::span<double> scratch) const {
   return compiled_.predict_with_confidence(attributes, scratch);
+}
+
+void StageClassifier::classify_rows(std::span<const double> rows,
+                                    std::span<double> scratch,
+                                    std::span<ml::Label> labels) const {
+  const std::size_t classes = scratch_size();
+  if (scratch.size() != labels.size() * classes)
+    throw std::invalid_argument(
+        "StageClassifier::classify_rows: scratch must be labels.size() x "
+        "scratch_size()");
+  compiled_.predict_proba_rows_into(rows, scratch);
+  for (std::size_t i = 0; i < labels.size(); ++i)
+    labels[i] =
+        ml::CompiledForest::top(scratch.subspan(i * classes, classes)).label;
 }
 
 std::string StageClassifier::serialize() const {

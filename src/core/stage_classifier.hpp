@@ -50,12 +50,16 @@ class StageClassifier {
   /// probability accumulation buffer, reusable across slots.
   [[nodiscard]] ml::Label classify(const ml::FeatureRow& attributes,
                                    std::span<double> scratch) const;
-  /// Span overload: lets callers keep the attribute row in a fixed
-  /// std::array instead of a heap-backed FeatureRow.
-  [[nodiscard]] ml::Label classify(std::span<const double> attributes,
-                                   std::span<double> scratch) const;
   [[nodiscard]] ml::Classifier::Prediction classify_with_confidence(
       const ml::FeatureRow& attributes, std::span<double> scratch) const;
+
+  /// Batch form of classify over n slots, allocation-free: `rows` holds n
+  /// attribute rows back to back, `scratch` is n x scratch_size(), and
+  /// `labels` (size n) receives one stage per row, each equal to
+  /// classify() on that row. Batches of ml::CompiledForest::kWalkGroup
+  /// rows or more walk the forest tree-major.
+  void classify_rows(std::span<const double> rows, std::span<double> scratch,
+                     std::span<ml::Label> labels) const;
 
   /// Scratch doubles classify needs (= the class count; 0 until trained).
   [[nodiscard]] std::size_t scratch_size() const {

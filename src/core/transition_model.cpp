@@ -83,18 +83,37 @@ PatternResult PatternInferrer::infer_unchecked(
 
 std::optional<PatternResult> PatternInferrer::infer(
     const TransitionTracker& tracker) const {
-  if (tracker.transition_count() < params_.min_transitions) return std::nullopt;
-  const PatternResult result = infer_unchecked(tracker);
-  if (result.confidence < params_.confidence_threshold) return std::nullopt;
-  return result;
+  std::vector<double> scratch(scratch_size());
+  return infer(tracker, scratch);
 }
 
 std::optional<PatternResult> PatternInferrer::infer(
     const TransitionTracker& tracker, std::span<double> scratch) const {
-  if (tracker.transition_count() < params_.min_transitions) return std::nullopt;
-  const PatternResult result = infer_unchecked(tracker, scratch);
-  if (result.confidence < params_.confidence_threshold) return std::nullopt;
+  std::optional<PatternResult> result;
+  if (!ready(tracker)) return result;
+  std::array<double, kNumTransitionAttributes> row;
+  tracker.probabilities_into(row);
+  infer_rows(row, scratch, std::span(&result, 1));
   return result;
+}
+
+void PatternInferrer::infer_rows(
+    std::span<const double> rows, std::span<double> scratch,
+    std::span<std::optional<PatternResult>> out) const {
+  const std::size_t classes = scratch_size();
+  if (scratch.size() != out.size() * classes)
+    throw std::invalid_argument(
+        "PatternInferrer::infer_rows: scratch must be out.size() x "
+        "scratch_size()");
+  compiled_.predict_proba_rows_into(rows, scratch);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const auto prediction =
+        ml::CompiledForest::top(scratch.subspan(i * classes, classes));
+    if (prediction.confidence < params_.confidence_threshold)
+      out[i].reset();
+    else
+      out[i] = PatternResult{prediction.label, prediction.confidence};
+  }
 }
 
 std::string PatternInferrer::serialize() const {

@@ -100,6 +100,12 @@ class PatternInferrer {
   [[nodiscard]] std::optional<PatternResult> infer(
       const TransitionTracker& tracker) const;
 
+  /// Whether `tracker` has recorded the min_transitions floor infer()
+  /// needs before it tries the forest. Monotone over a session.
+  [[nodiscard]] bool ready(const TransitionTracker& tracker) const {
+    return tracker.transition_count() >= params_.min_transitions;
+  }
+
   /// Unconditional prediction (used at end of session as a last resort
   /// and by evaluation benches).
   [[nodiscard]] PatternResult infer_unchecked(
@@ -111,6 +117,15 @@ class PatternInferrer {
       const TransitionTracker& tracker, std::span<double> scratch) const;
   [[nodiscard]] PatternResult infer_unchecked(
       const TransitionTracker& tracker, std::span<double> scratch) const;
+
+  /// Batch form of infer over n ready() trackers, allocation-free: `rows`
+  /// holds their probabilities_into() rows back to back, `scratch` is
+  /// n x scratch_size(), and `out` (size n) receives each row's inference,
+  /// nullopt below the confidence threshold. Batches of
+  /// ml::CompiledForest::kWalkGroup rows or more walk the forest
+  /// tree-major.
+  void infer_rows(std::span<const double> rows, std::span<double> scratch,
+                  std::span<std::optional<PatternResult>> out) const;
 
   /// Scratch doubles infer needs (= the class count; 0 until trained).
   [[nodiscard]] std::size_t scratch_size() const {

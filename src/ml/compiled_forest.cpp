@@ -14,12 +14,33 @@ namespace {
 /// against every row value.
 constexpr std::uint64_t kLeafNanBits = 0x7FF8'0000'0000'0000ULL;
 constexpr std::uint64_t kLeafOffsetMask = 0xFFFF'FFFFULL;
+
+/// Advances `lanes` descent chains in lockstep for exactly `passes`
+/// passes: the per-lane loads are independent, so their cache misses
+/// overlap, and chains already parked on a leaf spin in place — no "am I
+/// done" branch to mispredict. Full groups unroll the lane sweep at
+/// compile time (constant lane indices), partial tail groups take the
+/// generic loop.
+template <std::size_t kGroup, typename Step>
+void lockstep(std::size_t lanes, std::size_t passes, const Step& step) {
+  if (lanes == kGroup) {
+    for (std::size_t pass = 0; pass < passes; ++pass)
+      [&]<std::size_t... I>(std::index_sequence<I...>) {
+        (step(I), ...);
+      }(std::make_index_sequence<kGroup>{});
+  } else {
+    for (std::size_t pass = 0; pass < passes; ++pass)
+      for (std::size_t i = 0; i < lanes; ++i) step(i);
+  }
+}
 }  // namespace
 
 CompiledForest::CompiledForest(const RandomForest& forest) {
   if (forest.tree_count() == 0)
     throw std::logic_error("CompiledForest: compile before fit");
   num_classes_ = forest.num_classes();
+  if (num_classes_ == 0)
+    throw std::logic_error("CompiledForest: forest has no classes");
 
   std::size_t total_nodes = 0;
   std::size_t total_leaves = 0;
@@ -106,21 +127,7 @@ void CompiledForest::walk_accumulate(std::span<const double> row,
     const std::size_t n = std::min(kWalkGroup, trees - block);
     for (std::size_t i = 0; i < n; ++i)
       cursor[i] = static_cast<std::size_t>(walk_roots_[block + i]);
-    // Advance the block's descent chains in lockstep for exactly
-    // max_depth_ passes: the per-lane loads are independent, so their
-    // cache misses overlap, and chains already parked on a leaf spin in
-    // place — no "am I done" branch to mispredict. Full blocks unroll
-    // the lane sweep at compile time (constant lane indices), partial
-    // tail blocks take the generic loop.
-    if (n == kWalkGroup) {
-      for (std::size_t pass = 0; pass < passes; ++pass)
-        [&]<std::size_t... I>(std::index_sequence<I...>) {
-          (step(I), ...);
-        }(std::make_index_sequence<kWalkGroup>{});
-    } else {
-      for (std::size_t pass = 0; pass < passes; ++pass)
-        for (std::size_t i = 0; i < n; ++i) step(i);
-    }
+    lockstep<kWalkGroup>(n, passes, step);
     // Resolve the block's distribution pointers (pool offsets ride in
     // the leaf NaNs' mantissas) and get their lines in flight before the
     // ordered accumulation consumes them one by one.
@@ -142,6 +149,51 @@ void CompiledForest::walk_accumulate(std::span<const double> row,
   }
 }
 
+template <std::size_t kWidth>
+void CompiledForest::walk_rows_accumulate(std::span<const double> rows,
+                                          std::span<double> out) const {
+  const WalkNode* const walk = walk_.data();
+  const double* const pool = leaf_pool_.data();
+  const std::size_t width = kWidth != 0 ? kWidth : num_features_;
+  const std::size_t classes = num_classes_;
+  const std::size_t n = out.size() / classes;
+  const std::size_t passes = max_depth_;
+  std::size_t cursor[kWalkGroup];
+  const double* x = rows.data();  // the block's first row
+  // The single-row step with a row per lane instead of a tree per lane.
+  // With a compile-time width, lane i's row offset i * width folds into
+  // the load's address displacement.
+  const auto step = [&](std::size_t i) {
+    const WalkNode node = walk[cursor[i]];
+    cursor[i] = static_cast<std::size_t>(node.child) +
+                static_cast<std::size_t>(
+                    !(x[i * width + static_cast<std::size_t>(node.feature)] <=
+                      node.threshold));
+  };
+  // Trees in index order, outermost: every row adds its trees' leaves in
+  // the same order as the single-row walk, so the sums are bitwise-equal.
+  for (const std::int32_t root : walk_roots_) {
+    for (std::size_t block = 0; block < n; block += kWalkGroup) {
+      const std::size_t lanes = std::min(kWalkGroup, n - block);
+      x = rows.data() + block * width;
+      std::fill_n(cursor, lanes, static_cast<std::size_t>(root));
+      lockstep<kWalkGroup>(lanes, passes, step);
+      for (std::size_t i = 0; i < lanes; ++i) {
+        const double* const dist =
+            pool + (std::bit_cast<std::uint64_t>(walk[cursor[i]].threshold) &
+                    kLeafOffsetMask);
+        double* const sum = out.data() + (block + i) * classes;
+        for (std::size_t c = 0; c < classes; ++c) sum[c] += dist[c];
+      }
+    }
+  }
+}
+
+void CompiledForest::average(std::span<double> out) const {
+  const auto k = static_cast<double>(walk_roots_.size());
+  for (double& p : out) p /= k;
+}
+
 void CompiledForest::predict_proba_into(std::span<const double> row,
                                         std::span<double> out) const {
   if (!compiled())
@@ -153,8 +205,37 @@ void CompiledForest::predict_proba_into(std::span<const double> row,
         "CompiledForest: output span size must equal num_classes()");
   std::fill(out.begin(), out.end(), 0.0);
   walk_accumulate(row, out);
-  const auto k = static_cast<double>(walk_roots_.size());
-  for (double& p : out) p /= k;
+  average(out);
+}
+
+void CompiledForest::predict_proba_rows_into(std::span<const double> rows,
+                                             std::span<double> out) const {
+  if (!compiled())
+    throw std::logic_error("CompiledForest: predict before compile");
+  if (out.size() % num_classes_ != 0)
+    throw std::invalid_argument(
+        "CompiledForest: output span size must be a multiple of "
+        "num_classes()");
+  const std::size_t n = out.size() / num_classes_;
+  if (rows.size() != n * num_features_)
+    throw std::invalid_argument(
+        "CompiledForest: rows must hold out.size() / num_classes() rows of "
+        "num_features()");
+  std::fill(out.begin(), out.end(), 0.0);
+  if (n < kWalkGroup) {
+    for (std::size_t i = 0; i < n; ++i)
+      walk_accumulate(rows.subspan(i * num_features_, num_features_),
+                      out.subspan(i * num_classes_, num_classes_));
+  } else if (num_features_ == 4) {
+    // The slot forests' widths (4 volumetric attributes, 9 transition
+    // cells) get compile-time kernels: one load fewer per descent step.
+    walk_rows_accumulate<4>(rows, out);
+  } else if (num_features_ == 9) {
+    walk_rows_accumulate<9>(rows, out);
+  } else {
+    walk_rows_accumulate<0>(rows, out);
+  }
+  average(out);
 }
 
 Label CompiledForest::predict(std::span<const double> row,
@@ -165,12 +246,16 @@ Label CompiledForest::predict(std::span<const double> row,
 Classifier::Prediction CompiledForest::predict_with_confidence(
     std::span<const double> row, std::span<double> scratch) const {
   predict_proba_into(row, scratch);
+  return top(scratch);
+}
+
+Classifier::Prediction CompiledForest::top(std::span<const double> proba) {
   // First maximum, exactly like std::max_element: ties go to the lowest
   // label (pinned by tests for both engines).
   std::size_t best = 0;
-  for (std::size_t c = 1; c < scratch.size(); ++c)
-    if (scratch[c] > scratch[best]) best = c;
-  return Classifier::Prediction{static_cast<Label>(best), scratch[best]};
+  for (std::size_t c = 1; c < proba.size(); ++c)
+    if (proba[c] > proba[best]) best = c;
+  return Classifier::Prediction{static_cast<Label>(best), proba[best]};
 }
 
 Label CompiledForest::predict(const FeatureRow& row) const {
@@ -197,17 +282,24 @@ void CompiledForest::predict_rows(std::span<const FeatureRow> rows,
   if (out.size() != rows.size())
     throw std::invalid_argument(
         "CompiledForest::predict_rows: output span size mismatch");
-  double stack[kStackClasses];
-  std::vector<double> heap;
-  std::span<double> scratch;
-  if (num_classes_ <= kStackClasses && compiled()) {
-    scratch = std::span(stack, num_classes_);
-  } else {
-    heap.resize(num_classes_);
-    scratch = heap;
+  if (rows.empty()) return;
+  if (!compiled())
+    throw std::logic_error("CompiledForest: predict before compile");
+  // One buffer: the packed rows, then their probability rows.
+  const std::size_t n = rows.size();
+  std::vector<double> buffer(n * (num_features_ + num_classes_));
+  const std::span<double> packed(buffer.data(), n * num_features_);
+  const std::span<double> proba(buffer.data() + packed.size(),
+                                n * num_classes_);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rows[i].size() != num_features_)
+      throw std::invalid_argument("CompiledForest: feature width mismatch");
+    std::copy(rows[i].begin(), rows[i].end(),
+              packed.begin() + static_cast<std::ptrdiff_t>(i * num_features_));
   }
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    out[i] = predict(rows[i], scratch);
+  predict_proba_rows_into(packed, proba);
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = top(proba.subspan(i * num_classes_, num_classes_)).label;
 }
 
 }  // namespace cgctx::ml

@@ -22,6 +22,12 @@
 // place on the leaf — and all chains simply advance for max_depth()
 // passes with no per-node "am I done" branch to mispredict.
 //
+// A batch of kWalkGroup rows or more walks tree-major instead
+// (predict_proba_rows_into): each tree in turn, over all rows in
+// lockstep blocks. One tree is a few KiB and stays in L1 while the whole
+// batch descends it, where the single-row walk streams the whole forest
+// through the cache once per row.
+//
 // Parity guarantee: predictions are bitwise-identical to the reference
 // forest. Leaf distributions are accumulated strictly in tree order
 // (walks may interleave, sums may not), per-class sums add in the same
@@ -81,10 +87,26 @@ class CompiledForest {
   /// Allocates the returned vector (API-boundary convenience).
   [[nodiscard]] ClassProbabilities predict_proba(const FeatureRow& row) const;
 
-  /// Batch prediction: `out.size()` must equal `rows.size()`. At most one
-  /// scratch allocation per call, never one per row.
+  /// Batch form of predict_proba_into over n rows, allocation-free.
+  /// `rows` is n x num_features() and `out` n x num_classes(), both
+  /// row-major; each output row is bitwise-identical to
+  /// predict_proba_into on its input row. From kWalkGroup rows up the
+  /// walk is tree-major (see walk_rows_accumulate); smaller batches take
+  /// the single-row walk per row.
+  void predict_proba_rows_into(std::span<const double> rows,
+                               std::span<double> out) const;
+
+  /// Batch prediction: `out.size()` must equal `rows.size()`. Packs the
+  /// rows into one buffer for predict_proba_rows_into: one allocation per
+  /// call, never one per row.
   void predict_rows(std::span<const FeatureRow> rows,
                     std::span<Label> out) const;
+
+  /// The winning class of one probability row and its probability: the
+  /// first maximum, exactly like std::max_element, so ties resolve to the
+  /// lowest label.
+  [[nodiscard]] static Classifier::Prediction top(
+      std::span<const double> proba);
 
   /// Class counts the stack-buffer convenience paths cover.
   static constexpr std::size_t kStackClasses = 64;
@@ -96,6 +118,16 @@ class CompiledForest {
  private:
   void walk_accumulate(std::span<const double> row,
                        std::span<double> out) const;
+  /// Tree-major walk: every tree in index order, each over all rows in
+  /// lockstep blocks of kWalkGroup, so one tree's nodes stay cached while
+  /// the whole batch descends it. Adds each row's leaves into its `out`
+  /// row in tree order. `kWidth` is num_features() when fixed at compile
+  /// time, 0 otherwise.
+  template <std::size_t kWidth>
+  void walk_rows_accumulate(std::span<const double> rows,
+                            std::span<double> out) const;
+  /// Divides accumulated leaf sums by the tree count.
+  void average(std::span<double> out) const;
 
   /// One packed traversal node: everything a descent step reads sits in
   /// one 16-byte (quarter-cache-line) record. Siblings are adjacent, so

@@ -236,22 +236,39 @@ DecisionTree DecisionTree::deserialize_from(std::istream& is) {
   if (!is || tag != "tree")
     throw std::invalid_argument("DecisionTree: bad header");
   out.nodes_.resize(node_count);
-  for (Node& n : out.nodes_) {
+  // Parent count per node. fit() writes nodes in preorder, so a valid
+  // tree has every child after its parent and every non-root node under
+  // exactly one parent; anything else (a cycle, a shared or orphaned
+  // subtree) would hang or blow up the walks that follow child links.
+  std::vector<std::uint8_t> parents(node_count, 0);
+  for (std::size_t i = 0; i < node_count; ++i) {
+    Node& n = out.nodes_[i];
     is >> tag;
     if (tag == "leaf") {
       n.distribution.resize(out.num_classes_);
       for (double& d : n.distribution) is >> d;
     } else if (tag == "split") {
       is >> n.feature >> n.threshold >> n.left >> n.right;
-      if (n.left <= 0 || n.right <= 0 ||
+      if (!is) break;
+      if (n.feature < 0 ||
+          static_cast<std::size_t>(n.feature) >= out.num_features_)
+        throw std::invalid_argument("DecisionTree: bad feature index");
+      const auto self = static_cast<std::int32_t>(i);
+      if (n.left <= self || n.right <= self ||
           static_cast<std::size_t>(n.left) >= node_count ||
           static_cast<std::size_t>(n.right) >= node_count)
         throw std::invalid_argument("DecisionTree: bad child index");
+      if (++parents[static_cast<std::size_t>(n.left)] > 1 ||
+          ++parents[static_cast<std::size_t>(n.right)] > 1)
+        throw std::invalid_argument("DecisionTree: node has two parents");
     } else {
       throw std::invalid_argument("DecisionTree: bad node tag");
     }
   }
   if (!is) throw std::invalid_argument("DecisionTree: truncated payload");
+  for (std::size_t i = 1; i < node_count; ++i)
+    if (parents[i] == 0)
+      throw std::invalid_argument("DecisionTree: unreachable node");
   return out;
 }
 

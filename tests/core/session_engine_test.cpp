@@ -372,33 +372,58 @@ TEST(SessionEngine, PooledResetReproducesFreshEngineByteIdentically) {
 }
 
 TEST(SessionEngine, TelemetryModeMatchesPipelineProcessSession) {
+  // process_session pushes slots in RealtimePipeline::kSlotBatch chunks;
+  // a push_slot loop must produce the same report and the same decision
+  // trace. The short session fits in one chunk. The long one spans more
+  // than two, and its first pattern row (slot min_transitions) lands
+  // mid-chunk, so the stage, pattern and per-slot steps all cross chunk
+  // boundaries.
   const PipelineParams params = default_pipeline_params();
   const sim::SessionGenerator gen;
-  sim::SessionSpec spec;
-  spec.title = sim::GameTitle::kFortnite;
-  spec.gameplay_seconds = 200.0;
-  spec.seed = 9;
-  const sim::LabeledSession session = gen.generate_slots_only(spec);
+  struct Case {
+    double gameplay_seconds;
+    std::uint64_t seed;
+  };
+  for (const Case& c : {Case{200.0, 9}, Case{700.0, 12}}) {
+    SCOPED_TRACE(std::to_string(c.gameplay_seconds) + " s of gameplay");
+    sim::SessionSpec spec;
+    spec.title = sim::GameTitle::kFortnite;
+    spec.gameplay_seconds = c.gameplay_seconds;
+    spec.seed = c.seed;
+    const sim::LabeledSession session = gen.generate_slots_only(spec);
 
-  const RealtimePipeline pipeline(suite().models(), params);
-  const SessionReport expected = pipeline.process_session(session);
+    obs::DecisionTraceRing batch_trace(4096);
+    RealtimePipeline pipeline(suite().models(), params);
+    pipeline.set_trace(&batch_trace);
+    const SessionReport expected = pipeline.process_session(session);
 
-  SessionEngine engine(suite().models(), &params);
-  engine.start(session.launch_begin);
-  engine.set_title(suite().models().title->classify(session.packets,
-                                                    session.launch_begin));
-  const SessionObserver observer;
-  for (const sim::SlotSample& sample : session.slots) {
-    SlotTelemetry slot;
-    slot.volumetrics = RawSlotVolumetrics{sample.down_bytes,
-                                          sample.down_packets, sample.up_bytes,
-                                          sample.up_packets};
-    slot.frames = sample.frames;
-    slot.rtt_ms = sample.rtt_ms;
-    slot.loss_rate = sample.loss_rate;
-    engine.push_slot(slot, observer);
+    obs::DecisionTraceRing step_trace(4096);
+    const SessionObserver observer{nullptr, &step_trace, 1};
+    SessionEngine engine(suite().models(), &params);
+    engine.start(session.launch_begin);
+    engine.set_title(suite().models().title->classify(session.packets,
+                                                      session.launch_begin));
+    for (const sim::SlotSample& sample : session.slots) {
+      SlotTelemetry slot;
+      slot.volumetrics = RawSlotVolumetrics{sample.down_bytes,
+                                            sample.down_packets,
+                                            sample.up_bytes,
+                                            sample.up_packets};
+      slot.frames = sample.frames;
+      slot.rtt_ms = sample.rtt_ms;
+      slot.loss_rate = sample.loss_rate;
+      engine.push_slot(slot, observer);
+    }
+    EXPECT_EQ(engine.finish(observer), expected);
+    EXPECT_EQ(drain_story(step_trace), drain_story(batch_trace));
+    if (c.gameplay_seconds > 600.0) {
+      EXPECT_GT(expected.slots.size(), 2 * RealtimePipeline::kSlotBatch);
+      EXPECT_NE(params.pattern.min_transitions % RealtimePipeline::kSlotBatch,
+                0u);
+      EXPECT_GT(expected.pattern_decided_at_s, 0.0)
+          << "want a confident pattern verdict inside the batched span";
+    }
   }
-  EXPECT_EQ(engine.finish(observer), expected);
 }
 
 TEST(SessionEngine, RequiresModelsAndParams) {

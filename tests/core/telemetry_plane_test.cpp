@@ -60,6 +60,34 @@ TEST(TelemetryPlane, PipelineCountsDecisionsAndTimesStages) {
   EXPECT_GT(metrics.slot_close_ns->sum(), 0u);
 }
 
+TEST(TelemetryPlane, ProcessSessionTimesEverySlotOfItsBatches) {
+  // process_session classifies in RealtimePipeline::kSlotBatch chunks; a
+  // batch records one timer sample per sampled slot (its step time over
+  // its slot count), so the counts match the per-slot path's.
+  obs::MetricsRegistry registry;
+  PipelineMetrics metrics = PipelineMetrics::create(registry);
+  metrics.timer_sample_stride = 1;
+  RealtimePipeline pipeline(suite().models(), default_pipeline_params());
+  pipeline.set_metrics(&metrics);
+
+  const sim::SessionGenerator gen;
+  sim::SessionSpec spec;
+  spec.title = sim::GameTitle::kFortnite;
+  spec.gameplay_seconds = 600.0;
+  spec.seed = 13;
+  const SessionReport report =
+      pipeline.process_session(gen.generate_slots_only(spec));
+  ASSERT_GT(report.slots.size(), RealtimePipeline::kSlotBatch);
+  ASSERT_NE(report.slots.size() % RealtimePipeline::kSlotBatch, 0u);
+
+  EXPECT_EQ(metrics.slots_processed->value(), report.slots.size());
+  EXPECT_EQ(metrics.stage_classify_ns->count(), report.slots.size());
+  EXPECT_EQ(metrics.pattern_infer_ns->count(), report.slots.size());
+  EXPECT_EQ(metrics.slot_close_ns->count(), report.slots.size());
+  EXPECT_GT(metrics.stage_classify_ns->sum(), 0u);
+  EXPECT_GE(metrics.slot_close_ns->sum(), metrics.stage_classify_ns->sum());
+}
+
 TEST(TelemetryPlane, UnknownTitleCountsAsUnknownAndLowConfidence) {
   obs::MetricsRegistry registry;
   const PipelineMetrics metrics = PipelineMetrics::create(registry);

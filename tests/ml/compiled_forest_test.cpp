@@ -5,6 +5,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "ml/random_forest.hpp"
 
@@ -116,6 +120,85 @@ TEST(CompiledForest, BatchMatchesSingleRowPredictions) {
     EXPECT_EQ(batch[i], forest.predict(rows[i]));
     EXPECT_EQ(batch[i], compiled.predict(rows[i]));
   }
+}
+
+TEST(CompiledForest, RowsMatchSingleRowBitwise) {
+  // The batch kernel walks tree-major from kWalkGroup rows up and falls
+  // back to the single-row walk below; either way every probability must
+  // equal predict_proba_into's bit for bit. Batch sizes straddle the
+  // walk group: empty, one row, one short of a group, exactly one, one
+  // over, two plus a lane, and many groups plus a tail.
+  const Dataset data = blobs(60, 2.0, 3, 3);
+  RandomForest mixed(
+      RandomForestParams{.n_trees = 30, .max_depth = 0, .seed = 26});
+  mixed.fit(data);
+  Dataset flat({"x", "y"}, {"a", "b"});
+  for (int i = 0; i < 8; ++i) flat.add({1.0, 2.0}, i % 2);
+  RandomForest leaves(
+      RandomForestParams{.n_trees = 5, .bootstrap = false, .seed = 27});
+  leaves.fit(flat);
+  // Widths 4 and 9 (the slot forests') take compile-time-width kernels.
+  std::vector<RandomForest> wide;
+  for (const std::size_t width : {4u, 9u}) {
+    std::vector<std::string> names;
+    for (std::size_t f = 0; f < width; ++f)
+      names.push_back("f" + std::to_string(f));
+    Dataset rows(names, {"a", "b", "c"});
+    Rng rng(28 + width);
+    for (int i = 0; i < 150; ++i) {
+      FeatureRow row;
+      for (std::size_t f = 0; f < width; ++f)
+        row.push_back(rng.normal(0.0, 1.0));
+      rows.add(row, static_cast<Label>(row[0] + row[width - 1] > 0.0) +
+                        static_cast<Label>(row[1] > 1.0));
+    }
+    wide.emplace_back(RandomForestParams{.n_trees = 20, .max_depth = 6,
+                                         .seed = 29});
+    wide.back().fit(rows);
+  }
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const RandomForest* forest : {&mixed, &leaves, &wide[0], &wide[1]}) {
+    const CompiledForest compiled(*forest);
+    const std::size_t width = compiled.num_features();
+    const std::size_t classes = compiled.num_classes();
+    for (const std::size_t n : {0u, 1u, 15u, 16u, 17u, 33u, 257u}) {
+      SCOPED_TRACE("n = " + std::to_string(n) + ", width " +
+                   std::to_string(width) + ", max_depth " +
+                   std::to_string(compiled.max_depth()));
+      Rng rng(100 + n);
+      std::vector<double> rows(n * width);
+      for (std::size_t i = 0; i < rows.size(); ++i)
+        rows[i] = i % 7 == 3 ? nan : rng.uniform(-4.0, 8.0);
+      std::vector<double> batch(n * classes, -1.0);
+      compiled.predict_proba_rows_into(rows, batch);
+      std::vector<double> single(classes);
+      for (std::size_t r = 0; r < n; ++r) {
+        compiled.predict_proba_into(
+            std::span<const double>(rows).subspan(r * width, width), single);
+        for (std::size_t c = 0; c < classes; ++c)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(batch[r * classes + c]),
+                    std::bit_cast<std::uint64_t>(single[c]))
+              << "row " << r << " class " << c;
+      }
+    }
+  }
+  ASSERT_GT(CompiledForest(mixed).max_depth(), 0u);
+
+  const CompiledForest compiled(mixed);
+  std::vector<double> rows(17 * compiled.num_features());
+  std::vector<double> out(17 * compiled.num_classes());
+  std::vector<double> ragged(out.size() - 1);
+  std::vector<double> short_rows(rows.size() - 1);
+  std::vector<double> too_few(16 * compiled.num_classes());
+  EXPECT_THROW(compiled.predict_proba_rows_into(rows, ragged),
+               std::invalid_argument);
+  EXPECT_THROW(compiled.predict_proba_rows_into(short_rows, out),
+               std::invalid_argument);
+  EXPECT_THROW(compiled.predict_proba_rows_into(rows, too_few),
+               std::invalid_argument);
+  EXPECT_THROW(CompiledForest{}.predict_proba_rows_into({}, {}),
+               std::logic_error);
 }
 
 TEST(CompiledForest, PredictTieBreaksToLowestLabel) {

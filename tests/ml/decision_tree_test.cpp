@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace cgctx::ml {
 namespace {
 
@@ -172,6 +174,69 @@ TEST(DecisionTree, DeserializeRejectsBadChildIndex) {
   // A split node pointing at node 0 (the root) is invalid.
   EXPECT_THROW(DecisionTree::deserialize("tree 1 2 2\nsplit 0 0.5 0 0\n"),
                std::invalid_argument);
+}
+
+// Hostile model files. Each of these passes the child range check alone;
+// compiled, a cycle would hang CompiledForest's BFS and depth(), shared
+// children would grow the compile exponentially, and a wide feature index
+// would read past the row in both walks. All must fail at deserialize
+// time.
+
+TEST(DecisionTree, DeserializeRejectsCycle) {
+  // Node 1 names itself (and node 0's sibling) as children.
+  EXPECT_THROW(DecisionTree::deserialize("tree 3 2 2\n"
+                                         "split 0 0.5 1 2\n"
+                                         "split 1 0.5 1 2\n"
+                                         "leaf 0.5 0.5\n"),
+               std::invalid_argument);
+  // A back edge from node 2 to node 1.
+  EXPECT_THROW(DecisionTree::deserialize("tree 5 2 2\n"
+                                         "split 0 0.5 1 4\n"
+                                         "split 0 0.5 2 3\n"
+                                         "split 1 0.5 1 3\n"
+                                         "leaf 1 0\n"
+                                         "leaf 0 1\n"),
+               std::invalid_argument);
+}
+
+TEST(DecisionTree, DeserializeRejectsSharedChildren) {
+  // Both of the root's children are node 1.
+  EXPECT_THROW(DecisionTree::deserialize("tree 3 2 2\n"
+                                         "split 0 0.5 1 1\n"
+                                         "leaf 1 0\n"
+                                         "leaf 0 1\n"),
+               std::invalid_argument);
+  // Node 2 hangs under both the root and node 1.
+  EXPECT_THROW(DecisionTree::deserialize("tree 4 2 2\n"
+                                         "split 0 0.5 1 2\n"
+                                         "split 1 0.5 2 3\n"
+                                         "leaf 1 0\n"
+                                         "leaf 0 1\n"),
+               std::invalid_argument);
+}
+
+TEST(DecisionTree, DeserializeRejectsUnreachableNode) {
+  EXPECT_THROW(DecisionTree::deserialize("tree 4 2 2\n"
+                                         "split 0 0.5 1 2\n"
+                                         "leaf 1 0\n"
+                                         "leaf 0 1\n"
+                                         "leaf 0.5 0.5\n"),
+               std::invalid_argument);
+}
+
+TEST(DecisionTree, DeserializeRejectsFeatureIndexOutsideTheRow) {
+  for (const char* feature : {"2", "-1", "7"}) {
+    SCOPED_TRACE(feature);
+    EXPECT_THROW(DecisionTree::deserialize(std::string("tree 3 2 2\nsplit ") +
+                                           feature +
+                                           " 0.5 1 2\nleaf 1 0\nleaf 0 1\n"),
+                 std::invalid_argument);
+  }
+  // The same tree with an in-range feature loads and predicts.
+  const DecisionTree ok = DecisionTree::deserialize(
+      "tree 3 2 2\nsplit 1 0.5 1 2\nleaf 1 0\nleaf 0 1\n");
+  EXPECT_EQ(ok.predict({9.0, 0.0}), 0);
+  EXPECT_EQ(ok.predict({-9.0, 1.0}), 1);
 }
 
 /// Property: deeper trees never fit the training set worse.
