@@ -5,7 +5,8 @@
 // (§4.2–4.3). This bench pins the single-row and batched predictions/
 // second of ml::CompiledForest against the reference RandomForest walk,
 // and counts heap allocations per prediction (a global operator new hook)
-// to prove the compiled path allocates nothing.
+// to prove the compiled path allocates nothing. BM_ModelLoad* time the
+// other end of a model's life: loading it from its cached text.
 //
 // Single-row latency is measured over a rotating pool of distinct rows:
 // production never classifies the same flow-second twice, and repeating
@@ -19,11 +20,13 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/bench_support.hpp"
 #include "core/launch_attributes.hpp"
 #include "core/stage_classifier.hpp"
+#include "core/title_classifier.hpp"
 #include "core/transition_model.hpp"
 #include "ml/compiled_forest.hpp"
 #include "sim/session.hpp"
@@ -294,6 +297,37 @@ void BM_TitleBatchCompiled(benchmark::State& state) {
                           static_cast<std::int64_t>(rows.size()));
 }
 BENCHMARK(BM_TitleBatchCompiled);
+
+// --- Model loading -------------------------------------------------------
+// A probe restart loads all three forests before its first packet. Each
+// bench deserializes (and compiles) one model from the bench model cache's
+// text; bytes/s is the parse rate over that text.
+
+template <typename Model>
+void run_model_load(benchmark::State& state, const char* name) {
+  const std::string text = bench::cached_model_text(name);
+  run_counted(state, [&] {
+    Model model = Model::deserialize(text);
+    benchmark::DoNotOptimize(model);
+  });
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+
+void BM_ModelLoadTitle(benchmark::State& state) {
+  run_model_load<core::TitleClassifier>(state, "title");
+}
+BENCHMARK(BM_ModelLoadTitle)->Unit(benchmark::kMillisecond);
+
+void BM_ModelLoadStage(benchmark::State& state) {
+  run_model_load<core::StageClassifier>(state, "stage");
+}
+BENCHMARK(BM_ModelLoadStage)->Unit(benchmark::kMillisecond);
+
+void BM_ModelLoadPattern(benchmark::State& state) {
+  run_model_load<core::PatternInferrer>(state, "pattern");
+}
+BENCHMARK(BM_ModelLoadPattern)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -146,6 +146,11 @@ const core::ModelSuite& bench_models() {
   return suite;
 }
 
+std::string cached_model_text(const std::string& name) {
+  (void)bench_models();  // the first call writes the cache
+  return read_file(cache_dir() / (name + ".model"));
+}
+
 FleetMeasurement run_fleet(const FleetRunOptions& options) {
   const core::ModelSuite& suite = bench_models();
   const core::RealtimePipeline pipeline(suite.models(),

@@ -20,6 +20,11 @@ namespace cgctx::bench {
 /// directory to force retraining.
 const core::ModelSuite& bench_models();
 
+/// Serialized text of one bench_models() model ("title", "stage" or
+/// "pattern") as the model cache holds it; "" when the cache could not be
+/// written.
+std::string cached_model_text(const std::string& name);
+
 /// Everything the §5 benches need from one simulated deployment window.
 struct FleetMeasurement {
   /// Aggregates keyed by *validated* classified title (sessions whose

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "ml/text_reader.hpp"
+
 namespace cgctx::core {
 
 std::vector<std::string> stage_class_names() {
@@ -54,15 +56,18 @@ std::string StageClassifier::serialize() const {
   return "stage_classifier\n" + forest_.serialize();
 }
 
-StageClassifier StageClassifier::deserialize(const std::string& text) {
-  const auto newline = text.find('\n');
-  if (newline == std::string::npos ||
-      text.substr(0, newline) != "stage_classifier")
-    throw std::invalid_argument("StageClassifier: bad header");
+StageClassifier StageClassifier::deserialize(std::string_view text) {
+  ml::TextReader in(text, "StageClassifier");
+  ml::TextReader header(in.line(), "StageClassifier");
+  header.expect("stage_classifier");
+  header.finish();
   StageClassifier out;
-  out.forest_ = ml::RandomForest::deserialize(text.substr(newline + 1));
-  if (out.forest_.tree_count() > 0)
+  out.forest_ = ml::RandomForest::deserialize(in.rest());
+  if (out.forest_.tree_count() > 0) {
     out.compiled_ = ml::CompiledForest(out.forest_);
+    if (out.compiled_.num_features() != kNumVolumetricAttributes)
+      in.fail("forest does not read 4 volumetric attributes");
+  }
   return out;
 }
 

@@ -9,6 +9,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "core/volumetric_tracker.hpp"
 #include "ml/compiled_forest.hpp"
@@ -74,7 +75,9 @@ class StageClassifier {
   }
 
   [[nodiscard]] std::string serialize() const;
-  static StageClassifier deserialize(const std::string& text);
+  /// Parses serialize()'s form; the forest is read straight off `text`
+  /// (no copy). Throws std::invalid_argument on anything else.
+  static StageClassifier deserialize(std::string_view text);
 
  private:
   StageClassifierParams params_;

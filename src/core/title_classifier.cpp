@@ -3,7 +3,20 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ml/text_reader.hpp"
+
 namespace cgctx::core {
+
+namespace {
+/// Bounds on a loaded launch window (the paper's is 5 one-second slots).
+/// launch_attributes() divides by the slot's Duration, converts the
+/// window to one, and sizes per-slot buffers by window / slot: a slot
+/// rounding to 0 ns, a window past the Duration range or millions of
+/// slots would divide by zero, overflow or exhaust memory.
+constexpr double kMinSlotSeconds = 1e-3;
+constexpr double kMaxWindowSeconds = 3600.0;
+constexpr double kMaxWindowSlots = 3600.0;
+}  // namespace
 
 void TitleClassifier::train(const ml::Dataset& data) {
   if (data.num_features() != kNumLaunchAttributes)
@@ -54,25 +67,36 @@ std::string TitleClassifier::serialize() const {
   return os.str();
 }
 
-TitleClassifier TitleClassifier::deserialize(const std::string& text) {
-  std::istringstream is(text);
-  std::string tag;
-  std::size_t n_classes = 0;
+TitleClassifier TitleClassifier::deserialize(std::string_view text) {
+  ml::TextReader in(text, "TitleClassifier");
+  ml::TextReader header(in.line(), "TitleClassifier");
+  header.expect("title_classifier");
+  const auto n_classes = header.integer<std::size_t>();
   TitleClassifierParams params;
-  is >> tag >> n_classes >> params.unknown_threshold >>
-      params.attributes.window_seconds >> params.attributes.slot_seconds >>
-      params.attributes.group_params.v_fraction;
-  if (!is || tag != "title_classifier")
-    throw std::invalid_argument("TitleClassifier: bad header");
-  is.ignore();  // trailing newline
+  params.unknown_threshold = header.real();
+  LaunchAttributeParams& attrs = params.attributes;
+  attrs.window_seconds = header.real();
+  attrs.slot_seconds = header.real();
+  attrs.group_params.v_fraction = header.real();
+  header.finish();
+  if (!(attrs.slot_seconds >= kMinSlotSeconds &&
+        attrs.slot_seconds <= attrs.window_seconds &&
+        attrs.window_seconds <= kMaxWindowSeconds &&
+        attrs.window_seconds / attrs.slot_seconds <= kMaxWindowSlots))
+    in.fail("bad launch window");
   TitleClassifier out(params);
-  out.class_names_.resize(n_classes);
-  for (std::string& name : out.class_names_) std::getline(is, name);
-  std::ostringstream rest;
-  rest << is.rdbuf();
-  out.forest_ = ml::RandomForest::deserialize(rest.str());
-  if (out.forest_.tree_count() > 0)
+  in.require_room(n_classes);
+  out.class_names_.reserve(n_classes);
+  for (std::size_t c = 0; c < n_classes; ++c)
+    out.class_names_.emplace_back(in.line());
+  out.forest_ = ml::RandomForest::deserialize(in.rest());
+  if (out.forest_.tree_count() > 0) {
     out.compiled_ = ml::CompiledForest(out.forest_);
+    if (out.compiled_.num_features() != kNumLaunchAttributes)
+      in.fail("forest does not read 51 launch attributes");
+    if (out.compiled_.num_classes() != n_classes)
+      in.fail("class names disagree with the forest's class count");
+  }
   return out;
 }
 

@@ -10,6 +10,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "core/launch_attributes.hpp"
 #include "ml/compiled_forest.hpp"
@@ -79,7 +80,9 @@ class TitleClassifier {
 
   /// Persistence (forest + class names + thresholds).
   [[nodiscard]] std::string serialize() const;
-  static TitleClassifier deserialize(const std::string& text);
+  /// Parses serialize()'s form; the forest is read straight off `text`
+  /// (no copy). Throws std::invalid_argument on anything else.
+  static TitleClassifier deserialize(std::string_view text);
 
  private:
   /// Shared thresholding over an argmax prediction.

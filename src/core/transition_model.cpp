@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/stage_classifier.hpp"
+#include "ml/text_reader.hpp"
 
 namespace cgctx::core {
 
@@ -122,20 +122,21 @@ std::string PatternInferrer::serialize() const {
          forest_.serialize();
 }
 
-PatternInferrer PatternInferrer::deserialize(const std::string& text) {
-  const auto newline = text.find('\n');
-  if (newline == std::string::npos)
-    throw std::invalid_argument("PatternInferrer: bad payload");
-  std::istringstream header(text.substr(0, newline));
-  std::string tag;
+PatternInferrer PatternInferrer::deserialize(std::string_view text) {
+  ml::TextReader in(text, "PatternInferrer");
+  ml::TextReader header(in.line(), "PatternInferrer");
+  header.expect("pattern_inferrer");
   PatternInferrerParams params;
-  header >> tag >> params.confidence_threshold >> params.min_transitions;
-  if (!header || tag != "pattern_inferrer")
-    throw std::invalid_argument("PatternInferrer: bad header");
+  params.confidence_threshold = header.real();
+  params.min_transitions = header.integer<std::size_t>();
+  header.finish();
   PatternInferrer out(params);
-  out.forest_ = ml::RandomForest::deserialize(text.substr(newline + 1));
-  if (out.forest_.tree_count() > 0)
+  out.forest_ = ml::RandomForest::deserialize(in.rest());
+  if (out.forest_.tree_count() > 0) {
     out.compiled_ = ml::CompiledForest(out.forest_);
+    if (out.compiled_.num_features() != kNumTransitionAttributes)
+      in.fail("forest does not read 9 transition attributes");
+  }
   return out;
 }
 

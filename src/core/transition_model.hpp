@@ -14,6 +14,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "ml/compiled_forest.hpp"
 #include "ml/random_forest.hpp"
@@ -141,7 +142,9 @@ class PatternInferrer {
   [[nodiscard]] const PatternInferrerParams& params() const { return params_; }
 
   [[nodiscard]] std::string serialize() const;
-  static PatternInferrer deserialize(const std::string& text);
+  /// Parses serialize()'s form; the forest is read straight off `text`
+  /// (no copy). Throws std::invalid_argument on anything else.
+  static PatternInferrer deserialize(std::string_view text);
 
  private:
   PatternInferrerParams params_;

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,8 @@
 #include "ml/rng.hpp"
 
 namespace cgctx::ml {
+
+class TextReader;
 
 struct DecisionTreeParams {
   /// Maximum tree depth; 0 means unlimited.
@@ -90,10 +93,13 @@ class DecisionTree final : public Classifier {
 
   /// Round-trippable text form.
   [[nodiscard]] std::string serialize() const;
-  static DecisionTree deserialize(const std::string& text);
-  /// Streaming variants used by RandomForest serialization.
+  /// Parses serialize()'s form; throws std::invalid_argument on anything
+  /// else, including text left over after the tree.
+  static DecisionTree deserialize(std::string_view text);
+  /// Streaming variants used by RandomForest serialization: one tree is
+  /// written to `os` / read from `in`'s cursor, which is left after it.
   void serialize_to(std::ostream& os) const;
-  static DecisionTree deserialize_from(std::istream& is);
+  static DecisionTree deserialize_from(TextReader& in);
 
  private:
   std::int32_t build(const Dataset& train, FitScratch& scratch,

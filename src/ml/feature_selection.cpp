@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ml/text_reader.hpp"
+
 namespace cgctx::ml {
 
 FeatureSelection::FeatureSelection(std::vector<std::size_t> kept_indices)
@@ -81,16 +83,12 @@ std::string FeatureSelection::serialize() const {
   return os.str();
 }
 
-FeatureSelection FeatureSelection::deserialize(const std::string& text) {
-  std::istringstream is(text);
-  std::string tag;
-  std::size_t count = 0;
-  is >> tag >> count;
-  if (!is || tag != "selection")
-    throw std::invalid_argument("FeatureSelection: bad header");
-  std::vector<std::size_t> kept(count);
-  for (std::size_t& i : kept) is >> i;
-  if (!is) throw std::invalid_argument("FeatureSelection: truncated payload");
+FeatureSelection FeatureSelection::deserialize(std::string_view text) {
+  TextReader in(text, "FeatureSelection");
+  in.expect("selection");
+  std::vector<std::size_t> kept(in.count());
+  for (std::size_t& i : kept) i = in.integer<std::size_t>();
+  in.finish();
   return FeatureSelection(std::move(kept));
 }
 

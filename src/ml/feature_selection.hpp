@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ml/dataset.hpp"
@@ -49,7 +50,8 @@ class FeatureSelection {
 
   /// Round-trippable text form ("selection k i0 i1 ...").
   [[nodiscard]] std::string serialize() const;
-  static FeatureSelection deserialize(const std::string& text);
+  /// Throws std::invalid_argument on anything but serialize()'s form.
+  static FeatureSelection deserialize(std::string_view text);
 
  private:
   std::vector<std::size_t> kept_;

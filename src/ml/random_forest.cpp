@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "ml/text_reader.hpp"
+
 namespace cgctx::ml {
 
 void RandomForest::fit(const Dataset& train) {
@@ -165,38 +167,43 @@ std::string RandomForest::serialize() const {
   return os.str();
 }
 
-RandomForest RandomForest::deserialize(const std::string& text) {
-  std::istringstream is(text);
-  std::string tag;
-  std::size_t tree_count = 0;
+RandomForest RandomForest::deserialize(std::string_view text) {
+  TextReader in(text, "RandomForest");
+  in.expect("forest");
+  const std::size_t tree_count = in.count();
   RandomForest out;
-  is >> tag >> tree_count >> out.num_classes_;
-  if (!is || tag != "forest")
-    throw std::invalid_argument("RandomForest: bad header");
-  int bootstrap = 0;
-  is >> out.params_.n_trees >> out.params_.max_depth >>
-      out.params_.min_samples_split >> out.params_.min_samples_leaf >>
-      out.params_.max_features >> bootstrap >> out.params_.seed;
-  out.params_.bootstrap = bootstrap != 0;
+  out.num_classes_ = in.count();
+  out.params_.n_trees = in.integer<std::size_t>();
+  out.params_.max_depth = in.integer<std::size_t>();
+  out.params_.min_samples_split = in.integer<std::size_t>();
+  out.params_.min_samples_leaf = in.integer<std::size_t>();
+  out.params_.max_features = in.integer<std::size_t>();
+  const auto bootstrap = in.integer<unsigned>();
+  if (bootstrap > 1) in.fail("bootstrap flag is not 0 or 1");
+  out.params_.bootstrap = bootstrap == 1;
+  out.params_.seed = in.integer<std::uint64_t>();
   out.trees_.reserve(tree_count);
   for (std::size_t t = 0; t < tree_count; ++t) {
-    DecisionTree tree = DecisionTree::deserialize_from(is);
+    DecisionTree tree = DecisionTree::deserialize_from(in);
+    // An empty tree has no root for the walks to start from.
+    if (tree.node_count() == 0)
+      in.fail("tree " + std::to_string(t) + " has no nodes");
     // The header's class count is what predict_proba sizes its output
     // by; a tree voting over a different class count would read or write
     // out of bounds. Reject the payload instead of trusting the header.
     if (tree.num_classes() != out.num_classes_)
-      throw std::invalid_argument(
-          "RandomForest: tree " + std::to_string(t) + " has " +
-          std::to_string(tree.num_classes()) + " classes, forest header says " +
-          std::to_string(out.num_classes_));
+      in.fail("tree " + std::to_string(t) + " has " +
+              std::to_string(tree.num_classes()) +
+              " classes, forest header says " +
+              std::to_string(out.num_classes_));
     if (!out.trees_.empty() &&
         tree.num_features() != out.trees_.front().num_features())
-      throw std::invalid_argument(
-          "RandomForest: tree " + std::to_string(t) +
-          " feature width disagrees with tree 0");
+      in.fail("tree " + std::to_string(t) +
+              " feature width disagrees with tree 0");
     out.trees_.push_back(std::move(tree));
   }
-  if (!is) throw std::invalid_argument("RandomForest: truncated payload");
+  if (tree_count > 0 && out.num_classes_ == 0) in.fail("forest has no classes");
+  in.finish();
   return out;
 }
 

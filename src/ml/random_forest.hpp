@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/thread_pool.hpp"
@@ -66,7 +67,10 @@ class RandomForest final : public Classifier {
 
   /// Round-trippable text form (params + every tree).
   [[nodiscard]] std::string serialize() const;
-  static RandomForest deserialize(const std::string& text);
+  /// Parses serialize()'s form in place (trees are read straight off
+  /// `text`); throws std::invalid_argument on anything else, including
+  /// text left over after the last tree.
+  static RandomForest deserialize(std::string_view text);
 
  private:
   RandomForestParams params_;

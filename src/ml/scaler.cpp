@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ml/text_reader.hpp"
+
 namespace cgctx::ml {
 
 void StandardScaler::fit(const Dataset& data) {
@@ -52,17 +54,18 @@ std::string StandardScaler::serialize() const {
   return os.str();
 }
 
-StandardScaler StandardScaler::deserialize(const std::string& text) {
-  std::istringstream is(text);
-  std::string tag;
-  std::size_t width = 0;
-  is >> tag >> width;
-  if (tag != "scaler") throw std::invalid_argument("StandardScaler: bad header");
+StandardScaler StandardScaler::deserialize(std::string_view text) {
+  TextReader in(text, "StandardScaler");
+  in.expect("scaler");
+  const std::size_t width = in.count(2);  // two values per column
   StandardScaler out;
   out.means_.resize(width);
   out.scales_.resize(width);
-  for (std::size_t j = 0; j < width; ++j) is >> out.means_[j] >> out.scales_[j];
-  if (!is) throw std::invalid_argument("StandardScaler: truncated payload");
+  for (std::size_t j = 0; j < width; ++j) {
+    out.means_[j] = in.real();
+    out.scales_[j] = in.real();
+  }
+  in.finish();
   return out;
 }
 

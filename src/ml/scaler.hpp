@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ml/dataset.hpp"
@@ -32,7 +33,8 @@ class StandardScaler {
 
   /// Round-trippable text form ("mean scale" per line).
   [[nodiscard]] std::string serialize() const;
-  static StandardScaler deserialize(const std::string& text);
+  /// Throws std::invalid_argument on anything but serialize()'s form.
+  static StandardScaler deserialize(std::string_view text);
 
  private:
   std::vector<double> means_;

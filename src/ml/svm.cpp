@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ml/text_reader.hpp"
+
 namespace cgctx::ml {
 
 const char* to_string(KernelType kernel) {
@@ -199,32 +201,33 @@ std::string Svm::serialize() const {
   return os.str();
 }
 
-Svm Svm::deserialize(const std::string& text) {
-  std::istringstream is(text);
-  std::string tag;
-  std::size_t n_machines = 0;
+Svm Svm::deserialize(std::string_view text) {
+  TextReader in(text, "Svm");
+  in.expect("svm");
+  const std::size_t n_machines = in.count();
   Svm out;
-  is >> tag >> n_machines >> out.num_features_ >> out.effective_gamma_;
-  if (!is || tag != "svm") throw std::invalid_argument("Svm: bad header");
-  int kernel = 0;
-  is >> out.params_.c >> kernel >> out.params_.gamma >> out.params_.poly_degree;
-  if (kernel < 0 || kernel > 2)
-    throw std::invalid_argument("Svm: bad kernel id");
+  out.num_features_ = in.count();
+  out.effective_gamma_ = in.real();
+  out.params_.c = in.real();
+  const auto kernel = in.integer<int>();
+  if (kernel < 0 || kernel > 2) in.fail("bad kernel id");
   out.params_.kernel = static_cast<KernelType>(kernel);
+  out.params_.gamma = in.real();
+  out.params_.poly_degree = in.integer<int>();
   out.machines_.resize(n_machines);
   for (BinaryMachine& machine : out.machines_) {
-    std::size_t n_sv = 0;
-    is >> tag >> n_sv >> machine.bias;
-    if (!is || tag != "machine")
-      throw std::invalid_argument("Svm: bad machine header");
+    in.expect("machine");
+    // Each support vector is a coefficient plus num_features_ values.
+    const std::size_t n_sv = in.count(out.num_features_ + 1);
+    machine.bias = in.real();
     machine.coefficients.resize(n_sv);
     machine.support_vectors.assign(n_sv, FeatureRow(out.num_features_));
     for (std::size_t i = 0; i < n_sv; ++i) {
-      is >> machine.coefficients[i];
-      for (double& v : machine.support_vectors[i]) is >> v;
+      machine.coefficients[i] = in.real();
+      for (double& v : machine.support_vectors[i]) v = in.real();
     }
   }
-  if (!is) throw std::invalid_argument("Svm: truncated payload");
+  in.finish();
   return out;
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ml/classifier.hpp"
@@ -55,7 +56,8 @@ class Svm final : public Classifier {
 
   /// Round-trippable text form (params + every machine's support vectors).
   [[nodiscard]] std::string serialize() const;
-  static Svm deserialize(const std::string& text);
+  /// Throws std::invalid_argument on anything but serialize()'s form.
+  static Svm deserialize(std::string_view text);
 
  private:
   /// One binary machine: sign(sum_i alpha_i y_i k(x_i, x) + b).

@@ -5,6 +5,7 @@
 #include "core/training.hpp"
 #include "ml/metrics.hpp"
 #include "sim/lab_dataset.hpp"
+#include "../rejection_message.hpp"
 
 namespace cgctx::core {
 namespace {
@@ -95,6 +96,22 @@ TEST(StageClassifier, ClassNamesMatchLabelOrder) {
   EXPECT_EQ(names[static_cast<std::size_t>(kStageActive)], "active");
   EXPECT_EQ(names[static_cast<std::size_t>(kStagePassive)], "passive");
   EXPECT_EQ(names[static_cast<std::size_t>(kStageIdle)], "idle");
+}
+
+using testing_support::rejection_message;
+
+// A forest over the wrong number of features would throw on every slot;
+// it is rejected at load instead.
+TEST(StageClassifier, DeserializeRejectsForestOfTheWrongWidth) {
+  const auto model = [](int width) {
+    return "stage_classifier\nforest 1 3\n100 10 2 1 0 1 42\ntree 1 3 " +
+           std::to_string(width) + "\nleaf 0.2 0.3 0.5\n";
+  };
+  EXPECT_EQ(StageClassifier::deserialize(model(4)).classify({1, 2, 3, 4}), 2);
+  EXPECT_NE(rejection_message([&] {
+              (void)StageClassifier::deserialize(model(3));
+            }).find("volumetric attributes"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "core/training.hpp"
 #include "ml/metrics.hpp"
 #include "sim/lab_dataset.hpp"
+#include "../rejection_message.hpp"
 
 namespace cgctx::core {
 namespace {
@@ -136,6 +137,42 @@ TEST(TitleClassifier, SerializeRoundTrip) {
 TEST(TitleClassifier, DeserializeRejectsGarbage) {
   EXPECT_THROW(TitleClassifier::deserialize("nope 1 2 3"),
                std::invalid_argument);
+}
+
+using testing_support::rejection_message;
+
+TEST(TitleClassifier, DeserializeRejectsOversizedCounts) {
+  for (const char* text :
+       {"title_classifier 18446744073709551615 0.4 5 1 0.1\na\n",
+        "title_classifier 4000000 0.4 5 1 0.1\na\n"}) {
+    SCOPED_TRACE(text);
+    EXPECT_NE(rejection_message([&] {
+                (void)TitleClassifier::deserialize(text);
+              }).find("bytes left"),
+              std::string::npos);
+  }
+  EXPECT_NE(rejection_message([] {
+              (void)TitleClassifier::deserialize(
+                  "title_classifier -1 0.4 5 1 0.1\n");
+            }).find("expected an integer"),
+            std::string::npos);
+}
+
+// launch_attributes() sizes per-slot buffers by window / slot; a loaded
+// window must be one it can evaluate.
+TEST(TitleClassifier, DeserializeRejectsBadLaunchWindow) {
+  for (const char* header : {"0.4 5 0 0.1", "0.4 5 -1 0.1", "0.4 1 5 0.1",
+                             "0.4 1e9 1 0.1", "0.4 5 1e-300 0.1",
+                             "0.4 1e-10 1e-10 0.1", "0.4 nan 1 0.1"}) {
+    SCOPED_TRACE(header);
+    const std::string text = std::string("title_classifier 0 ") + header +
+                             "\nforest 0 0\n100 10 2 1 0 1 42\n";
+    EXPECT_THROW((void)TitleClassifier::deserialize(text),
+                 std::invalid_argument);
+  }
+  const TitleClassifier empty = TitleClassifier::deserialize(
+      "title_classifier 0 0.4 5 1 0.1\nforest 0 0\n100 10 2 1 0 1 42\n");
+  EXPECT_EQ(empty.params().attributes.window_seconds, 5.0);
 }
 
 }  // namespace

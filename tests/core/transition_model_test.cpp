@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/stage_classifier.hpp"
+#include "../rejection_message.hpp"
 
 namespace cgctx::core {
 namespace {
@@ -178,6 +179,21 @@ TEST(PatternInferrer, DeserializeRejectsGarbage) {
   EXPECT_THROW(PatternInferrer::deserialize("junk"), std::invalid_argument);
   EXPECT_THROW(PatternInferrer::deserialize("wrong 0.75 30\nforest 0 0"),
                std::invalid_argument);
+}
+
+using testing_support::rejection_message;
+
+TEST(PatternInferrer, DeserializeRejectsForestOfTheWrongWidth) {
+  const auto model = [](int width) {
+    return "pattern_inferrer 0.750000 120\nforest 1 2\n100 10 2 1 0 1 42\n"
+           "tree 1 2 " +
+           std::to_string(width) + "\nleaf 0.25 0.75\n";
+  };
+  EXPECT_EQ(PatternInferrer::deserialize(model(9)).serialize(), model(9));
+  EXPECT_NE(rejection_message([&] {
+              (void)PatternInferrer::deserialize(model(4));
+            }).find("transition attributes"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include "../rejection_message.hpp"
 
 namespace cgctx::ml {
 namespace {
@@ -253,6 +254,59 @@ TEST_P(TreeDepthSweep, TrainAccuracyMonotoneInDepth) {
 
 INSTANTIATE_TEST_SUITE_P(Depths, TreeDepthSweep,
                          ::testing::Values(1, 2, 3, 4, 6, 8));
+
+using testing_support::rejection_message;
+
+TEST(DecisionTree, DeserializeRejectsNonFiniteThreshold) {
+  for (const char* threshold : {"nan", "-nan", "inf", "-inf", "1e999"}) {
+    SCOPED_TRACE(threshold);
+    const std::string text = std::string("tree 3 2 2\nsplit 0 ") + threshold +
+                             " 1 2\nleaf 1 0\nleaf 0 1\n";
+    EXPECT_NE(rejection_message([&] { (void)DecisionTree::deserialize(text); })
+                  .find("finite number"),
+              std::string::npos);
+  }
+}
+
+TEST(DecisionTree, DeserializeRejectsNonFiniteLeaf) {
+  for (const char* p : {"nan", "inf", "-inf", "1e999"}) {
+    SCOPED_TRACE(p);
+    const std::string text = std::string("tree 1 2 2\nleaf 0.5 ") + p + "\n";
+    EXPECT_NE(rejection_message([&] { (void)DecisionTree::deserialize(text); })
+                  .find("finite number"),
+              std::string::npos);
+  }
+}
+
+// Header counts size the node vector and every leaf's distribution; a
+// count larger than the text left is rejected before anything is sized
+// by it (17 bytes used to allocate and zero ~190 MB).
+TEST(DecisionTree, DeserializeRejectsOversizedCounts) {
+  for (const char* text :
+       {"tree 18446744073709551615 3 4\n", "tree 4000000 3 4\n",
+        "tree 1 18446744073709551615 2\nleaf 1\n", "tree 1 4000000 2\nleaf 1\n"}) {
+    SCOPED_TRACE(text);
+    EXPECT_NE(rejection_message([&] { (void)DecisionTree::deserialize(text); })
+                  .find("bytes left"),
+              std::string::npos);
+  }
+  // A signed or out-of-range count is not a count at all.
+  for (const char* text : {"tree -1 3 4\n", "tree 99999999999999999999 3 4\n"}) {
+    SCOPED_TRACE(text);
+    EXPECT_NE(rejection_message([&] { (void)DecisionTree::deserialize(text); })
+                  .find("expected an integer"),
+              std::string::npos);
+  }
+}
+
+TEST(DecisionTree, DeserializeRejectsTrailingTokens) {
+  const std::string text = "tree 1 2 2\nleaf 1 0\n";
+  EXPECT_EQ(DecisionTree::deserialize(text + "\n \n").serialize(), text);
+  EXPECT_NE(rejection_message([&] {
+              (void)DecisionTree::deserialize(text + "leaf 0 1\n");
+            }).find("trailing"),
+            std::string::npos);
+}
 
 }  // namespace
 }  // namespace cgctx::ml

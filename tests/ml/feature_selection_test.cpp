@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ml/random_forest.hpp"
+#include "../rejection_message.hpp"
 
 namespace cgctx::ml {
 namespace {
@@ -106,6 +107,27 @@ TEST(FeatureSelection, PrunedModelKeepsAccuracyOnRedundantData) {
   RandomForest small(RandomForestParams{.n_trees = 20, .seed = 7});
   small.fit(pruned);
   EXPECT_GT(small.score(pruned), 0.98);
+}
+
+using testing_support::rejection_message;
+
+TEST(FeatureSelection, DeserializeRejectsOversizedCounts) {
+  for (const char* text : {"selection 18446744073709551615 1 2\n",
+                           "selection 4000000 1 2\n"}) {
+    SCOPED_TRACE(text);
+    EXPECT_NE(rejection_message([&] {
+                (void)FeatureSelection::deserialize(text);
+              }).find("bytes left"),
+              std::string::npos);
+  }
+  EXPECT_NE(rejection_message([] {
+              (void)FeatureSelection::deserialize("selection 2 1 -2\n");
+            }).find("expected an integer"),
+            std::string::npos);
+  EXPECT_NE(rejection_message([] {
+              (void)FeatureSelection::deserialize("selection 2 1 2 3\n");
+            }).find("trailing"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/thread_pool.hpp"
+#include "../rejection_message.hpp"
 
 namespace cgctx::ml {
 namespace {
@@ -246,6 +247,52 @@ TEST_P(ForestSizeSweep, OobReasonableAcrossSizes) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ForestSizeSweep,
                          ::testing::Values(5, 10, 25, 50, 100));
+
+using testing_support::rejection_message;
+
+TEST(RandomForest, DeserializeRejectsTrailingTokens) {
+  const Dataset data = blobs(40, 3.0, 31);
+  RandomForest forest(RandomForestParams{.n_trees = 2, .seed = 32});
+  forest.fit(data);
+  const std::string text = forest.serialize();
+  // Whitespace after the last tree is not a field.
+  EXPECT_EQ(RandomForest::deserialize(text + "\n\n").serialize(), text);
+  for (const char* extra : {"leaf 1 0\n", "0", "tree 1 2 2\nleaf 1 0\n"}) {
+    SCOPED_TRACE(extra);
+    EXPECT_NE(rejection_message([&] {
+                (void)RandomForest::deserialize(text + extra);
+              }).find("trailing"),
+              std::string::npos);
+  }
+}
+
+TEST(RandomForest, DeserializeRejectsOversizedCounts) {
+  const std::string params = "100 10 2 1 0 1 42\n";
+  for (const std::string& header :
+       {std::string("forest 18446744073709551615 2\n"),
+        std::string("forest 4000000 2\n"),
+        std::string("forest 0 18446744073709551615\n")}) {
+    SCOPED_TRACE(header);
+    EXPECT_NE(rejection_message([&] {
+                (void)RandomForest::deserialize(header + params);
+              }).find("bytes left"),
+              std::string::npos);
+  }
+  EXPECT_NE(rejection_message([&] {
+              (void)RandomForest::deserialize("forest -1 2\n" + params);
+            }).find("expected an integer"),
+            std::string::npos);
+}
+
+// A tree with no nodes has no root: CompiledForest and the reference walk
+// would both index node 0 of an empty vector.
+TEST(RandomForest, DeserializeRejectsEmptyTree) {
+  EXPECT_NE(rejection_message([] {
+              (void)RandomForest::deserialize(
+                  "forest 1 2\n100 10 2 1 0 1 42\ntree 0 2 2\n");
+            }).find("no nodes"),
+            std::string::npos);
+}
 
 }  // namespace
 }  // namespace cgctx::ml

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include "../rejection_message.hpp"
 
 namespace cgctx::ml {
 namespace {
@@ -80,6 +81,34 @@ TEST(StandardScaler, DeserializeRejectsGarbage) {
                std::invalid_argument);
   EXPECT_THROW(StandardScaler::deserialize("scaler 4\n1 2\n"),
                std::invalid_argument);
+}
+
+using testing_support::rejection_message;
+
+TEST(StandardScaler, DeserializeRejectsOversizedCounts) {
+  // "scaler 20000000" used to allocate ~310 MB before failing.
+  for (const char* text : {"scaler 18446744073709551615\n", "scaler 20000000\n",
+                           "scaler 3\n1 2\n"}) {
+    SCOPED_TRACE(text);
+    EXPECT_NE(rejection_message([&] {
+                (void)StandardScaler::deserialize(text);
+              }).find("bytes left"),
+              std::string::npos);
+  }
+  EXPECT_NE(rejection_message([] {
+              (void)StandardScaler::deserialize("scaler -1\n");
+            }).find("expected an integer"),
+            std::string::npos);
+}
+
+TEST(StandardScaler, DeserializeRejectsNonFiniteValues) {
+  for (const char* text : {"scaler 1\nnan 1\n", "scaler 1\n0 inf\n"}) {
+    SCOPED_TRACE(text);
+    EXPECT_NE(rejection_message([&] {
+                (void)StandardScaler::deserialize(text);
+              }).find("finite number"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

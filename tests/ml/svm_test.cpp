@@ -1,6 +1,7 @@
 #include "ml/svm.hpp"
 
 #include <gtest/gtest.h>
+#include "../rejection_message.hpp"
 
 namespace cgctx::ml {
 namespace {
@@ -158,6 +159,48 @@ TEST_P(SvmCSweep, SeparableBlobsLearnAcrossC) {
 
 INSTANTIATE_TEST_SUITE_P(CValues, SvmCSweep,
                          ::testing::Values(0.1, 0.5, 1.0, 5.0, 20.0));
+
+using testing_support::rejection_message;
+
+TEST(Svm, DeserializeRejectsOversizedCounts) {
+  const std::string params = "1 1 0 3\n";
+  for (const std::string& text :
+       {"svm 18446744073709551615 2 0.5\n" + params,
+        "svm 4000000 2 0.5\n" + params,
+        "svm 1 18446744073709551615 0.5\n" + params,
+        // Each support vector needs a coefficient and 2 values.
+        "svm 1 2 0.5\n" + params + "machine 18446744073709551615 0.1\n",
+        "svm 1 2 0.5\n" + params + "machine 4 0.1\n1 2 3\n"}) {
+    SCOPED_TRACE(text);
+    EXPECT_NE(rejection_message([&] { (void)Svm::deserialize(text); })
+                  .find("bytes left"),
+              std::string::npos);
+  }
+  EXPECT_NE(rejection_message([&] {
+              (void)Svm::deserialize("svm -1 2 0.5\n" + params);
+            }).find("expected an integer"),
+            std::string::npos);
+}
+
+TEST(Svm, DeserializeRejectsNonFiniteValues) {
+  const Dataset data = linear_blobs(20, 13);
+  Svm svm;
+  svm.fit(data);
+  const std::string text = svm.serialize();
+  // Replace the first support vector's coefficient (the first token of
+  // the line after the first machine header) with NaN.
+  const std::size_t machine = text.find("machine");
+  const std::size_t line = text.find('\n', machine) + 1;
+  const std::size_t end = text.find(' ', line);
+  const std::string poisoned = text.substr(0, line) + "nan" + text.substr(end);
+  EXPECT_NE(rejection_message([&] { (void)Svm::deserialize(poisoned); })
+                .find("finite number"),
+            std::string::npos);
+  EXPECT_NE(rejection_message([&] {
+              (void)Svm::deserialize("svm 0 2 inf\n1 1 0 3\n");
+            }).find("finite number"),
+            std::string::npos);
+}
 
 }  // namespace
 }  // namespace cgctx::ml
