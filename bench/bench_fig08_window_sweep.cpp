@@ -23,6 +23,10 @@ const sim::GameTitle kTitles[] = {
 const double kWindows[] = {1, 2, 3, 5, 10, 20, 40, 60};
 const double kSlots[] = {0.1, 0.5, 1.0, 2.0};
 
+/// A slot longer than the window is not a launch window
+/// (core::validate rejects it): that cell prints "-".
+bool has_cell(double n_window, double t_slot) { return t_slot <= n_window; }
+
 }  // namespace
 
 int main() {
@@ -53,8 +57,9 @@ int main() {
   for (sim::GameTitle t : kTitles) class_names.push_back(sim::to_string(t));
   for (double t_slot : kSlots)
     for (double n_window : kWindows)
-      datasets.emplace(std::make_pair(t_slot, n_window),
-                       ml::Dataset(core::launch_attribute_names(), class_names));
+      if (has_cell(n_window, t_slot))
+        datasets.emplace(std::make_pair(t_slot, n_window),
+                         ml::Dataset(core::launch_attribute_names(), class_names));
 
   core::for_each_rendered_session(
       specs, [&](const sim::LabeledSession& session) {
@@ -64,6 +69,7 @@ int main() {
             label = static_cast<ml::Label>(t);
         for (double t_slot : kSlots) {
           for (double n_window : kWindows) {
+            if (!has_cell(n_window, t_slot)) continue;
             core::LaunchAttributeParams params;
             params.window_seconds = n_window;
             params.slot_seconds = t_slot;
@@ -81,6 +87,10 @@ int main() {
   for (double n_window : kWindows) {
     std::printf("%8.0f", n_window);
     for (double t_slot : kSlots) {
+      if (!has_cell(n_window, t_slot)) {
+        std::printf("  %7s", "-");
+        continue;
+      }
       const ml::Dataset& data = datasets.at({t_slot, n_window});
       ml::Rng rng(99);
       const auto split = ml::stratified_split(data, 0.3, rng);

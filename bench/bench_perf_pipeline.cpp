@@ -4,9 +4,10 @@
 // group labeling, launch-attribute extraction, model inference, the
 // end-to-end per-session pipeline, and the SessionEngine and
 // MultiSessionProbe (cross traffic, live sessions) steady-state hot paths,
-// per slot and in process_session's push_slots batches (which must not
-// touch the heap — asserted, not just reported: the binary exits non-zero
-// if a steady-state bench allocates).
+// per slot, in process_session's push_slots batches and through a pooled
+// engine's title window (none of which may touch the heap — asserted, not
+// just reported: the binary exits non-zero if a steady-state bench
+// allocates).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -254,6 +255,35 @@ void BM_EnginePacketSteadyState(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_EnginePacketSteadyState);
+
+void BM_EngineTitleWindowPooled(benchmark::State& state) {
+  // The title window through one pooled engine: reset -> start ->
+  // on_packet over the first 6 s of a session, so the title verdict lands
+  // at the first packet past the 5 s window. After the warm-up op has
+  // sized the engine's buffers, a window must not allocate.
+  const auto& suite = bench::bench_models();
+  static const core::PipelineParams params = core::default_pipeline_params();
+  const auto& all = sample_session().packets;
+  const net::Timestamp begin = all.front().timestamp;
+  const auto end = std::find_if(all.begin(), all.end(), [&](const auto& pkt) {
+    return pkt.timestamp - begin >= 6 * net::kNanosPerSecond;
+  });
+  const std::span<const net::PacketRecord> packets(all.begin(), end);
+  core::SessionEngine engine(suite.models(), &params);
+  const core::SessionObserver observer;
+  const auto run_window = [&] {
+    engine.reset();
+    engine.start(begin);
+    for (const auto& pkt : packets) engine.on_packet(pkt, observer);
+    benchmark::DoNotOptimize(engine.report().title.confidence);
+  };
+  run_window();  // warm-up: install buffer capacities
+  if (!engine.title_classified()) state.SkipWithError("no title verdict");
+  run_zero_alloc(state, run_window);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(packets.size()));
+}
+BENCHMARK(BM_EngineTitleWindowPooled);
 
 void BM_EngineTelemetrySessionSteadyState(benchmark::State& state) {
   // Whole telemetry-mode sessions through one pooled engine:

@@ -13,8 +13,14 @@
 //                       iat_median, iat_burstiness (= std/mean)       (6)
 // which matches the paper's count (3 x 17 = 51) and its Fig. 7 examples
 // (e.g. full_ct_sum). Groups absent from the window contribute zeros.
+//
+// Every extraction runs through one incremental accumulator, LaunchWindow:
+// training, TitleClassifier::classify and a live SessionEngine feed it
+// packets and read the same 51 values, bit for bit.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -36,13 +42,107 @@ struct LaunchAttributeParams {
   GroupLabelerParams group_params{};
 };
 
+/// Throws std::invalid_argument unless `params` describe a window the
+/// extraction can evaluate: finite values, a slot of at least 1 ms and at
+/// most the window, a window of at most an hour and at most 3600 slots.
+/// (A slot rounding to 0 ns would divide by zero, a window past the
+/// Duration range would overflow, and millions of slots would exhaust
+/// memory.) TitleClassifier's constructor and LaunchWindow call it.
+void validate(const LaunchAttributeParams& params);
+
+/// The 51 attributes, accumulated one packet at a time.
+///
+/// Each downstream packet is group-labeled as soon as its label is
+/// final: a full packet at once, a non-full one when `neighbor_window`
+/// later non-full packets of its slot have arrived (its majority vote
+/// reads no further) or when its slot closes. Only the open slot's
+/// non-full (timestamp, payload size) pairs are buffered. A labeled
+/// packet goes into its group's state: per-slot counts, and payload sizes
+/// and inter-arrival times kept in ascending order as they arrive. The
+/// result equals labeling every slot at once and sorting each group's
+/// values, so the attributes are bit-identical to that.
+///
+/// Membership: upstream packets and packets before the flow's start are
+/// ignored, and so is a packet whose slot index is >= the slot count
+/// (it does not end the window). Late packets: a packet whose slot has
+/// already closed is folded into the open slot (time-sorted traffic never
+/// has one).
+///
+/// start() clears the window but keeps every buffer's capacity, so a
+/// pooled owner extracts its second and later windows without allocating.
+class LaunchWindow {
+ public:
+  /// Validates `params` (see validate()); the window starts at 0.
+  explicit LaunchWindow(const LaunchAttributeParams& params = {});
+
+  /// Begins an empty window at `flow_begin`.
+  void start(net::Timestamp flow_begin);
+
+  /// Feeds one packet.
+  void add(const net::PacketRecord& pkt);
+
+  /// Closes the open slot and computes the 51 attributes. This ends the
+  /// window: add() nothing more before the next start(). The row stays
+  /// valid (see attributes()) until then.
+  const ml::FeatureRow& finish();
+
+  /// The row finish() computed; empty before it.
+  [[nodiscard]] const ml::FeatureRow& attributes() const { return row_; }
+
+ private:
+  /// Values kept in ascending order as they arrive. An insert goes into a
+  /// short sorted run, so it moves at most a run's values; a full run is
+  /// merged into the sorted base. finish() merges only the last run.
+  template <typename T>
+  struct SortedValues {
+    std::vector<T> base;
+    std::vector<T> run;
+    void clear();
+    void insert(T value);
+    void merge_run();
+  };
+
+  /// One packet group's values.
+  struct GroupState {
+    SortedValues<std::uint32_t> sizes;
+    SortedValues<double> iats;    ///< ms
+    net::Timestamp previous = 0;  ///< carries across slots
+    bool has_previous = false;
+  };
+
+  /// Labels the open slot's next pending non-full packet.
+  void label_next();
+  void record(PacketGroup group, net::Timestamp timestamp,
+              std::uint32_t payload_size);
+  void close_open_slot();
+
+  net::Duration slot_duration_ = 0;
+  std::size_t slot_count_ = 0;
+  GroupLabelerParams group_params_{};
+
+  net::Timestamp begin_ = 0;
+  net::Timestamp end_ = 0;       ///< first timestamp past the last slot
+  std::size_t open_slot_ = 0;
+  net::Timestamp open_end_ = 0;  ///< first timestamp past the open slot
+  /// The open slot's non-full packets in arrival order; the first
+  /// `labeled_` of them are labeled.
+  std::vector<net::Timestamp> open_times_;
+  std::vector<std::uint32_t> open_sizes_;
+  std::size_t labeled_ = 0;
+
+  std::array<GroupState, kNumPacketGroups> groups_{};
+  std::vector<double> counts_;  ///< [group * slot_count + slot]
+  ml::FeatureRow row_;
+};
+
 /// Names of the 51 attributes, e.g. "full_ct_sum", "steady_iat_median",
 /// in feature-vector order.
 std::vector<std::string> launch_attribute_names();
 
-/// Computes the 51-attribute vector from a session's packets. The window
-/// starts at `flow_begin` (the first packet of the detected streaming
-/// flow). Inter-arrival statistics are in milliseconds.
+/// Computes the 51-attribute vector from a session's packets by feeding
+/// them, in order, into a LaunchWindow. The window starts at `flow_begin`
+/// (the first packet of the detected streaming flow). Inter-arrival
+/// statistics are in milliseconds.
 ml::FeatureRow launch_attributes(std::span<const net::PacketRecord> packets,
                                  net::Timestamp flow_begin,
                                  const LaunchAttributeParams& params = {});

@@ -14,40 +14,44 @@ const char* to_string(PacketGroup group) {
   return "?";
 }
 
+bool steady_vote(std::span<const std::uint32_t> non_full, std::size_t index,
+                 const GroupLabelerParams& params) {
+  const double own = non_full[index];
+  const double tolerance = params.v_fraction * own;
+  std::size_t neighbors = 0;
+  std::size_t close = 0;
+  const std::size_t lo =
+      index >= params.neighbor_window ? index - params.neighbor_window : 0;
+  const std::size_t hi =
+      index + std::min(non_full.size() - index, params.neighbor_window + 1);
+  for (std::size_t q = lo; q < hi; ++q) {
+    if (q == index) continue;
+    ++neighbors;
+    if (std::abs(static_cast<double>(non_full[q]) - own) <= tolerance) ++close;
+  }
+  return neighbors > 0 && 2 * close >= neighbors;
+}
+
 std::vector<PacketGroup> label_packet_groups(
     std::span<const std::uint32_t> payload_sizes,
     const GroupLabelerParams& params) {
   std::vector<PacketGroup> labels(payload_sizes.size(), PacketGroup::kSparse);
 
   // Pass 1: full packets by payload size.
-  std::vector<std::size_t> rest;  // indices of non-full packets, arrival order
+  std::vector<std::uint32_t> rest;  // non-full sizes, arrival order
   for (std::size_t i = 0; i < payload_sizes.size(); ++i) {
     if (payload_sizes[i] >= params.full_payload) {
       labels[i] = PacketGroup::kFull;
     } else {
-      rest.push_back(i);
+      rest.push_back(payload_sizes[i]);
     }
   }
 
-  // Pass 2: majority voting among adjacent non-full packets. A packet is
-  // steady when at least half of its examined neighbors lie within +-V of
-  // its own payload size.
-  for (std::size_t r = 0; r < rest.size(); ++r) {
-    const double own = payload_sizes[rest[r]];
-    const double tolerance = params.v_fraction * own;
-    std::size_t neighbors = 0;
-    std::size_t close = 0;
-    const std::size_t lo = r >= params.neighbor_window ? r - params.neighbor_window : 0;
-    const std::size_t hi = std::min(rest.size(), r + params.neighbor_window + 1);
-    for (std::size_t q = lo; q < hi; ++q) {
-      if (q == r) continue;
-      ++neighbors;
-      if (std::abs(static_cast<double>(payload_sizes[rest[q]]) - own) <=
-          tolerance)
-        ++close;
-    }
-    if (neighbors > 0 && 2 * close >= neighbors)
-      labels[rest[r]] = PacketGroup::kSteady;
+  // Pass 2: majority voting among adjacent non-full packets.
+  std::size_t r = 0;
+  for (PacketGroup& label : labels) {
+    if (label == PacketGroup::kFull) continue;
+    if (steady_vote(rest, r++, params)) label = PacketGroup::kSteady;
   }
   return labels;
 }

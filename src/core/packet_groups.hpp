@@ -39,6 +39,15 @@ std::vector<PacketGroup> label_packet_groups(
     std::span<const std::uint32_t> payload_sizes,
     const GroupLabelerParams& params = {});
 
+/// The majority vote behind label_packet_groups for one non-full packet:
+/// `non_full` holds one slot's non-full payload sizes in arrival order,
+/// and the packet at `index` is steady when at least half of its examined
+/// neighbors (`neighbor_window` on each side, clipped to the span) lie
+/// within +-V of its own size. Reads nothing past index + neighbor_window,
+/// so a streaming caller can vote once that many later packets arrived.
+bool steady_vote(std::span<const std::uint32_t> non_full, std::size_t index,
+                 const GroupLabelerParams& params);
+
 /// A labeled downstream packet (timestamp retained for inter-arrival
 /// statistics downstream of the labeler).
 struct LabeledPacket {

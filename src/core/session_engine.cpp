@@ -113,6 +113,7 @@ SessionEngine::SessionEngine(PipelineModels models,
                             models_.stage->scratch_size(),
                             models_.pattern->scratch_size()}));
   title_window_seconds_ = models_.title->params().attributes.window_seconds;
+  title_window_ = LaunchWindow(models_.title->params().attributes);
   tracker_ = VolumetricTracker(params_->tracker);
 }
 
@@ -124,6 +125,7 @@ std::span<double> SessionEngine::scratch(std::size_t n) {
 void SessionEngine::start(net::Timestamp flow_begin) {
   started_ = true;
   flow_begin_ = flow_begin;
+  title_window_.start(flow_begin);
 }
 
 void SessionEngine::set_detection(const DetectionResult& detection,
@@ -169,10 +171,7 @@ void SessionEngine::classify_pending_title() {
   const obs::ScopedTimer timer(
       metrics_ != nullptr ? metrics_->title_classify_ns : nullptr);
   install_title(models_.title->classify_features(
-      launch_attributes(title_window_, flow_begin_,
-                        models_.title->params().attributes),
-      scratch(models_.title->scratch_size())));
-  title_window_.clear();  // keeps capacity for the next session
+      title_window_.finish(), scratch(models_.title->scratch_size())));
 }
 
 void SessionEngine::close_title(double at_seconds,
@@ -415,7 +414,7 @@ void SessionEngine::finalize() {
 void SessionEngine::reset() {
   started_ = false;
   flow_begin_ = 0;
-  title_window_.clear();
+  title_window_.start(0);  // keeps capacity for the next session
   title_done_ = false;
   has_demand_hint_ = false;
   demand_hint_mbps_ = 0.0;

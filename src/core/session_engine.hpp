@@ -14,10 +14,10 @@
 //
 // Hot-path contract:
 //  - on_packet() performs zero heap allocations in steady state (once
-//    the title window has closed and the engine's internal buffers have
-//    reached session size). All scratch — the classifier probability
-//    buffer, the forest input rows, the slot records — is engine-owned
-//    and reused.
+//    the engine's internal buffers have reached session size). All
+//    scratch — the title window's per-group state, the classifier
+//    probability buffer, the forest input rows, the slot records — is
+//    engine-owned and reused.
 //  - reset() clears session state but retains buffer capacity, so a
 //    pooled engine (MultiSessionProbe keeps a free list) analyzes its
 //    second and later sessions without allocating at all.
@@ -206,7 +206,7 @@ class SessionEngine {
   void set_title(const TitleResult& title);
 
   /// Packet mode: advances the session by one packet of the detected
-  /// flow, in timestamp order. Buffers the title window, classifies the
+  /// flow, in timestamp order. Feeds the title window, classifies the
   /// title once the window elapses, closes every slot boundary the
   /// packet's timestamp has passed, then tallies the packet into the
   /// open slot. Allocation-free in steady state.
@@ -253,6 +253,11 @@ class SessionEngine {
 
   [[nodiscard]] bool started() const { return started_; }
   [[nodiscard]] bool title_classified() const { return title_done_; }
+  /// Packet mode: the 51 launch attributes the title verdict was computed
+  /// from; empty until then (and in telemetry mode).
+  [[nodiscard]] const ml::FeatureRow& title_attributes() const {
+    return title_window_.attributes();
+  }
   [[nodiscard]] std::size_t slots_closed() const {
     return report_.slots.size();
   }
@@ -273,7 +278,7 @@ class SessionEngine {
   SlotOutcome record_slot(const SlotTelemetry& slot, ml::Label stage,
                           const std::optional<PatternResult>& inference);
   void classify_pending_title();
-  /// Classifies the buffered title window and emits kTitleClassified.
+  /// Classifies the title window and emits kTitleClassified.
   void close_title(double at_seconds, const SessionObserver& observer);
   void install_title(const TitleResult& title);
   void finalize();
@@ -287,9 +292,10 @@ class SessionEngine {
   bool started_ = false;
   net::Timestamp flow_begin_ = 0;
 
-  // Title window (only the first N seconds are kept).
+  // Title window: the first N seconds of packets, folded into per-group
+  // state as they arrive (only the open slot's non-full packets wait).
   double title_window_seconds_ = 5.0;
-  std::vector<net::PacketRecord> title_window_;
+  LaunchWindow title_window_;
   bool title_done_ = false;
   /// Demand hint resolved once per title verdict (map lookups stay off
   /// the per-slot path).
@@ -340,7 +346,7 @@ inline void SessionEngine::on_packet(const net::PacketRecord& pkt,
                                      const SessionObserver& observer) {
   if (!title_done_) [[unlikely]] {
     const double t = net::duration_to_seconds(pkt.timestamp - flow_begin_);
-    if (t < title_window_seconds_) title_window_.push_back(pkt);
+    if (t < title_window_seconds_) title_window_.add(pkt);
     else close_title(t, observer);
   }
 

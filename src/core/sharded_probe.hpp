@@ -58,7 +58,9 @@ struct ShardedProbeParams {
   std::size_t queue_capacity = 1 << 12;
   OverflowPolicy overflow = OverflowPolicy::kBackpressure;
   /// Longest one push() may wait for queue space under kBackpressure.
-  std::chrono::milliseconds backpressure_timeout{100};
+  /// Over 5x the longest worker stall seen on a loaded 4-vCPU host
+  /// (150 ms), so a descheduled worker does not by itself drop packets.
+  std::chrono::milliseconds backpressure_timeout{1000};
   /// Record processing latency for every Nth packet per shard (1 = all,
   /// 0 = never); sampling keeps the steady_clock reads off most packets.
   std::uint32_t latency_sample_stride = 8;

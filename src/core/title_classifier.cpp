@@ -7,16 +7,10 @@
 
 namespace cgctx::core {
 
-namespace {
-/// Bounds on a loaded launch window (the paper's is 5 one-second slots).
-/// launch_attributes() divides by the slot's Duration, converts the
-/// window to one, and sizes per-slot buffers by window / slot: a slot
-/// rounding to 0 ns, a window past the Duration range or millions of
-/// slots would divide by zero, overflow or exhaust memory.
-constexpr double kMinSlotSeconds = 1e-3;
-constexpr double kMaxWindowSeconds = 3600.0;
-constexpr double kMaxWindowSlots = 3600.0;
-}  // namespace
+TitleClassifier::TitleClassifier(TitleClassifierParams params)
+    : params_(params), forest_(params.forest) {
+  validate(params_.attributes);
+}
 
 void TitleClassifier::train(const ml::Dataset& data) {
   if (data.num_features() != kNumLaunchAttributes)
@@ -79,12 +73,7 @@ TitleClassifier TitleClassifier::deserialize(std::string_view text) {
   attrs.slot_seconds = header.real();
   attrs.group_params.v_fraction = header.real();
   header.finish();
-  if (!(attrs.slot_seconds >= kMinSlotSeconds &&
-        attrs.slot_seconds <= attrs.window_seconds &&
-        attrs.window_seconds <= kMaxWindowSeconds &&
-        attrs.window_seconds / attrs.slot_seconds <= kMaxWindowSlots))
-    in.fail("bad launch window");
-  TitleClassifier out(params);
+  TitleClassifier out(params);  // validates the launch window
   in.require_room(n_classes);
   out.class_names_.reserve(n_classes);
   for (std::size_t c = 0; c < n_classes; ++c)

@@ -42,8 +42,9 @@ struct TitleResult {
 
 class TitleClassifier {
  public:
-  explicit TitleClassifier(TitleClassifierParams params = {})
-      : params_(params), forest_(params.forest) {}
+  /// Throws std::invalid_argument when the launch window fails
+  /// validate(); deserialize() constructs through here too.
+  explicit TitleClassifier(TitleClassifierParams params = {});
 
   /// Trains on a dataset of 51-attribute rows labeled by title. The
   /// dataset's class names are retained for TitleResult::class_name.

@@ -180,6 +180,40 @@ TEST(ShardedProbe, TinyRingWrapsThousandsOfTimesWithoutChangingReports) {
   EXPECT_LE(stats.queue_depth_hwm, 8u);
 }
 
+// A worker descheduled for 150 ms (a loaded host was seen stalling single
+// pushes for that long) must not cost packets under the default
+// backpressure timeout: the capture thread waits it out.
+TEST(ShardedProbe, DefaultBackpressureRidesOutAStalledWorker) {
+  const sim::FleetReplay replay = small_fleet(2, 2, 76);
+
+  std::vector<SessionReport> direct;
+  MultiSessionProbe probe(
+      suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+      [&](const SessionReport& r) { direct.push_back(r); });
+  for (const auto& pkt : replay.wire) probe.push(pkt);
+  probe.flush();
+
+  ShardedProbeParams params;
+  params.probe.pipeline = default_pipeline_params();
+  params.queue_capacity = 8;
+  bool stalled = false;
+  std::vector<SessionReport> sharded;
+  ShardedProbe engine(
+      suite().models(), params,
+      [&](const SessionReport& r) { sharded.push_back(r); },
+      [&](const StreamEvent&) {
+        if (stalled) return;
+        stalled = true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(150));
+      });
+  for (const auto& pkt : replay.wire) EXPECT_TRUE(engine.push(pkt));
+  engine.flush();
+
+  EXPECT_TRUE(stalled);
+  EXPECT_EQ(engine.stats().packets_dropped, 0u);
+  EXPECT_EQ(sharded, direct);
+}
+
 TEST(ShardedProbe, ParkedWorkersWakeForPacketsWithoutAFlush) {
   const sim::FleetReplay replay = small_fleet(2, 2, 75);
   ShardedProbeParams params;
