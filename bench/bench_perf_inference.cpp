@@ -5,8 +5,10 @@
 // (§4.2–4.3). This bench pins the single-row and batched predictions/
 // second of ml::CompiledForest against the reference RandomForest walk,
 // and counts heap allocations per prediction (a global operator new hook)
-// to prove the compiled path allocates nothing. BM_ModelLoad* time the
-// other end of a model's life: loading it from its cached text.
+// to prove the compiled path allocates nothing: any allocation in a
+// compiled single-row, batch or label bench fails the binary (exit 1).
+// BM_ModelLoad* time the other end of a model's life: loading it from
+// its cached text.
 //
 // Single-row latency is measured over a rotating pool of distinct rows:
 // production never classifies the same flow-second twice, and repeating
@@ -17,10 +19,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/bench_support.hpp"
@@ -123,6 +128,10 @@ std::vector<ml::FeatureRow> stage_pool() {
   return rows;
 }
 
+/// Set when a zero-allocation bench observed a heap allocation; main()
+/// turns it into a non-zero exit so CI fails on an allocating hot path.
+bool g_zero_alloc_violation = false;
+
 /// Runs `fn` under the benchmark loop and reports allocations per op.
 template <typename Fn>
 void run_counted(benchmark::State& state, Fn&& fn) {
@@ -135,6 +144,17 @@ void run_counted(benchmark::State& state, Fn&& fn) {
           ? 0.0
           : static_cast<double>(after - before) /
                 static_cast<double>(state.iterations());
+}
+
+/// run_counted plus the compiled engine's contract: any allocation fails
+/// the bench (and, via g_zero_alloc_violation, the whole binary).
+template <typename Fn>
+void run_zero_alloc(benchmark::State& state, Fn&& fn) {
+  run_counted(state, std::forward<Fn>(fn));
+  if (state.counters["allocs/op"] != 0.0) {
+    g_zero_alloc_violation = true;
+    state.SkipWithError("compiled inference allocated");
+  }
 }
 
 // --- Title forest: 500 trees, depth 10 ---------------------------------
@@ -157,7 +177,7 @@ void BM_TitleCompiled(benchmark::State& state) {
   const std::vector<ml::FeatureRow> rows = title_pool();
   std::vector<double> out(compiled.num_classes());
   std::size_t next = 0;
-  run_counted(state, [&] {
+  run_zero_alloc(state, [&] {
     compiled.predict_proba_into(rows[next], out);
     next = (next + 1) & (kRowPool - 1);
     benchmark::DoNotOptimize(out.data());
@@ -185,13 +205,35 @@ void BM_StageCompiled(benchmark::State& state) {
   const std::vector<ml::FeatureRow> rows = stage_pool();
   std::vector<double> out(compiled.num_classes());
   std::size_t next = 0;
-  run_counted(state, [&] {
+  run_zero_alloc(state, [&] {
     compiled.predict_proba_into(rows[next], out);
     next = (next + 1) & (kRowPool - 1);
     benchmark::DoNotOptimize(out.data());
   });
 }
 BENCHMARK(BM_StageCompiled);
+
+/// The label-only single-row walk (StageClassifier::classify, a slot
+/// pushed on its own), on BM_StageCompiled's rows. trees/row: the trees
+/// it walks per row over the pool, stopping after the tree block that
+/// decides the label.
+void BM_StageLabelCompiled(benchmark::State& state) {
+  const ml::CompiledForest& compiled = bench::bench_models().stage.compiled();
+  const std::vector<ml::FeatureRow> rows = stage_pool();
+  std::vector<double> scratch(compiled.num_classes());
+  std::size_t next = 0;
+  run_zero_alloc(state, [&] {
+    benchmark::DoNotOptimize(compiled.predict(rows[next], scratch));
+    next = (next + 1) & (kRowPool - 1);
+  });
+  std::size_t walked = 0;
+  ml::Label label = 0;
+  for (const ml::FeatureRow& row : rows)
+    walked += compiled.predict_rows_into(row, scratch, std::span(&label, 1));
+  state.counters["trees/row"] =
+      static_cast<double>(walked) / static_cast<double>(rows.size());
+}
+BENCHMARK(BM_StageLabelCompiled);
 
 // --- Tree-major batches: stage and pattern forests -----------------------
 // RealtimePipeline::process_session classifies slots in batches of
@@ -238,7 +280,7 @@ std::vector<double> pattern_batch() {
 void run_batch(benchmark::State& state, const ml::CompiledForest& compiled,
                const std::vector<double>& rows) {
   std::vector<double> out(kBatch * compiled.num_classes());
-  run_counted(state, [&] {
+  run_zero_alloc(state, [&] {
     compiled.predict_proba_rows_into(rows, out);
     benchmark::DoNotOptimize(out.data());
   });
@@ -246,10 +288,71 @@ void run_batch(benchmark::State& state, const ml::CompiledForest& compiled,
                           static_cast<std::int64_t>(kBatch));
 }
 
+/// One label-only predict_rows_into call over `rows` per op (the
+/// StageClassifier::classify_rows path); trees/row is the trees walked
+/// per row before its label was decided.
+void run_label_batch(benchmark::State& state,
+                     const ml::CompiledForest& compiled,
+                     const std::vector<double>& rows) {
+  std::vector<double> scratch(kBatch * compiled.num_classes());
+  std::vector<ml::Label> labels(kBatch);
+  std::size_t walked = 0;
+  run_zero_alloc(state, [&] {
+    walked = compiled.predict_rows_into(rows, scratch, labels);
+    benchmark::DoNotOptimize(labels.data());
+  });
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBatch));
+  state.counters["trees/row"] =
+      static_cast<double>(walked) / static_cast<double>(kBatch);
+}
+
 void BM_StageBatchCompiled(benchmark::State& state) {
   run_batch(state, bench::bench_models().stage.compiled(), stage_batch());
 }
 BENCHMARK(BM_StageBatchCompiled);
+
+void BM_StageBatchLabels(benchmark::State& state) {
+  run_label_batch(state, bench::bench_models().stage.compiled(),
+                  stage_batch());
+}
+BENCHMARK(BM_StageBatchLabels);
+
+/// The stage forest with its votes rewritten so no label is ever decided
+/// early: trees 0-49 vote passive, trees 50-99 active, on every leaf. The
+/// label walk checks every row from tree 50 on and retires none, which
+/// bounds what the checks cost on top of the walk.
+const ml::CompiledForest& undecided_forest() {
+  static const ml::CompiledForest compiled = [] {
+    const std::string text = bench::bench_models().stage.forest().serialize();
+    std::string out;
+    std::size_t tree = 0;
+    std::size_t begin = 0;
+    while (begin < text.size()) {
+      const std::size_t end = text.find('\n', begin);
+      const std::string_view line(text.data() + begin, end - begin);
+      if (line.starts_with("tree ")) ++tree;
+      if (line.starts_with("leaf "))
+        out += tree <= 50 ? "leaf 0 1 0" : "leaf 1 0 0";
+      else
+        out += line;
+      out += '\n';
+      begin = end + 1;
+    }
+    return ml::CompiledForest(ml::RandomForest::deserialize(out));
+  }();
+  return compiled;
+}
+
+void BM_UndecidedBatchCompiled(benchmark::State& state) {
+  run_batch(state, undecided_forest(), stage_batch());
+}
+BENCHMARK(BM_UndecidedBatchCompiled);
+
+void BM_UndecidedBatchLabels(benchmark::State& state) {
+  run_label_batch(state, undecided_forest(), stage_batch());
+}
+BENCHMARK(BM_UndecidedBatchLabels);
 
 void BM_PatternBatchCompiled(benchmark::State& state) {
   run_batch(state, bench::bench_models().pattern.compiled(), pattern_batch());
@@ -331,4 +434,16 @@ BENCHMARK(BM_ModelLoadPattern)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  if (g_zero_alloc_violation) {
+    std::fprintf(stderr,
+                 "FAIL: a compiled inference bench performed heap "
+                 "allocations\n");
+    return 1;
+  }
+  return 0;
+}

@@ -114,6 +114,11 @@ LaunchWindow::LaunchWindow(const LaunchAttributeParams& params) {
   validate(params);
   slot_duration_ = net::duration_from_seconds(params.slot_seconds);
   slot_count_ = slot_count_for(params);
+  // N itself, but never past the last slot: slot_count_for rounds an N/T
+  // within 1e-9 of an integer down to it.
+  window_duration_ =
+      std::min(net::duration_from_seconds(params.window_seconds),
+               static_cast<net::Duration>(slot_count_) * slot_duration_);
   group_params_ = params.group_params;
   counts_.assign(kNumPacketGroups * slot_count_, 0.0);
   start(0);
@@ -121,7 +126,7 @@ LaunchWindow::LaunchWindow(const LaunchAttributeParams& params) {
 
 void LaunchWindow::start(net::Timestamp flow_begin) {
   begin_ = flow_begin;
-  end_ = flow_begin + static_cast<net::Duration>(slot_count_) * slot_duration_;
+  end_ = flow_begin + window_duration_;
   open_slot_ = 0;
   open_end_ = flow_begin + slot_duration_;
   open_times_.clear();

@@ -62,9 +62,12 @@ void validate(const LaunchAttributeParams& params);
 /// result equals labeling every slot at once and sorting each group's
 /// values, so the attributes are bit-identical to that.
 ///
-/// Membership: upstream packets and packets before the flow's start are
-/// ignored, and so is a packet whose slot index is >= the slot count
-/// (it does not end the window). Late packets: a packet whose slot has
+/// Membership: the window is [flow_begin, flow_begin + N), in
+/// nanoseconds; when T does not divide N its last slot is cut short at N.
+/// Upstream packets and packets outside the window are ignored (a packet
+/// past the end does not end the window). A live engine asks before_end()
+/// whether a packet still belongs to the window, so training and the
+/// engine read the same packets. Late packets: a packet whose slot has
 /// already closed is folded into the open slot (time-sorted traffic never
 /// has one).
 ///
@@ -80,6 +83,11 @@ class LaunchWindow {
 
   /// Feeds one packet.
   void add(const net::PacketRecord& pkt);
+
+  /// True while `timestamp` is before the window's end, flow_begin + N.
+  [[nodiscard]] bool before_end(net::Timestamp timestamp) const {
+    return timestamp < end_;
+  }
 
   /// Closes the open slot and computes the 51 attributes. This ends the
   /// window: add() nothing more before the next start(). The row stays
@@ -116,12 +124,13 @@ class LaunchWindow {
               std::uint32_t payload_size);
   void close_open_slot();
 
+  net::Duration window_duration_ = 0;
   net::Duration slot_duration_ = 0;
   std::size_t slot_count_ = 0;
   GroupLabelerParams group_params_{};
 
   net::Timestamp begin_ = 0;
-  net::Timestamp end_ = 0;       ///< first timestamp past the last slot
+  net::Timestamp end_ = 0;       ///< first timestamp past the window
   std::size_t open_slot_ = 0;
   net::Timestamp open_end_ = 0;  ///< first timestamp past the open slot
   /// The open slot's non-full packets in arrival order; the first

@@ -50,6 +50,8 @@ class RealtimePipeline {
   /// forest walks to pay off, short enough to keep a session's batch
   /// buffers small (a compile-time bound, not a tuning knob).
   static constexpr std::size_t kSlotBatch = 256;
+  static_assert(kSlotBatch <= ml::CompiledForest::kRowChunk,
+                "a slot batch is one chunk of the forests' tree-major walk");
 
   [[nodiscard]] const PipelineParams& params() const { return params_; }
 

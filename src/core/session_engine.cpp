@@ -112,7 +112,6 @@ SessionEngine::SessionEngine(PipelineModels models,
   scratch_.resize(std::max({models_.title->scratch_size(),
                             models_.stage->scratch_size(),
                             models_.pattern->scratch_size()}));
-  title_window_seconds_ = models_.title->params().attributes.window_seconds;
   title_window_ = LaunchWindow(models_.title->params().attributes);
   tracker_ = VolumetricTracker(params_->tracker);
 }

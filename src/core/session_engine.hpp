@@ -294,7 +294,6 @@ class SessionEngine {
 
   // Title window: the first N seconds of packets, folded into per-group
   // state as they arrive (only the open slot's non-full packets wait).
-  double title_window_seconds_ = 5.0;
   LaunchWindow title_window_;
   bool title_done_ = false;
   /// Demand hint resolved once per title verdict (map lookups stay off
@@ -345,9 +344,11 @@ class SessionEngine {
 inline void SessionEngine::on_packet(const net::PacketRecord& pkt,
                                      const SessionObserver& observer) {
   if (!title_done_) [[unlikely]] {
-    const double t = net::duration_to_seconds(pkt.timestamp - flow_begin_);
-    if (t < title_window_seconds_) title_window_.add(pkt);
-    else close_title(t, observer);
+    if (title_window_.before_end(pkt.timestamp))
+      title_window_.add(pkt);
+    else
+      close_title(net::duration_to_seconds(pkt.timestamp - flow_begin_),
+                  observer);
   }
 
   // Close any slots the clock has passed.

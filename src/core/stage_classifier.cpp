@@ -41,15 +41,7 @@ ml::Classifier::Prediction StageClassifier::classify_with_confidence(
 void StageClassifier::classify_rows(std::span<const double> rows,
                                     std::span<double> scratch,
                                     std::span<ml::Label> labels) const {
-  const std::size_t classes = scratch_size();
-  if (scratch.size() != labels.size() * classes)
-    throw std::invalid_argument(
-        "StageClassifier::classify_rows: scratch must be labels.size() x "
-        "scratch_size()");
-  compiled_.predict_proba_rows_into(rows, scratch);
-  for (std::size_t i = 0; i < labels.size(); ++i)
-    labels[i] =
-        ml::CompiledForest::top(scratch.subspan(i * classes, classes)).label;
+  compiled_.predict_rows_into(rows, scratch, labels);
 }
 
 std::string StageClassifier::serialize() const {

@@ -42,7 +42,9 @@ class StageClassifier {
   /// labeled with stage indices.
   void train(const ml::Dataset& data);
 
-  /// Classifies one processed slot.
+  /// Classifies one processed slot. Every classify form is label-only:
+  /// it stops walking the forest once the label is decided (see
+  /// ml::CompiledForest).
   [[nodiscard]] ml::Label classify(const ml::FeatureRow& attributes) const;
   [[nodiscard]] ml::Classifier::Prediction classify_with_confidence(
       const ml::FeatureRow& attributes) const;
@@ -58,7 +60,8 @@ class StageClassifier {
   /// attribute rows back to back, `scratch` is n x scratch_size(), and
   /// `labels` (size n) receives one stage per row, each equal to
   /// classify() on that row. Batches of ml::CompiledForest::kWalkGroup
-  /// rows or more walk the forest tree-major.
+  /// rows or more walk the forest tree-major
+  /// (ml::CompiledForest::predict_rows_into).
   void classify_rows(std::span<const double> rows, std::span<double> scratch,
                      std::span<ml::Label> labels) const;
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -14,6 +16,44 @@ namespace {
 /// against every row value.
 constexpr std::uint64_t kLeafNanBits = 0x7FF8'0000'0000'0000ULL;
 constexpr std::uint64_t kLeafOffsetMask = 0xFFFF'FFFFULL;
+
+/// One descent step: `child + !(x[feature] <= threshold)`. !(x <= t)
+/// rather than (x > t): NaN features descend right, exactly as the
+/// reference walk's ternary does. Leaves compare against NaN, so the step
+/// degenerates to child + 1 == self.
+template <typename Node>
+std::size_t descend(const Node* walk, std::size_t at, const double* x) {
+  const Node node = walk[at];
+  return static_cast<std::size_t>(node.child) +
+         static_cast<std::size_t>(
+             !(x[static_cast<std::size_t>(node.feature)] <= node.threshold));
+}
+
+/// Trees between two retirement checks of the tree-major label walk. A
+/// check per tree made a batch whose vote never settles cost ≈1.2× the
+/// probability walk; every fourth tree, ≈1.06×. Rows decided at the
+/// first check, most of them, retire no later.
+constexpr std::size_t kCheckStride = 4;
+
+/// True when the leading class of `sum` beats every other class by more
+/// than `margin`; writes it to `label`. Branch-free over the classes: the
+/// class order differs from row to row.
+inline bool leader_clears(const double* sum, std::size_t classes,
+                          double margin, Label& label) {
+  std::size_t best = 0;
+  double lead = sum[0];
+  double runner_up = -std::numeric_limits<double>::infinity();
+  for (std::size_t c = 1; c < classes; ++c) {
+    const double v = sum[c];
+    const bool ahead = v > lead;
+    runner_up = ahead ? lead : std::max(runner_up, v);
+    best = ahead ? c : best;
+    lead = ahead ? v : lead;
+  }
+  if (!(lead - runner_up > margin)) return false;
+  label = static_cast<Label>(best);
+  return true;
+}
 
 /// Advances `lanes` descent chains in lockstep for exactly `passes`
 /// passes: the per-lane loads are independent, so their cache misses
@@ -61,6 +101,11 @@ CompiledForest::CompiledForest(const RandomForest& forest) {
     std::size_t depth;
   };
   std::vector<Pending> queue;
+  // Leaf-value span per tree (max - min over its leaves' class entries),
+  // and whether every leaf value lies in [0, 1].
+  std::vector<double> spans;
+  spans.reserve(forest.tree_count());
+  bool unit_leaves = true;
   for (const DecisionTree& tree : forest.trees()) {
     if (tree.num_classes() != num_classes_)
       throw std::logic_error("CompiledForest: inconsistent class counts");
@@ -72,6 +117,8 @@ CompiledForest::CompiledForest(const RandomForest& forest) {
     walk_roots_.push_back(wbase);
     queue.clear();
     queue.push_back({0, 0});  // a tree's node 0 is its root
+    double lowest = std::numeric_limits<double>::infinity();
+    double highest = -lowest;
     for (std::size_t rank = 0; rank < queue.size(); ++rank) {
       const auto [id, depth] = queue[rank];
       const DecisionTree::Node& node = nodes[static_cast<std::size_t>(id)];
@@ -85,6 +132,11 @@ CompiledForest::CompiledForest(const RandomForest& forest) {
         const auto offset = static_cast<std::uint64_t>(leaf_pool_.size());
         leaf_pool_.insert(leaf_pool_.end(), node.distribution.begin(),
                           node.distribution.end());
+        for (const double v : node.distribution) {
+          unit_leaves = unit_leaves && v >= 0.0 && v <= 1.0;
+          lowest = std::min(lowest, v);
+          highest = std::max(highest, v);
+        }
         walk_.push_back(WalkNode{
             .threshold = std::bit_cast<double>(kLeafNanBits | offset),
             .feature = 0,
@@ -101,30 +153,53 @@ CompiledForest::CompiledForest(const RandomForest& forest) {
         queue.push_back({node.right, depth + 1});
       }
     }
+    spans.push_back(highest - lowest);
+  }
+
+  // retire_margin_[k] = slack[k + 1] + kRetireGuard, with slack[k] the
+  // suffix sum of the spans from tree k on. The first check is the first
+  // tree whose walked spans alone (the largest lead the trees so far can
+  // build) could clear its margin.
+  const std::size_t trees = spans.size();
+  first_check_ = trees;
+  if (!unit_leaves || trees > kMaxRetireTrees) return;
+  retire_margin_.assign(trees, 0.0);
+  double slack = 0.0;
+  for (std::size_t k = trees; k-- > 0;) {
+    retire_margin_[k] = slack + kRetireGuard;
+    slack += spans[k];
+  }
+  double walked = 0.0;
+  for (std::size_t k = 0; k < trees; ++k) {
+    walked += spans[k];
+    if (walked > retire_margin_[k]) {
+      first_check_ = k;
+      break;
+    }
   }
 }
 
-void CompiledForest::walk_accumulate(std::span<const double> row,
-                                     std::span<double> out) const {
+template <bool kLabels>
+std::size_t CompiledForest::walk_row(const double* x, double* sum,
+                                     Label* label) const {
   const WalkNode* const walk = walk_.data();
   const double* const pool = leaf_pool_.data();
-  const double* const x = row.data();
   const std::size_t classes = num_classes_;
   const std::size_t trees = walk_roots_.size();
   const std::size_t passes = max_depth_;
   std::size_t cursor[kWalkGroup];
   const auto step = [&](std::size_t i) {
-    const WalkNode node = walk[cursor[i]];
-    // !(x <= t) rather than (x > t): NaN features descend right,
-    // exactly as the reference walk's ternary does. Leaves compare
-    // against NaN, so the step degenerates to child + 1 == self.
-    cursor[i] = static_cast<std::size_t>(node.child) +
-                static_cast<std::size_t>(
-                    !(x[static_cast<std::size_t>(node.feature)] <=
-                      node.threshold));
+    cursor[i] = descend(walk, cursor[i], x);
   };
-  for (std::size_t block = 0; block < trees; block += kWalkGroup) {
-    const std::size_t n = std::min(kWalkGroup, trees - block);
+  // The label walk shifts its block grid so that a block ends at the
+  // first tree after which a decision is possible: the first block takes
+  // the remainder, and a row decided there stops at once, not up to 15
+  // trees later.
+  const std::size_t lead =
+      kLabels && first_check_ < trees ? (first_check_ + 1) % kWalkGroup : 0;
+  for (std::size_t block = 0, n = lead != 0 ? lead : kWalkGroup;
+       block < trees; block += n, n = kWalkGroup) {
+    n = std::min(n, trees - block);
     for (std::size_t i = 0; i < n; ++i)
       cursor[i] = static_cast<std::size_t>(walk_roots_[block + i]);
     lockstep<kWalkGroup>(n, passes, step);
@@ -144,49 +219,102 @@ void CompiledForest::walk_accumulate(std::span<const double> row,
     // RandomForest::predict_proba's sequential walk.
     for (std::size_t i = 0; i < n; ++i) {
       const double* const dist = dists[i];
-      for (std::size_t c = 0; c < classes; ++c) out[c] += dist[c];
+      for (std::size_t c = 0; c < classes; ++c) sum[c] += dist[c];
+    }
+    if constexpr (kLabels) {
+      const std::size_t last = block + n - 1;
+      if (last >= first_check_ &&
+          leader_clears(sum, classes, retire_margin_[last], *label))
+        return block + n;
     }
   }
+  average(std::span(sum, classes));
+  if constexpr (kLabels) *label = top(std::span(sum, classes)).label;
+  return trees;
 }
 
-template <std::size_t kWidth>
-void CompiledForest::walk_rows_accumulate(std::span<const double> rows,
-                                          std::span<double> out) const {
+template <std::size_t kWidth, bool kLabels>
+std::size_t CompiledForest::walk_rows(const double* rows, std::size_t n,
+                                      double* sums, Label* labels) const {
   const WalkNode* const walk = walk_.data();
   const double* const pool = leaf_pool_.data();
   const std::size_t width = kWidth != 0 ? kWidth : num_features_;
   const std::size_t classes = num_classes_;
-  const std::size_t n = out.size() / classes;
+  const std::size_t trees = walk_roots_.size();
   const std::size_t passes = max_depth_;
   std::size_t cursor[kWalkGroup];
-  const double* x = rows.data();  // the block's first row
-  // The single-row step with a row per lane instead of a tree per lane.
-  // With a compile-time width, lane i's row offset i * width folds into
-  // the load's address displacement.
-  const auto step = [&](std::size_t i) {
-    const WalkNode node = walk[cursor[i]];
-    cursor[i] = static_cast<std::size_t>(node.child) +
-                static_cast<std::size_t>(
-                    !(x[i * width + static_cast<std::size_t>(node.feature)] <=
-                      node.threshold));
+  // Descends one tree over `lanes` rows in lockstep and adds each lane's
+  // leaf into its sum row; lane i reads row_of(i) and adds into sum_of(i).
+  const auto walk_block = [&](std::size_t root, std::size_t lanes,
+                              const auto& row_of, const auto& sum_of) {
+    std::fill_n(cursor, lanes, root);
+    lockstep<kWalkGroup>(lanes, passes, [&](std::size_t i) {
+      cursor[i] = descend(walk, cursor[i], row_of(i));
+    });
+    for (std::size_t i = 0; i < lanes; ++i) {
+      const double* const dist =
+          pool + (std::bit_cast<std::uint64_t>(walk[cursor[i]].threshold) &
+                  kLeafOffsetMask);
+      double* const sum = sum_of(i);
+      for (std::size_t c = 0; c < classes; ++c) sum[c] += dist[c];
+    }
   };
-  // Trees in index order, outermost: every row adds its trees' leaves in
-  // the same order as the single-row walk, so the sums are bitwise-equal.
-  for (const std::int32_t root : walk_roots_) {
-    for (std::size_t block = 0; block < n; block += kWalkGroup) {
-      const std::size_t lanes = std::min(kWalkGroup, n - block);
-      x = rows.data() + block * width;
-      std::fill_n(cursor, lanes, static_cast<std::size_t>(root));
-      lockstep<kWalkGroup>(lanes, passes, step);
-      for (std::size_t i = 0; i < lanes; ++i) {
-        const double* const dist =
-            pool + (std::bit_cast<std::uint64_t>(walk[cursor[i]].threshold) &
-                    kLeafOffsetMask);
-        double* const sum = out.data() + (block + i) * classes;
-        for (std::size_t c = 0; c < classes; ++c) sum[c] += dist[c];
+  // The chunk's undecided rows, as offsets from its first row. Until the
+  // first row retires they are all of its rows, in order, and the lanes
+  // address rows and sums directly: with a compile-time width, lane i's
+  // row offset i * width folds into the load's address displacement.
+  std::uint16_t live[kRowChunk];
+  static_assert(kRowChunk <= 1u << 16);
+  std::size_t walked = 0;
+  for (std::size_t first = 0; first < n; first += kRowChunk) {
+    const double* const chunk_rows = rows + first * width;
+    double* const chunk_sums = sums + first * classes;
+    std::size_t active = std::min(kRowChunk, n - first);
+    std::iota(live, live + active, std::uint16_t{0});
+    bool gather = false;
+    // Trees in index order, outermost: every row adds its trees' leaves
+    // in the same order as the single-row walk, so the sums are
+    // bitwise-equal.
+    for (std::size_t k = 0; k < trees && active > 0; ++k) {
+      const auto root = static_cast<std::size_t>(walk_roots_[k]);
+      for (std::size_t block = 0; block < active; block += kWalkGroup) {
+        const std::size_t lanes = std::min(kWalkGroup, active - block);
+        if (gather) {
+          walk_block(
+              root, lanes,
+              [&](std::size_t i) { return chunk_rows + live[block + i] * width; },
+              [&](std::size_t i) { return chunk_sums + live[block + i] * classes; });
+        } else {
+          const double* const x = chunk_rows + block * width;
+          double* const sum = chunk_sums + block * classes;
+          walk_block(
+              root, lanes, [&](std::size_t i) { return x + i * width; },
+              [&](std::size_t i) { return sum + i * classes; });
+        }
+      }
+      walked += active;
+      if constexpr (kLabels) {
+        if (k < first_check_ || (k - first_check_) % kCheckStride != 0)
+          continue;
+        const double margin = retire_margin_[k];
+        std::size_t kept = 0;
+        for (std::size_t j = 0; j < active; ++j) {
+          const std::uint16_t r = live[j];
+          if (!leader_clears(chunk_sums + r * classes, classes, margin,
+                             labels[first + r]))
+            live[kept++] = r;
+        }
+        gather = gather || kept < active;
+        active = kept;
       }
     }
+    for (std::size_t j = 0; j < active; ++j) {
+      const std::span sum(chunk_sums + live[j] * classes, classes);
+      average(sum);
+      if constexpr (kLabels) labels[first + live[j]] = top(sum).label;
+    }
   }
+  return walked;
 }
 
 void CompiledForest::average(std::span<double> out) const {
@@ -204,43 +332,68 @@ void CompiledForest::predict_proba_into(std::span<const double> row,
     throw std::invalid_argument(
         "CompiledForest: output span size must equal num_classes()");
   std::fill(out.begin(), out.end(), 0.0);
-  walk_accumulate(row, out);
-  average(out);
+  walk_row<false>(row.data(), out.data(), nullptr);
 }
 
-void CompiledForest::predict_proba_rows_into(std::span<const double> rows,
-                                             std::span<double> out) const {
+template <bool kLabels>
+std::size_t CompiledForest::walk_batch(std::span<const double> rows,
+                                       std::span<double> sums,
+                                       Label* labels) const {
   if (!compiled())
     throw std::logic_error("CompiledForest: predict before compile");
-  if (out.size() % num_classes_ != 0)
+  if (sums.size() % num_classes_ != 0)
     throw std::invalid_argument(
         "CompiledForest: output span size must be a multiple of "
         "num_classes()");
-  const std::size_t n = out.size() / num_classes_;
+  const std::size_t n = sums.size() / num_classes_;
   if (rows.size() != n * num_features_)
     throw std::invalid_argument(
         "CompiledForest: rows must hold out.size() / num_classes() rows of "
         "num_features()");
-  std::fill(out.begin(), out.end(), 0.0);
-  if (n < kWalkGroup) {
-    for (std::size_t i = 0; i < n; ++i)
-      walk_accumulate(rows.subspan(i * num_features_, num_features_),
-                      out.subspan(i * num_classes_, num_classes_));
-  } else if (num_features_ == 4) {
-    // The slot forests' widths (4 volumetric attributes, 9 transition
-    // cells) get compile-time kernels: one load fewer per descent step.
-    walk_rows_accumulate<4>(rows, out);
-  } else if (num_features_ == 9) {
-    walk_rows_accumulate<9>(rows, out);
-  } else {
-    walk_rows_accumulate<0>(rows, out);
-  }
-  average(out);
+  std::fill(sums.begin(), sums.end(), 0.0);
+  // The slot forests' widths (4 volumetric attributes, 9 transition
+  // cells) get compile-time kernels: one load fewer per descent step.
+  if (n >= kWalkGroup && num_features_ == 4)
+    return walk_rows<4, kLabels>(rows.data(), n, sums.data(), labels);
+  if (n >= kWalkGroup && num_features_ == 9)
+    return walk_rows<9, kLabels>(rows.data(), n, sums.data(), labels);
+  if (n >= kWalkGroup)
+    return walk_rows<0, kLabels>(rows.data(), n, sums.data(), labels);
+  std::size_t walked = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    walked += walk_row<kLabels>(rows.data() + i * num_features_,
+                                sums.data() + i * num_classes_,
+                                kLabels ? labels + i : nullptr);
+  return walked;
+}
+
+void CompiledForest::predict_proba_rows_into(std::span<const double> rows,
+                                             std::span<double> out) const {
+  walk_batch<false>(rows, out, nullptr);
+}
+
+std::size_t CompiledForest::predict_rows_into(std::span<const double> rows,
+                                              std::span<double> scratch,
+                                              std::span<Label> labels) const {
+  if (scratch.size() != labels.size() * num_classes_)
+    throw std::invalid_argument(
+        "CompiledForest: scratch must be labels.size() x num_classes()");
+  return walk_batch<true>(rows, scratch, labels.data());
 }
 
 Label CompiledForest::predict(std::span<const double> row,
                               std::span<double> scratch) const {
-  return predict_with_confidence(row, scratch).label;
+  if (!compiled())
+    throw std::logic_error("CompiledForest: predict before compile");
+  if (row.size() != num_features_)
+    throw std::invalid_argument("CompiledForest: feature width mismatch");
+  if (scratch.size() != num_classes_)
+    throw std::invalid_argument(
+        "CompiledForest: output span size must equal num_classes()");
+  std::fill(scratch.begin(), scratch.end(), 0.0);
+  Label label = 0;
+  walk_row<true>(row.data(), scratch.data(), &label);
+  return label;
 }
 
 Classifier::Prediction CompiledForest::predict_with_confidence(
@@ -259,7 +412,11 @@ Classifier::Prediction CompiledForest::top(std::span<const double> proba) {
 }
 
 Label CompiledForest::predict(const FeatureRow& row) const {
-  return predict_with_confidence(row).label;
+  double stack[kStackClasses];
+  if (num_classes_ <= kStackClasses && compiled())
+    return predict(row, std::span(stack, num_classes_));
+  std::vector<double> heap(num_classes_);
+  return predict(row, heap);
 }
 
 Classifier::Prediction CompiledForest::predict_with_confidence(
@@ -285,21 +442,19 @@ void CompiledForest::predict_rows(std::span<const FeatureRow> rows,
   if (rows.empty()) return;
   if (!compiled())
     throw std::logic_error("CompiledForest: predict before compile");
-  // One buffer: the packed rows, then their probability rows.
+  // One buffer: the packed rows, then their class sums.
   const std::size_t n = rows.size();
   std::vector<double> buffer(n * (num_features_ + num_classes_));
   const std::span<double> packed(buffer.data(), n * num_features_);
-  const std::span<double> proba(buffer.data() + packed.size(),
-                                n * num_classes_);
+  const std::span<double> sums(buffer.data() + packed.size(),
+                               n * num_classes_);
   for (std::size_t i = 0; i < n; ++i) {
     if (rows[i].size() != num_features_)
       throw std::invalid_argument("CompiledForest: feature width mismatch");
     std::copy(rows[i].begin(), rows[i].end(),
               packed.begin() + static_cast<std::ptrdiff_t>(i * num_features_));
   }
-  predict_proba_rows_into(packed, proba);
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = top(proba.subspan(i * num_classes_, num_classes_)).label;
+  predict_rows_into(packed, sums, out);
 }
 
 }  // namespace cgctx::ml

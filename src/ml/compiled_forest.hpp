@@ -28,6 +28,20 @@
 // batch descends it, where the single-row walk streams the whole forest
 // through the cache once per row.
 //
+// Label-only callers (predict, predict_rows_into, predict_rows) take the
+// same walks with an early exit: a row retires with its leading class as
+// soon as the trees it has not walked yet can no longer overturn the
+// lead. With tree j's leaf-value span s_j (max minus min over all of its
+// leaves' class entries) and slack[k] = sum of s_j over j >= k, the
+// final margin of the leader over any class c after tree k is its
+// partial margin plus a sum of per-tree differences, each at least
+// -s_j, so a partial margin above slack[k + 1] (+ kRetireGuard against
+// rounding) settles the argmax. Retirement is enabled only when every
+// leaf value lies in [0, 1] and the forest has at most kMaxRetireTrees
+// trees, which bounds the rounding in every sum far below kRetireGuard;
+// any other forest walks every tree. A row that never retires takes the
+// probability path: average, then top().
+//
 // Parity guarantee: predictions are bitwise-identical to the reference
 // forest. Leaf distributions are accumulated strictly in tree order
 // (walks may interleave, sums may not), per-class sums add in the same
@@ -70,8 +84,13 @@ class CompiledForest {
   void predict_proba_into(std::span<const double> row,
                           std::span<double> out) const;
 
-  /// Argmax over predict_proba_into using `scratch` (size num_classes())
-  /// as the accumulation buffer; ties resolve to the lowest label.
+  /// top(predict_proba_into(row)).label, using `scratch` (size
+  /// num_classes()) as the accumulation buffer; ties resolve to the
+  /// lowest label. Label-only walk: it checks after each block of
+  /// kWalkGroup trees whether the label is decided and stops there if so,
+  /// leaving `scratch` holding partial sums. The block grid is shifted so
+  /// that a block ends at the first tree after which a decision is
+  /// possible.
   [[nodiscard]] Label predict(std::span<const double> row,
                               std::span<double> scratch) const;
 
@@ -96,8 +115,19 @@ class CompiledForest {
   void predict_proba_rows_into(std::span<const double> rows,
                                std::span<double> out) const;
 
+  /// Batch form of predict(row, scratch) over n rows, allocation-free:
+  /// `rows` is n x num_features() row-major, `scratch` n x num_classes()
+  /// and `labels` size n. From kWalkGroup rows up the walk is tree-major
+  /// over the rows still undecided, in chunks of kRowChunk, checking every
+  /// undecided row after every fourth tree from the first tree a decision
+  /// is possible. Returns the tree walks it took (n x
+  /// tree_count() when no row retires).
+  std::size_t predict_rows_into(std::span<const double> rows,
+                                std::span<double> scratch,
+                                std::span<Label> labels) const;
+
   /// Batch prediction: `out.size()` must equal `rows.size()`. Packs the
-  /// rows into one buffer for predict_proba_rows_into: one allocation per
+  /// rows into one buffer for predict_rows_into: one allocation per
   /// call, never one per row.
   void predict_rows(std::span<const FeatureRow> rows,
                     std::span<Label> out) const;
@@ -115,17 +145,41 @@ class CompiledForest {
   /// cache misses overlap).
   static constexpr std::size_t kWalkGroup = 16;
 
+  /// Rows a tree-major walk takes at a time (its stack index array of
+  /// undecided rows); a RealtimePipeline slot batch is one chunk.
+  static constexpr std::size_t kRowChunk = 256;
+
+  /// Rounding allowance on top of the slack a retiring lead must clear.
+  static constexpr double kRetireGuard = 1e-9;
+  /// Largest forest the label walk retires rows of: with leaf values in
+  /// [0, 1], the rounding of its sums stays under kRetireGuard / 2.
+  static constexpr std::size_t kMaxRetireTrees = 1024;
+
  private:
-  void walk_accumulate(std::span<const double> row,
-                       std::span<double> out) const;
-  /// Tree-major walk: every tree in index order, each over all rows in
-  /// lockstep blocks of kWalkGroup, so one tree's nodes stay cached while
-  /// the whole batch descends it. Adds each row's leaves into its `out`
-  /// row in tree order. `kWidth` is num_features() when fixed at compile
-  /// time, 0 otherwise.
-  template <std::size_t kWidth>
-  void walk_rows_accumulate(std::span<const double> rows,
-                            std::span<double> out) const;
+  /// Single-row walk, in interleaved blocks of kWalkGroup trees: adds the
+  /// leaves into `sum` (num_classes() wide, zeroed) in tree order, then
+  /// averages it. The label walk (kLabels) checks after each block whether
+  /// the leading class is decided and, if so, writes it to `*label` and
+  /// stops; a row that walks every tree gets top(sum).label. Returns the
+  /// trees walked.
+  template <bool kLabels>
+  std::size_t walk_row(const double* x, double* sum, Label* label) const;
+  /// Tree-major walk over `n` rows in chunks of kRowChunk: every tree in
+  /// index order, each over the chunk's undecided rows in lockstep blocks
+  /// of kWalkGroup, so one tree's nodes stay cached while the whole chunk
+  /// descends it. Sums, retirement and averaging as walk_row, with the
+  /// decision checked after every fourth tree (kCheckStride). Returns the
+  /// tree walks taken.
+  /// `kWidth` is num_features() when fixed at compile time, 0 otherwise.
+  template <std::size_t kWidth, bool kLabels>
+  std::size_t walk_rows(const double* rows, std::size_t n, double* sums,
+                        Label* labels) const;
+  /// Validates a batch (`sums` n x num_classes(), `rows` n x
+  /// num_features()), zeroes `sums` and walks it: tree-major from
+  /// kWalkGroup rows up, the single-row walk per row below.
+  template <bool kLabels>
+  std::size_t walk_batch(std::span<const double> rows, std::span<double> sums,
+                         Label* labels) const;
   /// Divides accumulated leaf sums by the tree count.
   void average(std::span<double> out) const;
 
@@ -151,6 +205,12 @@ class CompiledForest {
   std::vector<std::int32_t> walk_roots_;
   /// Leaf distributions, num_classes_ wide each, in walk order.
   std::vector<double> leaf_pool_;
+  /// Per tree k: the margin a lead must exceed after tree k to retire,
+  /// slack[k + 1] + kRetireGuard (see the file comment).
+  std::vector<double> retire_margin_;
+  /// First tree after which a lead can clear its retire margin; the tree
+  /// count when retirement is disabled.
+  std::size_t first_check_ = 0;
   std::size_t num_classes_ = 0;
   std::size_t num_features_ = 0;
   std::size_t max_depth_ = 0;

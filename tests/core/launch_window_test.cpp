@@ -138,6 +138,9 @@ TEST(LaunchAttributeOracle, FixtureCoversEveryPopularTitleGeneratorAndSlot) {
   EXPECT_EQ(slots, (std::set<double>{0.5, 0.7, 1.0}));
 }
 
+// The window ends at N for training and engine alike, so the span path
+// reproduces the engine rows (the span rows are what a window running
+// to the end of its last slot, 5.6 s for T = 0.7 s, extracted).
 TEST(LaunchAttributeOracle, SpanExtractionIsBitIdentical) {
   for (const OracleRecord& record : load_oracle()) {
     SCOPED_TRACE(record.name());
@@ -145,14 +148,14 @@ TEST(LaunchAttributeOracle, SpanExtractionIsBitIdentical) {
     expect_bit_identical(
         launch_attributes(session.packets, session.launch_begin,
                           slot_params(record.slot_seconds)),
-        record.span);
+        record.engine_row());
   }
 }
 
-TEST(LaunchAttributeOracle, EngineFedPacketByPacketIsBitIdentical) {
-  const auto records = load_oracle();
-  const ModelSuite& suite = probe_test_suite();
-  const PipelineParams params = default_pipeline_params();
+/// A small title forest over the oracle rows with slot T; only its
+/// window matters to the engine tests.
+TitleClassifier oracle_title_classifier(
+    const std::vector<OracleRecord>& records, double slot) {
   const auto popular = sim::popular_titles();
   std::vector<std::string> class_names;
   for (const sim::GameInfo& game : popular) class_names.emplace_back(game.name);
@@ -162,19 +165,25 @@ TEST(LaunchAttributeOracle, EngineFedPacketByPacketIsBitIdentical) {
                      [t](const sim::GameInfo& g) { return g.title == t; }) -
         popular.begin());
   };
+  TitleClassifierParams title_params;
+  title_params.attributes = slot_params(slot);
+  title_params.forest.n_trees = 2;
+  title_params.forest.max_depth = 3;
+  ml::Dataset data(launch_attribute_names(), class_names);
+  for (const OracleRecord& r : records)
+    if (r.slot_seconds == slot) data.add(r.span, label_of(r.title));
+  TitleClassifier title(title_params);
+  title.train(data);
+  return title;
+}
+
+TEST(LaunchAttributeOracle, EngineFedPacketByPacketIsBitIdentical) {
+  const auto records = load_oracle();
+  const ModelSuite& suite = probe_test_suite();
+  const PipelineParams params = default_pipeline_params();
 
   for (const double slot : {1.0, 0.5, 0.7}) {
-    // A small title forest with this slot; only its window matters here.
-    TitleClassifierParams title_params;
-    title_params.attributes = slot_params(slot);
-    title_params.forest.n_trees = 2;
-    title_params.forest.max_depth = 3;
-    ml::Dataset data(launch_attribute_names(), class_names);
-    for (const OracleRecord& r : records)
-      if (r.slot_seconds == slot)
-        data.add(r.span, label_of(r.title));
-    TitleClassifier title(title_params);
-    title.train(data);
+    const TitleClassifier title = oracle_title_classifier(records, slot);
     PipelineModels models = suite.models();
     models.title = &title;
 
@@ -246,6 +255,35 @@ TEST(LaunchWindow, PacketPastTheLastSlotDoesNotEndTheWindow) {
   const ml::FeatureRow row = launch_attributes(packets, 0);
   EXPECT_DOUBLE_EQ(row[attribute("full_ct_sum")], 2.0);
   EXPECT_NEAR(row[attribute("full_iat_mean")], 1000.0, 1e-6);
+}
+
+// With T = 0.7 s the last slot, [4.9, 5.6) s, is cut short at N = 5 s:
+// a packet at 5.3 s counts on neither the span path nor in an engine,
+// where it closes the window.
+TEST(LaunchWindow, WindowEndsAtNWhenTheSlotDoesNotDivideIt) {
+  const std::vector<net::PacketRecord> packets = {
+      down(0.5, 1432), down(4.95, 1432), down(5.3, 1432)};
+  const ml::FeatureRow span = launch_attributes(packets, 0, slot_params(0.7));
+  EXPECT_DOUBLE_EQ(span[attribute("full_ct_sum")], 2.0);
+  LaunchWindow window(slot_params(0.7));
+  window.start(0);
+  EXPECT_TRUE(window.before_end(net::duration_from_seconds(4.95)));
+  EXPECT_FALSE(window.before_end(net::duration_from_seconds(5.0)));
+  EXPECT_FALSE(window.before_end(net::duration_from_seconds(5.3)));
+
+  const TitleClassifier title = oracle_title_classifier(load_oracle(), 0.7);
+  PipelineModels models = probe_test_suite().models();
+  models.title = &title;
+  const PipelineParams params = default_pipeline_params();
+  SessionEngine engine(models, &params);
+  const SessionObserver observer;
+  engine.start(0);
+  for (const net::PacketRecord& pkt : packets) {
+    EXPECT_FALSE(engine.title_classified());
+    engine.on_packet(pkt, observer);
+  }
+  ASSERT_TRUE(engine.title_classified());
+  expect_bit_identical(engine.title_attributes(), span);
 }
 
 TEST(LaunchWindow, IgnoresUpstreamAndPacketsBeforeTheFlow) {

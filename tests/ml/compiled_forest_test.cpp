@@ -201,6 +201,124 @@ TEST(CompiledForest, RowsMatchSingleRowBitwise) {
                std::logic_error);
 }
 
+/// A forest of `trees` stumps on feature 0 (split at 0.5), two features
+/// and two classes: tree t's leaves both hold vote(t), a "p0 p1" pair.
+template <typename Vote>
+RandomForest stump_forest(std::size_t trees, const Vote& vote) {
+  std::string text = "forest " + std::to_string(trees) + " 2\n" +
+                     std::to_string(trees) + " 1 2 1 0 0 0\n";
+  for (std::size_t t = 0; t < trees; ++t) {
+    const std::string leaf = "leaf " + std::string(vote(t)) + "\n";
+    text += "tree 3 2 2\nsplit 0 0.5 1 2\n" + leaf + leaf;
+  }
+  return RandomForest::deserialize(text);
+}
+
+/// Rows for the label-walk parity checks: uniform values, with every
+/// seventh a NaN, every eleventh +inf and every thirteenth -inf, and every
+/// fifth row set to split thresholds of the forest's trees.
+std::vector<double> label_rows(const RandomForest& forest, std::size_t n,
+                               std::uint64_t seed) {
+  std::vector<double> thresholds;
+  for (const DecisionTree& tree : forest.trees())
+    for (const DecisionTree::Node& node : tree.nodes())
+      if (!node.is_leaf()) thresholds.push_back(node.threshold);
+  const std::size_t width = forest.trees().front().num_features();
+  Rng rng(seed);
+  std::vector<double> rows(n * width);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i % 7 == 3)
+      rows[i] = std::numeric_limits<double>::quiet_NaN();
+    else if (i % 11 == 5)
+      rows[i] = std::numeric_limits<double>::infinity();
+    else if (i % 13 == 6)
+      rows[i] = -std::numeric_limits<double>::infinity();
+    else if ((i / width) % 5 == 0 && !thresholds.empty())
+      rows[i] = thresholds[rng.next_below(thresholds.size())];
+    else
+      rows[i] = rng.uniform(-6.0, 30.0);
+  }
+  return rows;
+}
+
+/// Tree walks a label walk took, and the walks a full walk would take.
+struct WalkCount {
+  std::size_t walked = 0;
+  std::size_t full = 0;
+};
+
+/// Every label form equals top(predict_proba_into) on every row, for
+/// batches straddling the walk group and the row chunk. Counts
+/// predict_rows_into's tree walks over all batches into `count`.
+void expect_label_parity(const RandomForest& forest, WalkCount& count) {
+  const CompiledForest compiled(forest);
+  const std::size_t width = compiled.num_features();
+  const std::size_t classes = compiled.num_classes();
+  auto& [walked, full] = count;
+  for (const std::size_t n : {1u, 15u, 16u, 17u, 256u, 257u, 1000u}) {
+    SCOPED_TRACE("n = " + std::to_string(n) + ", classes " +
+                 std::to_string(classes));
+    const std::vector<double> rows = label_rows(forest, n, 40 + n);
+    std::vector<double> scratch(n * classes);
+    std::vector<Label> labels(n, -1);
+    walked += compiled.predict_rows_into(rows, scratch, labels);
+    full += n * compiled.tree_count();
+    std::vector<FeatureRow> unpacked;
+    std::vector<double> proba(classes);
+    std::vector<double> single(classes);
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::span<const double> row =
+          std::span<const double>(rows).subspan(r * width, width);
+      compiled.predict_proba_into(row, proba);
+      const Label expected = CompiledForest::top(proba).label;
+      ASSERT_EQ(labels[r], expected) << "batch row " << r;
+      ASSERT_EQ(compiled.predict(row, single), expected) << "row " << r;
+      unpacked.emplace_back(row.begin(), row.end());
+      ASSERT_EQ(compiled.predict(unpacked.back()), expected) << "row " << r;
+    }
+    std::vector<Label> packed_labels(n, -1);
+    compiled.predict_rows(unpacked, packed_labels);
+    EXPECT_EQ(packed_labels, labels);
+  }
+}
+
+TEST(CompiledForest, LabelWalkMatchesTopOfProbabilities) {
+  // Overlapping blobs for impure leaves; two, three and thirteen classes.
+  for (const std::size_t classes : {2u, 3u, 13u}) {
+    const Dataset data = blobs(40, 2.0, 50 + classes, classes);
+    RandomForest forest(RandomForestParams{.n_trees = 40, .seed = 51});
+    forest.fit(data);
+    WalkCount count;
+    expect_label_parity(forest, count);
+    // The early exit must actually fire on a trained forest.
+    EXPECT_LT(count.walked, count.full) << classes << " classes";
+  }
+}
+
+TEST(CompiledForest, LabelWalkNeverRetiresAnUndecidedVote) {
+  // Trees 0-49 vote class 1, trees 50-99 class 0: class 1 leads by 50
+  // after tree 49 with exactly 50 trees' slack left, and by 49 - j after
+  // tree 50 + j with exactly that much left, so no lead ever clears its
+  // margin. The full vote ties and top() picks class 0.
+  const RandomForest forest = stump_forest(
+      100, [](std::size_t t) { return t < 50 ? "0 1" : "1 0"; });
+  WalkCount count;
+  expect_label_parity(forest, count);
+  EXPECT_EQ(count.walked, count.full);
+  EXPECT_EQ(CompiledForest(forest).predict({0.0, 0.0}), 0);
+}
+
+TEST(CompiledForest, LabelWalkNeverRetiresOutsideTheUnitInterval) {
+  // Leaf values outside [0, 1] void the rounding argument, so such a
+  // forest walks every tree, although class 0 leads by 2.5 per tree.
+  const RandomForest forest =
+      stump_forest(40, [](std::size_t) { return "2.0 -0.5"; });
+  WalkCount count;
+  expect_label_parity(forest, count);
+  EXPECT_EQ(count.walked, count.full);
+  EXPECT_EQ(CompiledForest(forest).predict({1.0, 0.0}), 0);
+}
+
 TEST(CompiledForest, PredictTieBreaksToLowestLabel) {
   // Identical feature rows with different labels cannot be split: every
   // tree is a single [0.5, 0.5] leaf (bootstrap off, so each tree sees
@@ -291,6 +409,16 @@ TEST(CompiledForest, ValidatesSpanSizes) {
   std::vector<Label> short_out(1);
   const std::vector<FeatureRow> rows{row, row};
   EXPECT_THROW(compiled.predict_rows(rows, short_out), std::invalid_argument);
+  const std::vector<double> packed(4, 0.0);
+  std::vector<Label> labels(2);
+  std::vector<double> short_scratch(2 * compiled.num_classes() - 1);
+  EXPECT_THROW(compiled.predict_rows_into(packed, short_scratch, labels),
+               std::invalid_argument);
+  std::vector<double> scratch(2 * compiled.num_classes());
+  EXPECT_THROW(compiled.predict_rows_into(std::span(packed).first(3), scratch,
+                                          labels),
+               std::invalid_argument);
+  EXPECT_THROW((void)compiled.predict(wide, out), std::invalid_argument);
 }
 
 TEST(CompiledForest, SurvivesForestSerializationRoundTrip) {
