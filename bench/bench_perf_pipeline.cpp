@@ -4,10 +4,10 @@
 // group labeling, launch-attribute extraction, model inference, the
 // end-to-end per-session pipeline, and the SessionEngine and
 // MultiSessionProbe (cross traffic, live sessions) steady-state hot paths,
-// per slot, in process_session's push_slots batches and through a pooled
-// engine's title window (none of which may touch the heap — asserted, not
-// just reported: the binary exits non-zero if a steady-state bench
-// allocates).
+// per packet across slot closes on a fresh engine, per slot, in
+// process_session's push_slots batches and through a pooled engine's
+// title window (none of which may touch the heap — asserted, not just
+// reported: the binary exits non-zero if a steady-state bench allocates).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -255,6 +255,49 @@ void BM_EnginePacketSteadyState(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_EnginePacketSteadyState);
+
+void BM_EnginePacketSlotCloseSteadyState(benchmark::State& state) {
+  // A fresh engine (no earlier session sized its buffers) fed a live
+  // session past its title verdict: packets in time order, so the ops
+  // cross a slot boundary once per second of traffic, and each crossing
+  // closes a slot (stage forest, transitions, pattern forest, QoE,
+  // session tallies). The sample's post-verdict packets replay lap after
+  // lap with their timestamps shifted on, so the session never ends. No
+  // op may allocate: a closed slot's record goes to the observer's slot
+  // hook (none here) and is not kept.
+  const auto& suite = bench::bench_models();
+  static const core::PipelineParams params = core::default_pipeline_params();
+  const auto& packets = sample_session().packets;
+  core::SessionEngine engine(suite.models(), &params);
+  const core::SessionObserver observer;
+  engine.start(packets.front().timestamp);
+  std::size_t first = 0;
+  while (first < packets.size() && !engine.title_classified())
+    engine.on_packet(packets[first++], observer);
+  if (first == packets.size()) {
+    state.SkipWithError("no title verdict");
+    return;
+  }
+  const net::Timestamp lap = packets.back().timestamp -
+                             packets[first].timestamp +
+                             net::kNanosPerSecond / 50;
+  std::size_t next = first;
+  net::Timestamp shift = 0;
+  const std::size_t slots_before = engine.slots_closed();
+  run_zero_alloc(state, [&] {
+    net::PacketRecord pkt = packets[next];
+    pkt.timestamp += shift;
+    engine.on_packet(pkt, observer);
+    if (++next == packets.size()) {
+      next = first;
+      shift += lap;
+    }
+  });
+  state.counters["slots/op"] = benchmark::Counter(
+      static_cast<double>(engine.slots_closed() - slots_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_EnginePacketSlotCloseSteadyState);
 
 void BM_EngineTitleWindowPooled(benchmark::State& state) {
   // The title window through one pooled engine: reset -> start ->

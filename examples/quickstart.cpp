@@ -9,6 +9,7 @@
 #include <cstdlib>
 
 #include "core/model_suite.hpp"
+#include "core/slot_history.hpp"
 
 using namespace cgctx;
 
@@ -42,9 +43,16 @@ int main(int argc, char** argv) {
               session.duration_seconds() / 60.0);
 
   std::puts("[3/3] Running the real-time pipeline...");
-  const core::RealtimePipeline pipeline(suite.models(),
-                                        core::default_pipeline_params());
+  // The report holds session aggregates; the per-slot records come
+  // through the pipeline's slot hook, collected here.
+  core::SlotHistory history;
+  core::RealtimePipeline pipeline(suite.models(),
+                                  core::default_pipeline_params());
+  pipeline.set_slot_hook(history.hook());
   const core::SessionReport report = pipeline.process_session(session);
+  const std::vector<core::SlotRecord> slots =
+      history.sessions().empty() ? std::vector<core::SlotRecord>{}
+                                 : history.sessions().begin()->second;
 
   std::printf("\n  game title    : %s (confidence %.0f%%)\n",
               report.title.label ? report.title.class_name.c_str()
@@ -67,11 +75,11 @@ int main(int argc, char** argv) {
 
   // Show the headline correction: why the two QoE labels can differ.
   std::size_t corrected = 0;
-  for (const core::SlotRecord& slot : report.slots)
+  for (const core::SlotRecord& slot : slots)
     if (slot.effective > slot.objective) ++corrected;
   std::printf(
       "  %zu of %zu slots were objectively 'degraded' but effectively fine\n"
       "  (idle/passive stages legitimately need less bandwidth & frame rate).\n",
-      corrected, report.slots.size());
+      corrected, slots.size());
   return 0;
 }

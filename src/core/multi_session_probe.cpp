@@ -9,11 +9,13 @@ namespace cgctx::core {
 MultiSessionProbe::MultiSessionProbe(PipelineModels models,
                                      MultiSessionProbeParams params,
                                      ReportCallback on_report,
-                                     SessionEventCallback on_event)
+                                     SessionEventCallback on_event,
+                                     SlotCallback on_slot)
     : models_(models),
       params_(std::move(params)),
       on_report_(std::move(on_report)),
       on_event_(std::move(on_event)),
+      on_slot_(std::move(on_slot)),
       front_end_(params_.pipeline.detector, params_.flow_idle_timeout) {
   if (models_.title == nullptr || models_.stage == nullptr ||
       models_.pattern == nullptr)
@@ -24,6 +26,7 @@ std::unique_ptr<SessionEngine> MultiSessionProbe::acquire_engine() {
   if (pool_.empty()) {
     auto engine = std::make_unique<SessionEngine>(models_, &params_.pipeline);
     engine->set_metrics(metrics_);
+    engine->set_title_window_pool(&windows_);
     return engine;
   }
   std::unique_ptr<SessionEngine> engine = std::move(pool_.back());
@@ -104,7 +107,7 @@ void MultiSessionProbe::push_candidate(const net::PacketRecord& pkt) {
   session.engine = acquire_engine();
   session.last_seen = pkt.timestamp;
   session.observer = {on_event_ ? &on_event_ : nullptr, trace_,
-                      next_session_id_};
+                      next_session_id_, on_slot_ ? &on_slot_ : nullptr};
   next_session_id_ += id_stride_;
   session.engine->start(promotion->flow_begin);
   session.engine->set_detection(promotion->detection, pkt.timestamp,
@@ -135,6 +138,7 @@ void MultiSessionProbe::sync_stats() {
   }
   stats_->set_live_flows(front_end_.flows());
   stats_->set_live_sessions(sessions_.size());
+  stats_->set_title_windows(windows_.on_loan(), windows_.pooled());
 }
 
 void MultiSessionProbe::flush() {

@@ -56,10 +56,13 @@ class MultiSessionProbe {
   /// Models must outlive the probe. `on_report` receives each retired
   /// session's report (and the remaining ones at flush()); the reference
   /// is valid only for the duration of the callback (the report lives in
-  /// a pooled engine that is reset afterward).
+  /// a pooled engine that is reset afterward). `on_slot`, if set,
+  /// receives every closed slot's record with the session's id (see
+  /// set_trace() for the numbering).
   MultiSessionProbe(PipelineModels models, MultiSessionProbeParams params,
                     ReportCallback on_report,
-                    SessionEventCallback on_event = {});
+                    SessionEventCallback on_event = {},
+                    SlotCallback on_slot = {});
 
   /// Non-copyable/movable: pooled engines reference the probe-owned
   /// pipeline params.
@@ -84,8 +87,8 @@ class MultiSessionProbe {
 
   /// Optional counter sink (e.g. a ShardedProbe shard's ProbeStats). The
   /// probe records gated packets, evictions, lookback drops, session
-  /// starts, reports, and the live flow/session gauges into it; it must
-  /// outlive the probe. Counters and gauges are tallied locally and
+  /// starts, reports, and the live flow/session/title-window gauges into
+  /// it; it must outlive the probe. Counters and gauges are tallied locally and
   /// published at the next sweep, session start, undetected candidate
   /// packet or flush(), so neither the gated path nor a live session's
   /// packet does an atomic write. Gated packets are thus forwarded at the
@@ -96,8 +99,9 @@ class MultiSessionProbe {
   /// Must be installed before the first packet and outlive the probe.
   void set_metrics(const PipelineMetrics* metrics) { metrics_ = metrics; }
 
-  /// Optional decision-trace ring. Sessions are numbered `first_id`,
-  /// `first_id + id_stride`, ... so shard-local probes can interleave
+  /// Optional decision-trace ring (nullptr: none). Sessions are numbered
+  /// `first_id`, `first_id + id_stride`, ... (trace events and slot hook
+  /// alike; 1, 2, ... by default) so shard-local probes can interleave
   /// globally unique ids. Must be installed before the first packet; the
   /// ring must outlive the probe.
   void set_trace(obs::DecisionTraceRing* ring, std::uint64_t first_id = 1,
@@ -112,6 +116,15 @@ class MultiSessionProbe {
   /// Engines parked in the reuse pool (grows to the high-water mark of
   /// concurrent sessions, never beyond).
   [[nodiscard]] std::size_t pooled_engines() const { return pool_.size(); }
+  /// Title windows lent to live sessions still awaiting their verdict.
+  [[nodiscard]] std::size_t title_windows_on_loan() const {
+    return windows_.on_loan();
+  }
+  /// Spare title windows (grows to the high-water mark of sessions inside
+  /// their launch window at once, never beyond).
+  [[nodiscard]] std::size_t title_windows_pooled() const {
+    return windows_.pooled();
+  }
   /// Packets gated out as non-candidates over the probe's lifetime.
   [[nodiscard]] std::uint64_t gated_packets() const { return gated_; }
   /// Current size of the shared flow table (undetected candidate flows).
@@ -159,12 +172,15 @@ class MultiSessionProbe {
   MultiSessionProbeParams params_;
   ReportCallback on_report_;
   SessionEventCallback on_event_;
+  SlotCallback on_slot_;
 
   /// Shared front-end: one flow table, detector and lookback across all
   /// candidate traffic of undetected flows.
   LaunchFrontEnd front_end_;
   /// Live sessions keyed by canonical flow tuple.
   net::FlowMap<Session> sessions_;
+  /// Title windows, lent to engines from session start to title verdict.
+  TitleWindowPool windows_;
   /// Reset engines awaiting reuse.
   std::vector<std::unique_ptr<SessionEngine>> pool_;
   std::size_t reports_ = 0;

@@ -15,22 +15,24 @@ RealtimePipeline::RealtimePipeline(PipelineModels models, PipelineParams params)
 }
 
 SessionObserver RealtimePipeline::next_observer() const {
-  if (trace_ == nullptr) return {};
+  if (trace_ == nullptr && !on_slot_) return {};
   return {nullptr, trace_,
-          next_trace_id_.fetch_add(1, std::memory_order_relaxed)};
+          next_session_id_.fetch_add(1, std::memory_order_relaxed),
+          on_slot_ ? &on_slot_ : nullptr};
 }
 
 std::optional<SessionReport> RealtimePipeline::process_packets(
     std::span<const net::PacketRecord> packets) const {
   // A batch run is a streaming run over the whole capture.
-  StreamingAnalyzer analyzer(models_, params_, {});
+  StreamingAnalyzer analyzer(models_, params_, {}, on_slot_);
   analyzer.set_metrics(metrics_);
-  // With a trace the process_* calls do not run concurrently, so the next
-  // id is read here and claimed only once a flow is detected.
-  analyzer.set_trace(trace_, next_trace_id_.load(std::memory_order_relaxed));
+  // With a trace or hook the process_* calls do not run concurrently, so
+  // the next id is read here and claimed only once a flow is detected.
+  analyzer.set_trace(trace_, next_session_id_.load(std::memory_order_relaxed));
   for (const net::PacketRecord& pkt : packets) analyzer.push(pkt);
   if (!analyzer.flow_detected()) return std::nullopt;
-  if (trace_ != nullptr) next_trace_id_.fetch_add(1, std::memory_order_relaxed);
+  if (trace_ != nullptr || on_slot_)
+    next_session_id_.fetch_add(1, std::memory_order_relaxed);
   return analyzer.finish();
 }
 

@@ -62,19 +62,28 @@ class RealtimePipeline {
   /// Optional decision trace; sessions are numbered 1, 2, ... in call
   /// order. The ring is single-writer, so with tracing enabled the
   /// process_* entry points must not run concurrently (without a trace
-  /// they remain freely concurrent). Must outlive the pipeline.
+  /// or slot hook they remain freely concurrent). Must outlive the
+  /// pipeline.
   void set_trace(obs::DecisionTraceRing* ring) { trace_ = ring; }
 
+  /// Optional per-slot hook (SlotCallback): both process_* entry points
+  /// hand it each closed slot's record with the session's id, numbered
+  /// as the trace numbers sessions. With a hook installed the process_*
+  /// entry points must not run concurrently.
+  void set_slot_hook(SlotCallback on_slot) { on_slot_ = std::move(on_slot); }
+
  private:
-  /// The next session's observer: traced with a fresh id, or empty.
+  /// The next session's observer: traced and/or hooked with a fresh id,
+  /// or empty.
   [[nodiscard]] SessionObserver next_observer() const;
 
   PipelineModels models_;
   PipelineParams params_;
   const PipelineMetrics* metrics_ = nullptr;
   obs::DecisionTraceRing* trace_ = nullptr;
-  /// Trace session numbering across const process_* calls.
-  mutable std::atomic<std::uint64_t> next_trace_id_{1};
+  SlotCallback on_slot_;
+  /// Session numbering (trace and slot hook) across const process_* calls.
+  mutable std::atomic<std::uint64_t> next_session_id_{1};
 };
 
 }  // namespace cgctx::core

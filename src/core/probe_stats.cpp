@@ -21,6 +21,8 @@ std::string ProbeStatsSnapshot::to_string() const {
      << "sessions: live=" << live_sessions
      << " started=" << sessions_started << " reports=" << reports_emitted
      << "\n"
+     << "title windows: on_loan=" << title_windows_on_loan
+     << " pooled=" << title_windows_pooled << "\n"
      << "queue depth high-water mark: " << queue_depth_hwm << "\n"
      << "per-packet latency (" << lat.samples << " samples): p50="
      << lat.p50_us << "us p90=" << lat.p90_us << "us p99=" << lat.p99_us
@@ -74,6 +76,12 @@ void ProbeStats::bind(obs::MetricsRegistry& registry,
       "cgctx_probe_live_flows", "Current flow-table size", labels);
   live_sessions_ = &registry.gauge(
       "cgctx_probe_live_sessions", "Current tracked session count", labels);
+  title_windows_on_loan_ = &registry.gauge(
+      "cgctx_probe_title_windows_on_loan",
+      "Title windows lent to sessions awaiting their verdict", labels);
+  title_windows_pooled_ = &registry.gauge(
+      "cgctx_probe_title_windows_pooled",
+      "Spare title windows pooled for the next session", labels);
   queue_depth_hwm_ = &registry.gauge(
       "cgctx_probe_queue_depth_hwm",
       "Shard queue depth high-water mark", labels);
@@ -100,6 +108,10 @@ ProbeStatsSnapshot ProbeStats::snapshot() const {
   snap.reports_emitted = reports_emitted_->value();
   snap.live_flows = static_cast<std::uint64_t>(live_flows_->value());
   snap.live_sessions = static_cast<std::uint64_t>(live_sessions_->value());
+  snap.title_windows_on_loan =
+      static_cast<std::uint64_t>(title_windows_on_loan_->value());
+  snap.title_windows_pooled =
+      static_cast<std::uint64_t>(title_windows_pooled_->value());
   snap.queue_depth_hwm =
       static_cast<std::uint64_t>(queue_depth_hwm_->value());
   snap.latency_max_ns = latency_->max();
@@ -122,6 +134,8 @@ ProbeStatsSnapshot ProbeStats::aggregate(
     total.reports_emitted += s.reports_emitted;
     total.live_flows += s.live_flows;
     total.live_sessions += s.live_sessions;
+    total.title_windows_on_loan += s.title_windows_on_loan;
+    total.title_windows_pooled += s.title_windows_pooled;
     total.queue_depth_hwm = std::max(total.queue_depth_hwm,
                                      s.queue_depth_hwm);
     total.latency_max_ns = std::max(total.latency_max_ns, s.latency_max_ns);

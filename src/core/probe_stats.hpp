@@ -48,6 +48,8 @@ struct ProbeStatsSnapshot {
   std::uint64_t reports_emitted = 0;   ///< sessions retired with a report
   std::uint64_t live_flows = 0;        ///< gauge: current flow-table size
   std::uint64_t live_sessions = 0;     ///< gauge: current session count
+  std::uint64_t title_windows_on_loan = 0;  ///< gauge: lent to sessions
+  std::uint64_t title_windows_pooled = 0;   ///< gauge: spare in the pool
   std::uint64_t queue_depth_hwm = 0;   ///< high-water mark (max on merge)
   std::uint64_t latency_max_ns = 0;
   std::vector<std::uint64_t> latency_buckets;  ///< obs::LatencyHistogram counts
@@ -93,6 +95,11 @@ class ProbeStats {
   void set_live_sessions(std::uint64_t n) {
     live_sessions_->set(static_cast<std::int64_t>(n));
   }
+  /// Title windows lent to sessions awaiting their verdict, and spare.
+  void set_title_windows(std::uint64_t on_loan, std::uint64_t pooled) {
+    title_windows_on_loan_->set(static_cast<std::int64_t>(on_loan));
+    title_windows_pooled_->set(static_cast<std::int64_t>(pooled));
+  }
   /// Raises the queue high-water mark to `depth` if it exceeds it.
   void observe_queue_depth(std::uint64_t depth) {
     queue_depth_hwm_->record_max(static_cast<std::int64_t>(depth));
@@ -130,6 +137,8 @@ class ProbeStats {
   obs::Counter* reports_emitted_ = nullptr;
   obs::Gauge* live_flows_ = nullptr;
   obs::Gauge* live_sessions_ = nullptr;
+  obs::Gauge* title_windows_on_loan_ = nullptr;
+  obs::Gauge* title_windows_pooled_ = nullptr;
   obs::Gauge* queue_depth_hwm_ = nullptr;
   obs::Histogram* latency_ = nullptr;
   obs::Histogram* backpressure_wait_ = nullptr;

@@ -112,7 +112,6 @@ SessionEngine::SessionEngine(PipelineModels models,
   scratch_.resize(std::max({models_.title->scratch_size(),
                             models_.stage->scratch_size(),
                             models_.pattern->scratch_size()}));
-  title_window_ = LaunchWindow(models_.title->params().attributes);
   tracker_ = VolumetricTracker(params_->tracker);
 }
 
@@ -121,10 +120,22 @@ std::span<double> SessionEngine::scratch(std::size_t n) {
   return std::span<double>(scratch_.data(), n);
 }
 
+const ml::FeatureRow& SessionEngine::title_attributes() const {
+  static const ml::FeatureRow kNone;
+  return title_window_ != nullptr ? title_window_->attributes() : kNone;
+}
+
 void SessionEngine::start(net::Timestamp flow_begin) {
   started_ = true;
   flow_begin_ = flow_begin;
-  title_window_.start(flow_begin);
+  if (title_window_ == nullptr) {
+    const LaunchAttributeParams& attributes =
+        models_.title->params().attributes;
+    title_window_ = window_pool_ != nullptr
+                        ? window_pool_->lend(attributes)
+                        : std::make_unique<LaunchWindow>(attributes);
+  }
+  title_window_->start(flow_begin);
 }
 
 void SessionEngine::set_detection(const DetectionResult& detection,
@@ -146,6 +157,10 @@ void SessionEngine::install_title(const TitleResult& title) {
   report_.title.class_name = title.class_name;
   report_.title.confidence = title.confidence;
   title_done_ = true;
+  // The verdict is in: the window is needed again only by the next
+  // session, so a pooled engine lends it to whichever starts first.
+  if (window_pool_ != nullptr && title_window_ != nullptr)
+    window_pool_->give_back(std::move(title_window_));
   if (metrics_ != nullptr) {
     metrics_->title_verdicts->add();
     if (!title.label) metrics_->unknown_titles->add();
@@ -170,7 +185,7 @@ void SessionEngine::classify_pending_title() {
   const obs::ScopedTimer timer(
       metrics_ != nullptr ? metrics_->title_classify_ns : nullptr);
   install_title(models_.title->classify_features(
-      title_window_.finish(), scratch(models_.title->scratch_size())));
+      title_window_->finish(), scratch(models_.title->scratch_size())));
 }
 
 void SessionEngine::close_title(double at_seconds,
@@ -200,12 +215,14 @@ void SessionEngine::close_slot(const SessionObserver& observer) {
 
 void SessionEngine::deliver(const SlotOutcome& outcome,
                             const SessionObserver& observer) {
+  if (observer.on_slot != nullptr)
+    (*observer.on_slot)(observer.session_id, outcome.record);
   if (!observer.wants_events()) return;
   if (outcome.stage_changed) {
     StreamEvent event;
     event.type = StreamEventType::kStageChanged;
     event.at_seconds = outcome.at_seconds;
-    event.stage = report_.slots.back().stage;
+    event.stage = last_stage_;
     observer.emit(event);
   }
   if (outcome.pattern_event) {
@@ -219,7 +236,7 @@ void SessionEngine::deliver(const SlotOutcome& outcome,
     StreamEvent event;
     event.type = StreamEventType::kQoeChanged;
     event.at_seconds = outcome.at_seconds;
-    event.qoe = report_.slots.back().effective;
+    event.qoe = static_cast<QoeLevel>(last_effective_);
     observer.emit(event);
   }
 }
@@ -231,7 +248,7 @@ const SessionReport& SessionEngine::finish(const SessionObserver& observer) {
   // A session that ended inside the title window is classified from what
   // arrived, uniformly across entry points.
   if (started_ && !title_done_)
-    close_title(static_cast<double>(report_.slots.size()), observer);
+    close_title(static_cast<double>(next_slot_), observer);
   finalize();
   observer.retired(report_);
   return report_;
@@ -343,7 +360,7 @@ SessionEngine::SlotOutcome SessionEngine::record_slot(
     }
   }
 
-  SlotRecord record;
+  SlotRecord& record = outcome.record;
   record.stage = stage;
   record.throughput_mbps =
       static_cast<double>(slot.volumetrics.down_bytes) * 8.0 / 1e6;
@@ -382,7 +399,6 @@ SessionEngine::SlotOutcome SessionEngine::record_slot(
     if (outcome.qoe_changed) metrics_->qoe_changes->add();
   }
 
-  report_.slots.push_back(record);
   ++next_slot_;
   return outcome;
 }
@@ -396,16 +412,14 @@ void SessionEngine::finalize() {
   if (!report_.pattern && transitions_.transition_count() > 0)
     report_.pattern = models_.pattern->infer_unchecked(
         transitions_, scratch(models_.pattern->scratch_size()));
-  report_.duration_s = static_cast<double>(report_.slots.size());
+  const auto slots = static_cast<double>(next_slot_);
+  report_.duration_s = slots;
   report_.objective_session = session_level(objective_counts_);
   report_.effective_session = session_level(effective_counts_);
-  report_.mean_down_mbps =
-      report_.slots.empty()
-          ? 0.0
-          : total_mbps_ / static_cast<double>(report_.slots.size());
+  report_.mean_down_mbps = next_slot_ == 0 ? 0.0 : total_mbps_ / slots;
   if (metrics_ != nullptr) {
     metrics_->sessions_finished->add();
-    if (!report_.slots.empty() && pattern_decided_at_s_ < 0)
+    if (next_slot_ != 0 && pattern_decided_at_s_ < 0)
       metrics_->never_confident_patterns->add();
   }
 }
@@ -413,7 +427,14 @@ void SessionEngine::finalize() {
 void SessionEngine::reset() {
   started_ = false;
   flow_begin_ = 0;
-  title_window_.start(0);  // keeps capacity for the next session
+  // A pooled engine returns a window its session never classified from;
+  // a standalone one keeps it (capacity and all) for the next session.
+  if (title_window_ != nullptr) {
+    if (window_pool_ != nullptr)
+      window_pool_->give_back(std::move(title_window_));
+    else
+      title_window_->start(0);
+  }
   title_done_ = false;
   has_demand_hint_ = false;
   demand_hint_mbps_ = 0.0;
@@ -426,15 +447,14 @@ void SessionEngine::reset() {
   last_effective_ = -1;
   pattern_.reset();
   pattern_decided_at_s_ = -1.0;
-  // Clear the report in place (not report_ = {}): the slot vector and
-  // class-name string keep their capacity for the next pooled session.
+  // Clear the report in place (not report_ = {}): the class-name string
+  // keeps its capacity for the next pooled session.
   report_.detection.reset();
   report_.title.label.reset();
   report_.title.class_name.clear();
   report_.title.confidence = 0.0;
   report_.pattern.reset();
   report_.pattern_decided_at_s = -1.0;
-  report_.slots.clear();
   report_.objective_session = QoeLevel::kGood;
   report_.effective_session = QoeLevel::kGood;
   report_.stage_seconds.fill(0.0);

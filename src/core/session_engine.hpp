@@ -16,8 +16,15 @@
 //  - on_packet() performs zero heap allocations in steady state (once
 //    the engine's internal buffers have reached session size). All
 //    scratch — the title window's per-group state, the classifier
-//    probability buffer, the forest input rows, the slot records — is
-//    engine-owned and reused.
+//    probability buffer, the forest input rows — is engine-owned and
+//    reused.
+//  - A live session's state is constant in its length: the report holds
+//    session aggregates only, and each slot's SlotRecord goes to the
+//    observer's slot hook (if any) and is not kept. The title window
+//    (a LaunchWindow, ≈26 KB of buffers) lives behind a pointer; an
+//    engine given a TitleWindowPool borrows one at start() and hands it
+//    back at the title verdict, so past the verdict a session holds no
+//    window at all.
 //  - reset() clears session state but retains buffer capacity, so a
 //    pooled engine (MultiSessionProbe keeps a free list) analyzes its
 //    second and later sessions without allocating at all.
@@ -32,6 +39,7 @@
 #include <array>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -73,7 +81,9 @@ struct PipelineParams {
   double assumed_rtt_ms = 15.0;
 };
 
-/// Pipeline outputs for one I-second slot.
+/// Pipeline outputs for one I-second slot. The engine hands each one to
+/// the observer's slot hook as the slot closes and keeps none of them;
+/// a caller that wants the history collects it (core::SlotHistory).
 struct SlotRecord {
   ml::Label stage = kStageIdle;
   QoeLevel objective = QoeLevel::kGood;
@@ -97,12 +107,12 @@ struct SessionReport {
   /// Seconds into the session at which the pattern inference first
   /// cleared the confidence threshold; <0 when it never did.
   double pattern_decided_at_s = -1.0;
-  std::vector<SlotRecord> slots;
   QoeLevel objective_session = QoeLevel::kGood;
   QoeLevel effective_session = QoeLevel::kGood;
   /// Classified seconds per stage (indexed active/passive/idle).
   std::array<double, kNumStageLabels> stage_seconds{};
   double mean_down_mbps = 0.0;
+  /// Closed slots times the slot length (1 s): the session's slot count.
   double duration_s = 0.0;
 
   /// Exact field-wise equality (doubles compared bitwise-equal); used to
@@ -146,6 +156,12 @@ struct StreamEvent {
 /// MultiSessionProbe); the engine reaches it through a SessionObserver.
 using SessionEventCallback = std::function<void(const StreamEvent&)>;
 
+/// Per-slot hook: the session's id (SessionObserver::session_id) and the
+/// record of the slot that just closed, called once per slot in slot
+/// order. The record is valid only for the call.
+using SlotCallback =
+    std::function<void(std::uint64_t session_id, const SlotRecord& slot)>;
+
 /// One slot of externally measured telemetry (ISP slot-fidelity mode):
 /// raw volumetrics plus the QoS/QoE observables measured out of band.
 struct SlotTelemetry {
@@ -155,14 +171,17 @@ struct SlotTelemetry {
   double loss_rate = 0.0;
 };
 
-/// Where one session's milestone events go. Both targets are optional
-/// and caller-owned. This is the one place that routes events: the
-/// decision-trace ring records every event, the callback every event
-/// except kQoeChanged (callbacks predate that type and never see it).
+/// Where one session's milestone events and slot records go. Every
+/// target is optional and caller-owned. This is the one place that
+/// routes events: the decision-trace ring records every event, the
+/// callback every event except kQoeChanged (callbacks predate that type
+/// and never see it). The slot hook receives every closed slot's record,
+/// whatever the event targets.
 struct SessionObserver {
   const SessionEventCallback* on_event = nullptr;  ///< non-null => callable
   obs::DecisionTraceRing* trace = nullptr;
-  std::uint64_t session_id = 0;  ///< carried by trace events
+  std::uint64_t session_id = 0;  ///< carried by trace events and slots
+  const SlotCallback* on_slot = nullptr;  ///< non-null => callable
 
   /// Whether any event has somewhere to go; the engine skips building
   /// events entirely when not.
@@ -180,6 +199,35 @@ struct SessionObserver {
 /// because the repository benchmark (perfbench/) constructs it by name.
 using NullSessionSink = SessionObserver;
 
+/// Spare title windows shared by the engines of one owner (one thread).
+/// An engine borrows a window at start() and gives it back at its title
+/// verdict, so the pool never holds more windows than the owner ever had
+/// sessions inside their launch window at once.
+class TitleWindowPool {
+ public:
+  /// A spare window, or a new one built with `params` when none is left.
+  [[nodiscard]] std::unique_ptr<LaunchWindow> lend(
+      const LaunchAttributeParams& params) {
+    ++on_loan_;
+    if (spare_.empty()) return std::make_unique<LaunchWindow>(params);
+    std::unique_ptr<LaunchWindow> window = std::move(spare_.back());
+    spare_.pop_back();
+    return window;
+  }
+  void give_back(std::unique_ptr<LaunchWindow> window) {
+    --on_loan_;
+    spare_.push_back(std::move(window));
+  }
+  /// Windows lent and not yet given back.
+  [[nodiscard]] std::size_t on_loan() const { return on_loan_; }
+  /// Spare windows awaiting the next session.
+  [[nodiscard]] std::size_t pooled() const { return spare_.size(); }
+
+ private:
+  std::vector<std::unique_ptr<LaunchWindow>> spare_;
+  std::size_t on_loan_ = 0;
+};
+
 class SessionEngine {
  public:
   /// Models and params are caller-owned and must outlive the engine
@@ -189,7 +237,9 @@ class SessionEngine {
   SessionEngine(PipelineModels models, const PipelineParams* params);
 
   /// Begins a session whose detected flow started at `flow_begin` (slot
-  /// and title-window clocks are relative to it). Call after reset().
+  /// and title-window clocks are relative to it). Call after reset(), and
+  /// before the session's first packet. Takes a title window if the
+  /// engine holds none: from its pool when it has one, else a new one.
   void start(net::Timestamp flow_begin);
 
   /// Records the front-end detection verdict into the report and emits
@@ -210,6 +260,15 @@ class SessionEngine {
   /// title once the window elapses, closes every slot boundary the
   /// packet's timestamp has passed, then tallies the packet into the
   /// open slot. Allocation-free in steady state.
+  ///
+  /// Late packets: a packet older than the open telemetry slot (its own
+  /// slot has closed) is tallied into the open slot, and the QoE
+  /// estimator counts it as received but reordered (it does not advance
+  /// the expected RTP sequence, and a duplicate only lowers the slot's
+  /// loss estimate, floored at 0). Closed slots never reopen, so the slot
+  /// count depends only on the newest timestamp seen. This is the title
+  /// window's rule for its launch slots (LaunchWindow) applied to the
+  /// telemetry slots.
   void on_packet(const net::PacketRecord& pkt,
                  const SessionObserver& observer);
 
@@ -251,22 +310,28 @@ class SessionEngine {
   void set_metrics(const PipelineMetrics* metrics) { metrics_ = metrics; }
   [[nodiscard]] const PipelineMetrics* metrics() const { return metrics_; }
 
+  /// Installs (or clears, with nullptr) the pool the engine borrows its
+  /// title window from; it must outlive the engine's sessions. With a
+  /// pool, the window goes back at the title verdict (or at reset() if
+  /// the verdict never came); without one, the engine keeps its window
+  /// across reset(), so a standalone engine reuses one window for good.
+  /// Survives reset().
+  void set_title_window_pool(TitleWindowPool* pool) { window_pool_ = pool; }
+
   [[nodiscard]] bool started() const { return started_; }
   [[nodiscard]] bool title_classified() const { return title_done_; }
   /// Packet mode: the 51 launch attributes the title verdict was computed
-  /// from; empty until then (and in telemetry mode).
-  [[nodiscard]] const ml::FeatureRow& title_attributes() const {
-    return title_window_.attributes();
-  }
-  [[nodiscard]] std::size_t slots_closed() const {
-    return report_.slots.size();
-  }
+  /// from; empty until then, in telemetry mode, and once the window has
+  /// gone back to a pool.
+  [[nodiscard]] const ml::FeatureRow& title_attributes() const;
+  [[nodiscard]] std::size_t slots_closed() const { return next_slot_; }
   /// The report accumulated so far (finalized only after finish()).
   [[nodiscard]] const SessionReport& report() const { return report_; }
 
  private:
   /// What one closed slot produced, for deliver().
   struct SlotOutcome {
+    SlotRecord record;
     double at_seconds = 0.0;
     bool stage_changed = false;
     bool pattern_event = false;  ///< first confident inference or flip
@@ -280,6 +345,7 @@ class SessionEngine {
   void classify_pending_title();
   /// Classifies the title window and emits kTitleClassified.
   void close_title(double at_seconds, const SessionObserver& observer);
+  /// Records the verdict; a pooled engine then gives its window back.
   void install_title(const TitleResult& title);
   void finalize();
   [[nodiscard]] std::span<double> scratch(std::size_t n);
@@ -294,7 +360,10 @@ class SessionEngine {
 
   // Title window: the first N seconds of packets, folded into per-group
   // state as they arrive (only the open slot's non-full packets wait).
-  LaunchWindow title_window_;
+  // Null while a pooled engine holds none (before start(), past the
+  // verdict).
+  std::unique_ptr<LaunchWindow> title_window_;
+  TitleWindowPool* window_pool_ = nullptr;
   bool title_done_ = false;
   /// Demand hint resolved once per title verdict (map lookups stay off
   /// the per-slot path).
@@ -344,8 +413,8 @@ class SessionEngine {
 inline void SessionEngine::on_packet(const net::PacketRecord& pkt,
                                      const SessionObserver& observer) {
   if (!title_done_) [[unlikely]] {
-    if (title_window_.before_end(pkt.timestamp))
-      title_window_.add(pkt);
+    if (title_window_->before_end(pkt.timestamp))
+      title_window_->add(pkt);
     else
       close_title(net::duration_to_seconds(pkt.timestamp - flow_begin_),
                   observer);

@@ -83,19 +83,20 @@ struct ShardedProbe::Shard {
         std::size_t trace_capacity, PipelineModels models,
         const MultiSessionProbeParams& params,
         MultiSessionProbe::ReportCallback on_report,
-        SessionEventCallback on_event)
+        SessionEventCallback on_event, SlotCallback on_slot)
       : ring(std::bit_ceil(capacity)),
         mask(ring.size() - 1),
         stats(registry, {{"shard", std::to_string(index)}}),
-        probe(models, params, std::move(on_report), std::move(on_event)) {
+        probe(models, params, std::move(on_report), std::move(on_event),
+              std::move(on_slot)) {
     probe.set_stats(&stats);
     probe.set_metrics(metrics);
-    if (trace_capacity > 0) {
+    if (trace_capacity > 0)
       trace = std::make_unique<obs::DecisionTraceRing>(trace_capacity);
-      // Session ids interleave across shards (shard i takes i+1, i+1+N,
-      // ...) so a merged trace stays globally unique without a lock.
-      probe.set_trace(trace.get(), index + 1, num_shards);
-    }
+    // Session ids interleave across shards (shard i takes i+1, i+1+N,
+    // ...) so merged traces and slot histories stay globally unique
+    // without a lock.
+    probe.set_trace(trace.get(), index + 1, num_shards);
   }
 
   // --- capture thread ------------------------------------------------
@@ -199,7 +200,8 @@ struct ShardedProbe::Shard {
 
 ShardedProbe::ShardedProbe(PipelineModels models, ShardedProbeParams params,
                            ReportCallback on_report,
-                           SessionEventCallback on_event)
+                           SessionEventCallback on_event,
+                           SlotCallback on_slot)
     : params_(std::move(params)), on_report_(std::move(on_report)) {
   if (params_.num_shards == 0)
     throw std::invalid_argument("ShardedProbe: num_shards must be >= 1");
@@ -224,13 +226,21 @@ ShardedProbe::ShardedProbe(PipelineModels models, ShardedProbeParams params,
       on_event(event);
     };
   }
+  SlotCallback slot_sink;
+  if (on_slot) {
+    slot_sink = [this, on_slot = std::move(on_slot)](
+                    std::uint64_t session_id, const SlotRecord& slot) {
+      const std::lock_guard<std::mutex> lock(sink_mu_);
+      on_slot(session_id, slot);
+    };
+  }
 
   shards_.reserve(params_.num_shards);
   for (std::size_t i = 0; i < params_.num_shards; ++i)
     shards_.push_back(std::make_unique<Shard>(
         registry_, &pipeline_metrics_, i, params_.num_shards,
         params_.queue_capacity, params_.trace_capacity, models,
-        params_.probe, sink, event_sink));
+        params_.probe, sink, event_sink, slot_sink));
   for (const auto& shard : shards_)
     shard->worker = std::thread(
         [&s = *shard, stride = params_.latency_sample_stride] {

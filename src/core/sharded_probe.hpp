@@ -75,10 +75,15 @@ class ShardedProbe {
 
   /// Models must outlive the probe and be safe for concurrent const
   /// calls (the trained classifiers are immutable after training).
-  /// `on_report` / `on_event` are invoked from worker threads but never
-  /// concurrently (an internal mutex serializes them).
+  /// `on_report` / `on_event` / `on_slot` are invoked from the shards'
+  /// worker threads, each on the thread of the shard that owns the
+  /// session, but never concurrently (an internal mutex serializes them).
+  /// `on_slot` receives every closed slot's record with the session's id;
+  /// ids are unique across shards (shard i numbers its sessions i+1,
+  /// i+1+N, ...), and a report's slots all arrive before the report.
   ShardedProbe(PipelineModels models, ShardedProbeParams params,
-               ReportCallback on_report, SessionEventCallback on_event = {});
+               ReportCallback on_report, SessionEventCallback on_event = {},
+               SlotCallback on_slot = {});
   ~ShardedProbe();
 
   ShardedProbe(const ShardedProbe&) = delete;
@@ -142,7 +147,7 @@ class ShardedProbe {
   obs::MetricsRegistry registry_;
   PipelineMetrics pipeline_metrics_;
   ReportCallback on_report_;
-  /// Serializes report/event callbacks across worker threads.
+  /// Serializes report/event/slot callbacks across worker threads.
   mutable std::mutex sink_mu_;
   std::size_t reports_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

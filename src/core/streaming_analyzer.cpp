@@ -4,10 +4,13 @@ namespace cgctx::core {
 
 StreamingAnalyzer::StreamingAnalyzer(PipelineModels models,
                                      PipelineParams params,
-                                     EventCallback on_event)
+                                     EventCallback on_event,
+                                     SlotCallback on_slot)
     : params_(std::move(params)),
       on_event_(std::move(on_event)),
-      observer_{on_event_ ? &on_event_ : nullptr, nullptr, 1},
+      on_slot_(std::move(on_slot)),
+      observer_{on_event_ ? &on_event_ : nullptr, nullptr, 1,
+                on_slot_ ? &on_slot_ : nullptr},
       front_end_(params_.detector, 60 * net::kNanosPerSecond),
       engine_(models, &params_) {}
 

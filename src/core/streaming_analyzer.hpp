@@ -25,12 +25,14 @@ class StreamingAnalyzer {
  public:
   using EventCallback = SessionEventCallback;
 
-  /// Models must outlive the analyzer. The callback may be empty.
+  /// Models must outlive the analyzer. Either callback may be empty;
+  /// `on_slot` receives every closed slot's record (SlotCallback), with
+  /// the session id set_trace() numbers sessions by.
   StreamingAnalyzer(PipelineModels models, PipelineParams params,
-                    EventCallback on_event);
+                    EventCallback on_event, SlotCallback on_slot = {});
 
   /// Non-copyable/movable: the engine references the analyzer-owned
-  /// params, and the observer the analyzer-owned callback.
+  /// params, and the observer the analyzer-owned callbacks.
   StreamingAnalyzer(const StreamingAnalyzer&) = delete;
   StreamingAnalyzer& operator=(const StreamingAnalyzer&) = delete;
 
@@ -81,8 +83,9 @@ class StreamingAnalyzer {
  private:
   PipelineParams params_;
   EventCallback on_event_;
-  /// Routes events to on_event_ and the trace; its session id advances
-  /// at each finish().
+  SlotCallback on_slot_;
+  /// Routes events to on_event_ and the trace, and slots to on_slot_; its
+  /// session id advances at each finish().
   SessionObserver observer_;
 
   /// Flow table, detector and lookback until the flow is detected.

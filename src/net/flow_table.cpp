@@ -53,8 +53,12 @@ const FlowState& FlowTable::add(const PacketRecord& pkt) {
     inserted = true;
   }
   if (inserted) {
+    // Both clocks start at the flow's first packet, whatever its sign: a
+    // zero last_seen would make a flow first seen before time 0 look
+    // active at 0.
     state.key = key;
     state.first_seen = pkt.timestamp;
+    state.last_seen = pkt.timestamp;
   }
   state.last_seen = std::max(state.last_seen, pkt.timestamp);
   (pkt.direction == Direction::kUpstream ? state.up : state.down).add(pkt);

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "core/model_suite.hpp"
+#include "core/slot_history.hpp"
 #include "core/streaming_analyzer.hpp"
 #include "probe_test_models.hpp"
 #include "sim/cross_traffic.hpp"
@@ -44,9 +45,11 @@ TEST(MultiSessionProbe, SeparatesTwoConcurrentSubscribers) {
   const auto wire = interleave({&a.packets, &b.packets});
 
   std::vector<SessionReport> reports;
+  SlotHistory history;
   MultiSessionProbe probe(
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-      [&](const SessionReport& r) { reports.push_back(r); });
+      [&](const SessionReport& r) { reports.push_back(r); }, {},
+      history.hook());
   for (const auto& pkt : wire) probe.push(pkt);
   EXPECT_EQ(probe.live_sessions(), 2u);
   probe.flush();
@@ -58,8 +61,12 @@ TEST(MultiSessionProbe, SeparatesTwoConcurrentSubscribers) {
   for (const auto& report : reports) {
     ASSERT_TRUE(report.detection.has_value());
     flows.insert(report.detection->flow);
-    EXPECT_GT(report.slots.size(), 40u);
+    EXPECT_GT(report.duration_s, 40.0);
   }
+  // Each session's slots reached the hook under its own id.
+  ASSERT_EQ(history.sessions().size(), 2u);
+  for (const auto& [id, slots] : history.sessions())
+    EXPECT_GT(slots.size(), 40u);
   EXPECT_TRUE(flows.count(a.tuple.canonical()));
   EXPECT_TRUE(flows.count(b.tuple.canonical()));
 }
@@ -104,18 +111,26 @@ TEST(MultiSessionProbe, IgnoresPureCrossTraffic) {
 TEST(MultiSessionProbe, ReportsMatchSingleSessionAnalysis) {
   const auto session = make_session(sim::GameTitle::kOverwatch2, 0.0, 56);
   SessionReport probe_report;
+  SlotHistory probe_slots;
   MultiSessionProbe probe(
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-      [&](const SessionReport& r) { probe_report = r; });
+      [&](const SessionReport& r) { probe_report = r; }, {},
+      probe_slots.hook());
   for (const auto& pkt : session.packets) probe.push(pkt);
   probe.flush();
 
-  StreamingAnalyzer single(suite().models(), default_pipeline_params(), {});
+  SlotHistory single_slots;
+  StreamingAnalyzer single(suite().models(), default_pipeline_params(), {},
+                           single_slots.hook());
   for (const auto& pkt : session.packets) single.push(pkt);
   const SessionReport single_report = single.finish();
 
   EXPECT_EQ(probe_report.title.label, single_report.title.label);
-  EXPECT_EQ(probe_report.slots.size(), single_report.slots.size());
+  const auto probe_history = probe_slots.take_all();
+  const auto single_history = single_slots.take_all();
+  ASSERT_EQ(probe_history.size(), 1u);
+  ASSERT_EQ(single_history.size(), 1u);
+  EXPECT_EQ(probe_history[0].size(), single_history[0].size());
 }
 
 TEST(MultiSessionProbe, RetireThenResumeSameTupleRedetects) {
@@ -144,8 +159,54 @@ TEST(MultiSessionProbe, RetireThenResumeSameTupleRedetects) {
   for (const auto& report : reports) {
     ASSERT_TRUE(report.detection.has_value());
     EXPECT_EQ(report.detection->flow, first.tuple.canonical());
-    EXPECT_GT(report.slots.size(), 35u);
+    EXPECT_GT(report.duration_s, 35.0);
   }
+}
+
+TEST(MultiSessionProbe, TitleWindowsAreLentFromStartToVerdict) {
+  // B starts 12 s after A, when A's 5 s title window has long closed: A
+  // gives its window back at its verdict and B borrows that same one, so
+  // the probe never holds more than one window.
+  const auto a = make_session(sim::GameTitle::kGenshinImpact, 0.0, 51);
+  const auto b = make_session(sim::GameTitle::kFortnite, 12.0, 52);
+  const auto wire = interleave({&a.packets, &b.packets});
+  MultiSessionProbe probe(
+      suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+      {});
+  std::size_t most_on_loan = 0;
+  std::size_t most_windows = 0;
+  bool idle_between = false;  // A past its verdict, B not yet started
+  for (const auto& pkt : wire) {
+    probe.push(pkt);
+    most_on_loan = std::max(most_on_loan, probe.title_windows_on_loan());
+    most_windows = std::max(most_windows, probe.title_windows_on_loan() +
+                                              probe.title_windows_pooled());
+    if (probe.live_sessions() == 1 && probe.title_windows_on_loan() == 0)
+      idle_between = true;
+  }
+  EXPECT_TRUE(idle_between);
+  EXPECT_EQ(most_on_loan, 1u);
+  EXPECT_EQ(most_windows, 1u);
+  EXPECT_EQ(probe.live_sessions(), 2u);
+  EXPECT_EQ(probe.title_windows_on_loan(), 0u);
+  probe.flush();
+  EXPECT_EQ(probe.title_windows_on_loan(), 0u);
+  EXPECT_EQ(probe.title_windows_pooled(), 1u);
+
+  // A session retired inside its launch window still hands its window
+  // back (its verdict comes at retire, from what arrived).
+  MultiSessionProbe early(
+      suite().models(), MultiSessionProbeParams{default_pipeline_params()},
+      {});
+  for (const auto& pkt : a.packets) {
+    early.push(pkt);
+    if (early.title_windows_on_loan() == 1) break;
+  }
+  ASSERT_EQ(early.live_sessions(), 1u);
+  early.flush();
+  EXPECT_EQ(early.reports_emitted(), 1u);
+  EXPECT_EQ(early.title_windows_on_loan(), 0u);
+  EXPECT_EQ(early.title_windows_pooled(), 1u);
 }
 
 /// Moves `flow` onto server port `port` and strips its RTP headers:
@@ -222,13 +283,15 @@ TEST(MultiSessionProbe, GatedTrafficDoesNotAdvanceTheRetireClock) {
   // flush(), with the report it gets on an otherwise empty wire.
   const auto session = make_session(sim::GameTitle::kFortnite, 0.0, 63);
   SessionReport alone;
+  SlotHistory alone_slots;
   {
     MultiSessionProbe reference(
         suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-        [&](const SessionReport& r) { alone = r; });
+        [&](const SessionReport& r) { alone = r; }, {}, alone_slots.hook());
     for (const auto& pkt : session.packets) reference.push(pkt);
     reference.flush();
   }
+  const auto alone_history = alone_slots.take_all();
 
   const net::Timestamp silent_from = session.packets.back().timestamp;
   ml::Rng rng(64);
@@ -254,9 +317,11 @@ TEST(MultiSessionProbe, GatedTrafficDoesNotAdvanceTheRetireClock) {
                                    : "retired by flush()");
     ProbeStats stats;
     std::vector<SessionReport> reports;
+    SlotHistory history;
     MultiSessionProbe probe(
         suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-        [&](const SessionReport& r) { reports.push_back(r); });
+        [&](const SessionReport& r) { reports.push_back(r); }, {},
+        history.hook());
     probe.set_stats(&stats);
     for (const auto& pkt : session.packets) probe.push(pkt);
     for (const auto& pkt : voip) probe.push(pkt);
@@ -275,6 +340,7 @@ TEST(MultiSessionProbe, GatedTrafficDoesNotAdvanceTheRetireClock) {
     EXPECT_EQ(stats.snapshot().packets_gated, voip.size());
     ASSERT_EQ(reports.size(), 1u);
     EXPECT_EQ(reports.front(), alone);
+    EXPECT_EQ(history.take_all(), alone_history);
   }
 }
 
@@ -284,15 +350,22 @@ TEST(MultiSessionProbe, LookbackReplayReproducesSingleAnalyzerExactly) {
   // the same wire field-for-field — including the earliest launch slots.
   const auto session = make_session(sim::GameTitle::kGenshinImpact, 3.0, 59);
   SessionReport probe_report;
+  SlotHistory probe_slots;
   MultiSessionProbe probe(
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-      [&](const SessionReport& r) { probe_report = r; });
+      [&](const SessionReport& r) { probe_report = r; }, {},
+      probe_slots.hook());
   for (const auto& pkt : session.packets) probe.push(pkt);
   probe.flush();
 
-  StreamingAnalyzer single(suite().models(), default_pipeline_params(), {});
+  SlotHistory single_slots;
+  StreamingAnalyzer single(suite().models(), default_pipeline_params(), {},
+                           single_slots.hook());
   for (const auto& pkt : session.packets) single.push(pkt);
   EXPECT_EQ(probe_report, single.finish());
+  const auto probe_history = probe_slots.take_all();
+  ASSERT_EQ(probe_history.size(), 1u);
+  EXPECT_EQ(probe_history, single_slots.take_all());
 }
 
 TEST(MultiSessionProbe, FlushMidStreamStartsTheNextSessionAfterTheFlush) {
@@ -358,11 +431,14 @@ TEST(MultiSessionProbe, CrossTrafficChangesNeitherReportNorLookback) {
   ASSERT_LT(alone.size(), replay.wire.size() / 2);
 
   const auto run = [&](const std::vector<net::PacketRecord>& wire,
-                       std::size_t& lookback_excess) {
+                       std::size_t& lookback_excess,
+                       std::vector<std::vector<SlotRecord>>& slots) {
     std::vector<SessionReport> reports;
+    SlotHistory history;
     MultiSessionProbe probe(
         suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-        [&](const SessionReport& r) { reports.push_back(r); });
+        [&](const SessionReport& r) { reports.push_back(r); }, {},
+        history.hook());
     std::size_t session_packets = 0;
     lookback_excess = 0;
     for (const auto& pkt : wire) {
@@ -375,14 +451,20 @@ TEST(MultiSessionProbe, CrossTrafficChangesNeitherReportNorLookback) {
     }
     probe.flush();
     EXPECT_EQ(probe.lookback_drops(), 0u);
+    slots = history.take_all();
     return reports;
   };
   std::size_t excess = 0;
-  const std::vector<SessionReport> mixed = run(replay.wire, excess);
+  std::vector<std::vector<SlotRecord>> mixed_slots;
+  std::vector<std::vector<SlotRecord>> single_slots;
+  const std::vector<SessionReport> mixed =
+      run(replay.wire, excess, mixed_slots);
   EXPECT_EQ(excess, 0u) << "cross-traffic packets entered the lookback";
-  const std::vector<SessionReport> single = run(alone, excess);
+  const std::vector<SessionReport> single = run(alone, excess, single_slots);
   ASSERT_EQ(mixed.size(), 1u);
   EXPECT_EQ(mixed, single);
+  ASSERT_EQ(mixed_slots.size(), 1u);
+  EXPECT_EQ(mixed_slots, single_slots);
 }
 
 TEST(MultiSessionProbe, LookbackCapBoundsAFloodAndCountsDrops) {
@@ -399,9 +481,11 @@ TEST(MultiSessionProbe, LookbackCapBoundsAFloodAndCountsDrops) {
 
   ProbeStats stats;
   std::vector<SessionReport> reports;
+  SlotHistory history;
   MultiSessionProbe probe(
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-      [&](const SessionReport& r) { reports.push_back(r); });
+      [&](const SessionReport& r) { reports.push_back(r); }, {},
+      history.hook());
   probe.set_stats(&stats);
   std::size_t peak = 0;
   for (std::size_t i = 0; i < kFlood; ++i) {  // 10 k pkts/s for 7 s
@@ -427,12 +511,16 @@ TEST(MultiSessionProbe, LookbackCapBoundsAFloodAndCountsDrops) {
   ASSERT_EQ(reports.size(), 1u);
 
   SessionReport alone;
+  SlotHistory alone_slots;
   MultiSessionProbe reference(
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-      [&](const SessionReport& r) { alone = r; });
+      [&](const SessionReport& r) { alone = r; }, {}, alone_slots.hook());
   for (const auto& pkt : session.packets) reference.push(pkt);
   reference.flush();
   EXPECT_EQ(reports.front(), alone);
+  const auto alone_history = alone_slots.take_all();
+  ASSERT_EQ(alone_history.size(), 1u);
+  EXPECT_EQ(history.take_all(), alone_history);
 }
 
 /// Rewrites `session`'s flow onto client `client` and server `server`.
@@ -546,6 +634,8 @@ TEST(MultiSessionProbe, StatsMatchAccessorsAfterSweepAndFlush) {
     EXPECT_EQ(snapshot.lookback_dropped, probe.lookback_drops());
     EXPECT_EQ(snapshot.packets_gated, probe.gated_packets());
     EXPECT_EQ(snapshot.reports_emitted, probe.reports_emitted());
+    EXPECT_EQ(snapshot.title_windows_on_loan, probe.title_windows_on_loan());
+    EXPECT_EQ(snapshot.title_windows_pooled, probe.title_windows_pooled());
   };
 
   ProbeStats stats;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/model_suite.hpp"
+#include "core/slot_history.hpp"
 #include "sim/cross_traffic.hpp"
 #include "sim/fleet.hpp"
 
@@ -58,20 +59,25 @@ TEST(Pipeline, ClassifiesTitleOfKnownSession) {
 }
 
 TEST(Pipeline, StageTimelineRoughlyMatchesGroundTruth) {
-  const auto pipeline = make_pipeline();
+  auto pipeline = make_pipeline();
+  SlotHistory history;
+  pipeline.set_slot_hook(history.hook());
   const auto session = lab_session(sim::GameTitle::kCsgo, 400, 42);
-  const auto report = pipeline.process_session(session);
-  ASSERT_EQ(report.slots.size(), session.slots.size());
+  pipeline.process_session(session);
+  const auto histories = history.take_all();
+  ASSERT_EQ(histories.size(), 1u);
+  const std::vector<SlotRecord>& slots = histories.front();
+  ASSERT_EQ(slots.size(), session.slots.size());
   // Compare classified stages against ground truth over gameplay slots.
   std::size_t correct = 0;
   std::size_t total = 0;
-  for (std::size_t s = 0; s < report.slots.size(); ++s) {
+  for (std::size_t s = 0; s < slots.size(); ++s) {
     const net::Timestamp mid =
         session.launch_begin + net::duration_from_seconds(s + 0.5);
     if (session.in_launch(mid) || mid >= session.end) continue;
     ++total;
     const auto truth = static_cast<ml::Label>(session.stage_label_at(mid));
-    if (report.slots[s].stage == truth) ++correct;
+    if (slots[s].stage == truth) ++correct;
   }
   ASSERT_GT(total, 300u);
   EXPECT_GT(static_cast<double>(correct) / static_cast<double>(total), 0.85);
@@ -196,11 +202,15 @@ TEST(Pipeline, StageSecondsSumToDuration) {
 }
 
 TEST(Pipeline, ReportsPerSlotRecords) {
-  const auto pipeline = make_pipeline();
+  auto pipeline = make_pipeline();
+  SlotHistory history;
+  pipeline.set_slot_hook(history.hook());
   const auto session = lab_session(sim::GameTitle::kRocketLeague, 100, 29);
-  const auto report = pipeline.process_session(session);
-  ASSERT_FALSE(report.slots.empty());
-  for (const SlotRecord& slot : report.slots) {
+  pipeline.process_session(session);
+  const auto histories = history.take_all();
+  ASSERT_EQ(histories.size(), 1u);
+  ASSERT_FALSE(histories.front().empty());
+  for (const SlotRecord& slot : histories.front()) {
     EXPECT_GE(slot.stage, 0);
     EXPECT_LT(slot.stage, 3);
     EXPECT_GE(slot.throughput_mbps, 0.0);

@@ -3,8 +3,9 @@
 // data/session_report_oracle.txt holds, for every popular title, both
 // session generators and three seeds, a 64-bit FNV-1a digest over every
 // summary field of the session's report and every per-slot record in
-// slot order. The packet sessions run through all three packet entry
-// points (RealtimePipeline::process_packets, StreamingAnalyzer,
+// slot order, the slots as each entry point's slot hook delivered them
+// (core::SlotHistory). The packet sessions run through all three packet
+// entry points (RealtimePipeline::process_packets, StreamingAnalyzer,
 // MultiSessionProbe), the slot-fidelity sessions through
 // RealtimePipeline::process_session; each must reproduce its line.
 // Refactors of the engine or of how slot history reaches a caller must
@@ -22,6 +23,7 @@
 #include "core/model_suite.hpp"
 #include "core/multi_session_probe.hpp"
 #include "core/pipeline.hpp"
+#include "core/slot_history.hpp"
 #include "core/streaming_analyzer.hpp"
 #include "probe_test_models.hpp"
 #include "sim/catalog.hpp"
@@ -108,13 +110,25 @@ std::vector<std::string> load_fixture() {
   return lines;
 }
 
+/// The one session `history` collected since the last call.
+std::vector<SlotRecord> only_session(SlotHistory& history) {
+  std::vector<std::vector<SlotRecord>> sessions = history.take_all();
+  EXPECT_EQ(sessions.size(), 1u);
+  return sessions.empty() ? std::vector<SlotRecord>{} : sessions.front();
+}
+
 /// Every session's line, computed through each entry point; `check`
 /// receives (fixture line index, entry point, line).
 template <class Check>
 void for_each_line(Check&& check) {
   const ModelSuite& suite = probe_test_suite();
-  const RealtimePipeline batch(suite.models(), default_pipeline_params());
-  StreamingAnalyzer streaming(suite.models(), default_pipeline_params(), {});
+  SlotHistory batch_slots;
+  RealtimePipeline batch(suite.models(), default_pipeline_params());
+  batch.set_slot_hook(batch_slots.hook());
+  SlotHistory streaming_slots;
+  StreamingAnalyzer streaming(suite.models(), default_pipeline_params(), {},
+                              streaming_slots.hook());
+  SlotHistory probe_slots;
   const sim::SessionGenerator generator;
   std::size_t index = 0;
 
@@ -125,26 +139,30 @@ void for_each_line(Check&& check) {
 
       const auto batch_report = batch.process_packets(session.packets);
       ASSERT_TRUE(batch_report.has_value());
+      std::vector<SlotRecord> slots = only_session(batch_slots);
       check(index, "process_packets",
-            line('g', game.title, seed, batch_report->slots.size(),
-                 digest(*batch_report, batch_report->slots)));
+            line('g', game.title, seed, slots.size(),
+                 digest(*batch_report, slots)));
 
       for (const net::PacketRecord& pkt : session.packets) streaming.push(pkt);
       const SessionReport streamed = streaming.finish();
+      slots = only_session(streaming_slots);
       check(index, "StreamingAnalyzer",
-            line('g', game.title, seed, streamed.slots.size(),
-                 digest(streamed, streamed.slots)));
+            line('g', game.title, seed, slots.size(),
+                 digest(streamed, slots)));
 
       std::vector<SessionReport> reports;
       MultiSessionProbe probe(
           suite.models(), MultiSessionProbeParams{default_pipeline_params()},
-          [&reports](const SessionReport& r) { reports.push_back(r); });
+          [&reports](const SessionReport& r) { reports.push_back(r); }, {},
+          probe_slots.hook());
       for (const net::PacketRecord& pkt : session.packets) probe.push(pkt);
       probe.flush();
       ASSERT_EQ(reports.size(), 1u);
+      slots = only_session(probe_slots);
       check(index, "MultiSessionProbe",
-            line('g', game.title, seed, reports.front().slots.size(),
-                 digest(reports.front(), reports.front().slots)));
+            line('g', game.title, seed, slots.size(),
+                 digest(reports.front(), slots)));
       ++index;
     }
   }
@@ -153,9 +171,9 @@ void for_each_line(Check&& check) {
       const sim::LabeledSession session =
           generator.generate_slots_only(spec(game.title, seed, 400.0));
       const SessionReport report = batch.process_session(session);
+      const std::vector<SlotRecord> slots = only_session(batch_slots);
       check(index, "process_session",
-            line('s', game.title, seed, report.slots.size(),
-                 digest(report, report.slots)));
+            line('s', game.title, seed, slots.size(), digest(report, slots)));
       ++index;
     }
   }

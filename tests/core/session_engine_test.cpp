@@ -3,9 +3,9 @@
 // All three entry points — RealtimePipeline::process_packets (offline
 // batch), StreamingAnalyzer (event-driven), MultiSessionProbe (vantage
 // point with lookback replay and pooled engines) — drive the same
-// core::SessionEngine, so their SessionReports must be byte-identical
-// (field-wise, doubles bitwise-equal) for every platform, title, and
-// seed. The sweep reuses one analyzer and one probe across all combos,
+// core::SessionEngine, so their SessionReports and the per-slot records
+// each hands its slot hook must be byte-identical (field-wise, doubles
+// bitwise-equal) for every platform, title, and seed. The sweep reuses one analyzer and one probe across all combos,
 // so the pooled reset path is exercised dozens of times, not once. Each
 // front-end also records a decision trace, and the traces must tell the
 // same story event for event. Every combo runs twice: clean, and
@@ -16,12 +16,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 #include <span>
+#include <utility>
 
 #include "core/launch_front_end.hpp"
 #include "core/model_suite.hpp"
 #include "core/multi_session_probe.hpp"
 #include "core/pipeline.hpp"
+#include "core/slot_history.hpp"
 #include "core/streaming_analyzer.hpp"
 #include "obs/trace.hpp"
 #include "probe_test_models.hpp"
@@ -97,26 +101,35 @@ TEST(SessionEngineEquivalence, BatchStreamingProbeByteIdenticalAcrossSweep) {
   obs::DecisionTraceRing batch_trace(1024);
   obs::DecisionTraceRing streaming_trace(1024);
   obs::DecisionTraceRing probe_trace(1024);
+  SlotHistory batch_slots;
+  SlotHistory streaming_slots;
+  SlotHistory probe_slots;
   RealtimePipeline batch(suite().models(), default_pipeline_params());
   batch.set_trace(&batch_trace);
-  StreamingAnalyzer streaming(suite().models(), default_pipeline_params(), {});
+  batch.set_slot_hook(batch_slots.hook());
+  StreamingAnalyzer streaming(suite().models(), default_pipeline_params(), {},
+                              streaming_slots.hook());
   streaming.set_trace(&streaming_trace);
   std::vector<SessionReport> probe_reports;
   MultiSessionProbe probe(
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-      [&](const SessionReport& r) { probe_reports.push_back(r); });
+      [&](const SessionReport& r) { probe_reports.push_back(r); }, {},
+      probe_slots.hook());
   probe.set_trace(&probe_trace);
   // The cross-traffic runs use their own streaming front-ends, so each
   // probe sees monotonic wire time.
   obs::DecisionTraceRing mixed_streaming_trace(1024);
   obs::DecisionTraceRing mixed_probe_trace(1024);
+  SlotHistory mixed_streaming_slots;
+  SlotHistory mixed_probe_slots;
   StreamingAnalyzer mixed_streaming(suite().models(), default_pipeline_params(),
-                                    {});
+                                    {}, mixed_streaming_slots.hook());
   mixed_streaming.set_trace(&mixed_streaming_trace);
   std::vector<SessionReport> mixed_probe_reports;
   MultiSessionProbe mixed_probe(
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-      [&](const SessionReport& r) { mixed_probe_reports.push_back(r); });
+      [&](const SessionReport& r) { mixed_probe_reports.push_back(r); }, {},
+      mixed_probe_slots.hook());
   mixed_probe.set_trace(&mixed_probe_trace);
   std::uint64_t cross_packets = 0;
 
@@ -150,6 +163,12 @@ TEST(SessionEngineEquivalence, BatchStreamingProbeByteIdenticalAcrossSweep) {
         EXPECT_EQ(batch_report->detection->flow, session.tuple.canonical());
         EXPECT_EQ(streamed, *batch_report);
         EXPECT_EQ(probe_reports.front(), *batch_report);
+        const std::vector<std::vector<SlotRecord>> slots =
+            batch_slots.take_all();
+        ASSERT_EQ(slots.size(), 1u);
+        ASSERT_FALSE(slots.front().empty());
+        EXPECT_EQ(streaming_slots.take_all(), slots);
+        EXPECT_EQ(probe_slots.take_all(), slots);
 
         const std::vector<obs::TraceEvent> story = drain_story(batch_trace);
         ASSERT_GE(story.size(), 3u);
@@ -166,10 +185,12 @@ TEST(SessionEngineEquivalence, BatchStreamingProbeByteIdenticalAcrossSweep) {
         const auto batch_mixed = batch.process_packets(mixed);
         ASSERT_TRUE(batch_mixed.has_value());
         EXPECT_EQ(*batch_mixed, *batch_report);
+        EXPECT_EQ(batch_slots.take_all(), slots);
         EXPECT_EQ(drain_story(batch_trace), story);
 
         for (const auto& pkt : mixed) mixed_streaming.push(pkt);
         EXPECT_EQ(mixed_streaming.finish(), *batch_report);
+        EXPECT_EQ(mixed_streaming_slots.take_all(), slots);
         EXPECT_EQ(drain_story(mixed_streaming_trace), story);
 
         mixed_probe_reports.clear();
@@ -177,6 +198,7 @@ TEST(SessionEngineEquivalence, BatchStreamingProbeByteIdenticalAcrossSweep) {
         mixed_probe.flush();
         ASSERT_EQ(mixed_probe_reports.size(), 1u);
         EXPECT_EQ(mixed_probe_reports.front(), *batch_report);
+        EXPECT_EQ(mixed_probe_slots.take_all(), slots);
         EXPECT_EQ(drain_story(mixed_probe_trace), story);
         ++combos;
       }
@@ -194,37 +216,49 @@ TEST(SessionEngineEquivalence, BatchStreamingProbeByteIdenticalAcrossSweep) {
 }
 
 /// Runs `wire` through fresh batch, streaming and probe front-ends and
-/// expects one report and one decision trace from all three; returns them
-/// through `report` and `story`.
+/// expects one report, one slot history and one decision trace from all
+/// three; returns them through `report`, `slots` and `story`.
 void expect_front_ends_agree(std::span<const net::PacketRecord> wire,
                              SessionReport& report,
+                             std::vector<SlotRecord>& slots,
                              std::vector<obs::TraceEvent>& story) {
   obs::DecisionTraceRing batch_trace(1024);
+  SlotHistory batch_slots;
   RealtimePipeline batch(suite().models(), default_pipeline_params());
   batch.set_trace(&batch_trace);
+  batch.set_slot_hook(batch_slots.hook());
   const auto batch_report = batch.process_packets(wire);
   ASSERT_TRUE(batch_report.has_value());
   report = *batch_report;
+  const auto batch_history = batch_slots.take_all();
+  ASSERT_EQ(batch_history.size(), 1u);
+  slots = batch_history.front();
   story = drain_story(batch_trace);
   ASSERT_FALSE(story.empty());
 
   obs::DecisionTraceRing streaming_trace(1024);
-  StreamingAnalyzer streaming(suite().models(), default_pipeline_params(), {});
+  SlotHistory streaming_slots;
+  StreamingAnalyzer streaming(suite().models(), default_pipeline_params(), {},
+                              streaming_slots.hook());
   streaming.set_trace(&streaming_trace);
   for (const net::PacketRecord& pkt : wire) streaming.push(pkt);
   EXPECT_EQ(streaming.finish(), report);
+  EXPECT_EQ(streaming_slots.take_all(), batch_history);
   EXPECT_EQ(drain_story(streaming_trace), story);
 
   obs::DecisionTraceRing probe_trace(1024);
+  SlotHistory probe_slots;
   std::vector<SessionReport> probe_reports;
   MultiSessionProbe probe(
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-      [&](const SessionReport& r) { probe_reports.push_back(r); });
+      [&](const SessionReport& r) { probe_reports.push_back(r); }, {},
+      probe_slots.hook());
   probe.set_trace(&probe_trace);
   for (const net::PacketRecord& pkt : wire) probe.push(pkt);
   probe.flush();
   ASSERT_EQ(probe_reports.size(), 1u);
   EXPECT_EQ(probe_reports.front(), report);
+  EXPECT_EQ(probe_slots.take_all(), batch_history);
   EXPECT_EQ(drain_story(probe_trace), story);
 }
 
@@ -238,6 +272,7 @@ TEST(SessionEngineEquivalence, FrontEndsAgreeOffTheHappyPath) {
       20.0);
   const net::Timestamp begin = session.packets.front().timestamp;
   SessionReport report;
+  std::vector<SlotRecord> slots;
   std::vector<obs::TraceEvent> story;
 
   {
@@ -279,11 +314,11 @@ TEST(SessionEngineEquivalence, FrontEndsAgreeOffTheHappyPath) {
           return detected_at - pkt.timestamp <= LaunchFrontEnd::kSpan;
         })->timestamp;
 
-    ASSERT_NO_FATAL_FAILURE(expect_front_ends_agree(wire, report, story));
+    ASSERT_NO_FATAL_FAILURE(expect_front_ends_agree(wire, report, slots, story));
     EXPECT_EQ(story.front().type, obs::TraceEventType::kFlowPromoted);
     EXPECT_EQ(story.front().at_seconds,
               net::duration_to_seconds(detected_at - oldest));
-    EXPECT_EQ(report.slots.size(),
+    EXPECT_EQ(slots.size(),
               static_cast<std::size_t>((wire.back().timestamp - oldest) /
                                        net::kNanosPerSecond) +
                   1);
@@ -306,7 +341,7 @@ TEST(SessionEngineEquivalence, FrontEndsAgreeOffTheHappyPath) {
     }
     ASSERT_GT(swaps, 60u);
 
-    ASSERT_NO_FATAL_FAILURE(expect_front_ends_agree(wire, report, story));
+    ASSERT_NO_FATAL_FAILURE(expect_front_ends_agree(wire, report, slots, story));
     EXPECT_EQ(story.front().type, obs::TraceEventType::kFlowPromoted);
   }
   {
@@ -339,7 +374,7 @@ TEST(SessionEngineEquivalence, FrontEndsAgreeOffTheHappyPath) {
     ASSERT_GT(wire.front().timestamp, 0);
     wire.insert(wire.end(), later.packets.begin(), later.packets.end());
 
-    ASSERT_NO_FATAL_FAILURE(expect_front_ends_agree(wire, report, story));
+    ASSERT_NO_FATAL_FAILURE(expect_front_ends_agree(wire, report, slots, story));
     EXPECT_EQ(story.front().type, obs::TraceEventType::kFlowPromoted);
   }
 }
@@ -351,23 +386,26 @@ TEST(SessionEngine, PooledResetReproducesFreshEngineByteIdentically) {
   const auto second = packet_session(sim::CloudPlatform::kXboxCloud,
                                      sim::GameTitle::kDota2, 8);
 
-  const SessionObserver observer;
+  SlotHistory history;
   const auto run = [&](SessionEngine& engine,
-                       const sim::LabeledSession& session) {
+                       const sim::LabeledSession& session,
+                       std::uint64_t id) {
+    const SessionObserver observer{nullptr, nullptr, id, &history.hook()};
     engine.start(session.packets.front().timestamp);
     for (const auto& pkt : session.packets) engine.on_packet(pkt, observer);
     return engine.finish(observer);  // copies via the caller's SessionReport
   };
 
   SessionEngine reused(suite().models(), &params);
-  const SessionReport first_report = run(reused, first);
-  EXPECT_GT(first_report.slots.size(), 25u);
+  const SessionReport first_report = run(reused, first, 1);
+  EXPECT_GT(history.sessions().at(1).size(), 25u);
   reused.reset();
-  const SessionReport second_reused = run(reused, second);
+  const SessionReport second_reused = run(reused, second, 2);
 
   SessionEngine fresh(suite().models(), &params);
-  const SessionReport second_fresh = run(fresh, second);
+  const SessionReport second_fresh = run(fresh, second, 3);
   EXPECT_EQ(second_reused, second_fresh);
+  EXPECT_EQ(history.sessions().at(2), history.sessions().at(3));
   EXPECT_NE(second_reused, first_report);
 }
 
@@ -393,12 +431,18 @@ TEST(SessionEngine, TelemetryModeMatchesPipelineProcessSession) {
     const sim::LabeledSession session = gen.generate_slots_only(spec);
 
     obs::DecisionTraceRing batch_trace(4096);
+    SlotHistory batch_slots;
     RealtimePipeline pipeline(suite().models(), params);
     pipeline.set_trace(&batch_trace);
+    pipeline.set_slot_hook(batch_slots.hook());
     const SessionReport expected = pipeline.process_session(session);
+    const auto batch_history = batch_slots.take_all();
+    ASSERT_EQ(batch_history.size(), 1u);
 
     obs::DecisionTraceRing step_trace(4096);
-    const SessionObserver observer{nullptr, &step_trace, 1};
+    SlotHistory step_slots;
+    const SessionObserver observer{nullptr, &step_trace, 1,
+                                   &step_slots.hook()};
     SessionEngine engine(suite().models(), &params);
     engine.start(session.launch_begin);
     engine.set_title(suite().models().title->classify(session.packets,
@@ -415,14 +459,129 @@ TEST(SessionEngine, TelemetryModeMatchesPipelineProcessSession) {
       engine.push_slot(slot, observer);
     }
     EXPECT_EQ(engine.finish(observer), expected);
+    EXPECT_EQ(step_slots.take_all(), batch_history);
     EXPECT_EQ(drain_story(step_trace), drain_story(batch_trace));
     if (c.gameplay_seconds > 600.0) {
-      EXPECT_GT(expected.slots.size(), 2 * RealtimePipeline::kSlotBatch);
+      EXPECT_GT(batch_history.front().size(),
+                2 * RealtimePipeline::kSlotBatch);
       EXPECT_NE(params.pattern.min_transitions % RealtimePipeline::kSlotBatch,
                 0u);
       EXPECT_GT(expected.pattern_decided_at_s, 0.0)
           << "want a confident pattern verdict inside the batched span";
     }
+  }
+}
+
+/// Runs `wire` through a fresh standalone engine started at `begin`;
+/// returns the report and its slot history.
+std::pair<SessionReport, std::vector<SlotRecord>> run_engine(
+    std::span<const net::PacketRecord> wire, net::Timestamp begin) {
+  static const PipelineParams params = default_pipeline_params();
+  SlotHistory history;
+  const SessionObserver observer{nullptr, nullptr, 1, &history.hook()};
+  SessionEngine engine(suite().models(), &params);
+  engine.start(begin);
+  for (const net::PacketRecord& pkt : wire) engine.on_packet(pkt, observer);
+  SessionReport report = engine.finish(observer);
+  EXPECT_EQ(engine.slots_closed(), static_cast<std::size_t>(report.duration_s));
+  auto sessions = history.take_all();
+  EXPECT_EQ(sessions.size(), 1u);
+  return {std::move(report), sessions.empty() ? std::vector<SlotRecord>{}
+                                              : std::move(sessions.front())};
+}
+
+void expect_well_defined(const SessionReport& report,
+                         const std::vector<SlotRecord>& slots) {
+  EXPECT_EQ(report.duration_s, static_cast<double>(slots.size()));
+  EXPECT_TRUE(std::isfinite(report.mean_down_mbps));
+  EXPECT_NEAR(report.stage_seconds[0] + report.stage_seconds[1] +
+                  report.stage_seconds[2],
+              report.duration_s, 1e-9);
+  for (const SlotRecord& slot : slots) {
+    EXPECT_GE(slot.stage, 0);
+    EXPECT_LT(slot.stage, 3);
+    EXPECT_LE(slot.objective, QoeLevel::kGood);
+    EXPECT_LE(slot.effective, QoeLevel::kGood);
+    EXPECT_TRUE(std::isfinite(slot.throughput_mbps));
+    EXPECT_GE(slot.throughput_mbps, 0.0);
+    EXPECT_GE(slot.frame_rate, 0.0);
+    EXPECT_GE(slot.loss_rate, 0.0);
+    EXPECT_LE(slot.loss_rate, 1.0);
+  }
+}
+
+// The late-packet rule (SessionEngine::on_packet): a packet whose slot
+// has closed is tallied into the open slot and counted by the QoE
+// estimator as received but reordered; a duplicate only lowers the
+// slot's loss estimate. Neither reopens a slot, so the slot count is the
+// clean stream's.
+TEST(SessionEngine, LateAndDuplicatePacketsFoldIntoTheOpenSlot) {
+  const auto session = packet_session(sim::CloudPlatform::kGeforceNow,
+                                      sim::GameTitle::kFortnite, 31);
+  const std::vector<net::PacketRecord>& clean = session.packets;
+  const net::Timestamp begin = clean.front().timestamp;
+  const auto slot_of = [begin](const net::PacketRecord& pkt) {
+    return static_cast<std::size_t>((pkt.timestamp - begin) /
+                                    net::kNanosPerSecond);
+  };
+  const auto [clean_report, clean_slots] = run_engine(clean, begin);
+  ASSERT_GT(clean_slots.size(), 20u);
+  expect_well_defined(clean_report, clean_slots);
+
+  // Late: past the title window, each slot's last packet arrives after
+  // the next slot's first three, when its own slot has closed. Its
+  // downstream bytes move to the slot open when it arrives.
+  std::vector<double> moved_mbps(clean_slots.size(), 0.0);
+  std::vector<net::PacketRecord> late;
+  std::optional<net::PacketRecord> held;
+  int hold_for = 0;
+  std::size_t late_packets = 0;
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    if (!held && slot_of(clean[i]) >= 8 && i + 1 < clean.size() &&
+        slot_of(clean[i + 1]) == slot_of(clean[i]) + 1) {
+      held = clean[i];
+      hold_for = 3;
+      continue;
+    }
+    late.push_back(clean[i]);
+    if (held && --hold_for == 0) {
+      const std::size_t open = slot_of(late.back());
+      ASSERT_GT(open, slot_of(*held));
+      if (held->direction == net::Direction::kDownstream) {
+        const double mbps = held->payload_size * 8.0 / 1e6;
+        moved_mbps[slot_of(*held)] -= mbps;
+        moved_mbps[open] += mbps;
+      }
+      late.push_back(*held);
+      held.reset();
+      ++late_packets;
+    }
+  }
+  ASSERT_FALSE(held.has_value());
+  ASSERT_GT(late_packets, 15u);
+  const auto [late_report, late_slots] = run_engine(late, begin);
+  expect_well_defined(late_report, late_slots);
+  ASSERT_EQ(late_slots.size(), clean_slots.size());
+  for (std::size_t s = 0; s < clean_slots.size(); ++s)
+    EXPECT_NEAR(late_slots[s].throughput_mbps,
+                clean_slots[s].throughput_mbps + moved_mbps[s], 1e-9)
+        << "slot " << s;
+
+  // Duplicated and late: every 25th downstream RTP packet arrives twice.
+  std::vector<net::PacketRecord> duplicated;
+  std::size_t downstream = 0;
+  for (const net::PacketRecord& pkt : late) {
+    duplicated.push_back(pkt);
+    if (pkt.direction == net::Direction::kDownstream && pkt.rtp &&
+        ++downstream % 25 == 0)
+      duplicated.push_back(pkt);
+  }
+  const auto [dup_report, dup_slots] = run_engine(duplicated, begin);
+  expect_well_defined(dup_report, dup_slots);
+  ASSERT_EQ(dup_slots.size(), clean_slots.size());
+  for (std::size_t s = 0; s < dup_slots.size(); ++s) {
+    EXPECT_GE(dup_slots[s].throughput_mbps, late_slots[s].throughput_mbps);
+    EXPECT_LE(dup_slots[s].loss_rate, late_slots[s].loss_rate);
   }
 }
 

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <set>
 #include <string_view>
 #include <thread>
 
 #include "core/model_suite.hpp"
+#include "core/slot_history.hpp"
 #include "probe_test_models.hpp"
 #include "sim/fleet.hpp"
 
@@ -52,18 +54,24 @@ void expect_gated_accounting(const ProbeStatsSnapshot& stats,
   EXPECT_EQ(stats.packets_processed, stats.packets_in);
 }
 
+/// Slot histories by session id, as a SlotHistory collected them.
+using Histories = std::map<std::uint64_t, std::vector<SlotRecord>>;
+
 std::vector<SessionReport> run_sharded(
     const std::vector<net::PacketRecord>& wire, std::size_t shards,
-    ProbeStatsSnapshot* stats_out = nullptr) {
+    ProbeStatsSnapshot* stats_out = nullptr, Histories* slots_out = nullptr) {
   ShardedProbeParams params;
   params.probe.pipeline = default_pipeline_params();
   params.num_shards = shards;
   std::vector<SessionReport> reports;
+  SlotHistory history;
   ShardedProbe probe(suite().models(), params,
-                     [&](const SessionReport& r) { reports.push_back(r); });
+                     [&](const SessionReport& r) { reports.push_back(r); },
+                     {}, history.hook());
   for (const auto& pkt : wire) probe.push(pkt);
   probe.flush();
   if (stats_out != nullptr) *stats_out = probe.stats();
+  if (slots_out != nullptr) *slots_out = history.sessions();
   return reports;
 }
 
@@ -72,39 +80,52 @@ TEST(ShardedProbe, SingleShardMatchesMultiSessionProbeExactly) {
   const std::vector<net::PacketRecord> clean = session_packets(replay);
 
   const auto run_direct = [](const std::vector<net::PacketRecord>& wire,
-                             std::uint64_t& gated) {
+                             std::uint64_t& gated, Histories& slots) {
     std::vector<SessionReport> reports;
+    SlotHistory history;
     MultiSessionProbe probe(
         suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-        [&](const SessionReport& r) { reports.push_back(r); });
+        [&](const SessionReport& r) { reports.push_back(r); }, {},
+        history.hook());
     for (const auto& pkt : wire) probe.push(pkt);
     probe.flush();
     gated = probe.gated_packets();
+    slots = history.sessions();
     return reports;
   };
   std::uint64_t gated = 0;
-  const std::vector<SessionReport> direct = run_direct(replay.wire, gated);
+  Histories direct_slots;
+  const std::vector<SessionReport> direct =
+      run_direct(replay.wire, gated, direct_slots);
   EXPECT_EQ(gated, replay.wire.size() - clean.size());
   ASSERT_EQ(direct.size(), replay.session_flows.size());
+  ASSERT_EQ(direct_slots.size(), direct.size());
 
   ProbeStatsSnapshot stats;
+  Histories sharded_slots;
   const std::vector<SessionReport> sharded =
-      run_sharded(replay.wire, 1, &stats);
+      run_sharded(replay.wire, 1, &stats, &sharded_slots);
   // One shard preserves global packet order, so the engine must be a
-  // behavior-preserving wrapper: same reports, same order, every field.
+  // behavior-preserving wrapper: same reports, same order, every field,
+  // and the same slots under the same session ids.
   EXPECT_EQ(sharded, direct);
+  EXPECT_EQ(sharded_slots, direct_slots);
   expect_gated_accounting(stats, replay);
   // Cross traffic changes nothing: both match the session-only wire.
-  EXPECT_EQ(run_direct(clean, gated), direct);
+  Histories clean_slots;
+  EXPECT_EQ(run_direct(clean, gated, clean_slots), direct);
+  EXPECT_EQ(clean_slots, direct_slots);
   EXPECT_EQ(gated, 0u);
-  EXPECT_EQ(run_sharded(clean, 1), direct);
+  EXPECT_EQ(run_sharded(clean, 1, nullptr, &clean_slots), direct);
+  EXPECT_EQ(clean_slots, direct_slots);
 }
 
 TEST(ShardedProbe, MultiShardReportsAreComplete) {
   const sim::FleetReplay replay = small_fleet(5, 3, 72);
   ProbeStatsSnapshot stats;
+  Histories slots;
   const std::vector<SessionReport> reports =
-      run_sharded(replay.wire, 4, &stats);
+      run_sharded(replay.wire, 4, &stats, &slots);
 
   // Every gaming session surfaces exactly once; nothing was dropped.
   ASSERT_EQ(reports.size(), replay.session_flows.size());
@@ -112,8 +133,11 @@ TEST(ShardedProbe, MultiShardReportsAreComplete) {
   for (const auto& report : reports) {
     ASSERT_TRUE(report.detection.has_value());
     reported.insert(report.detection->flow);
-    EXPECT_GT(report.slots.size(), 25u);
+    EXPECT_GT(report.duration_s, 25.0);
   }
+  // Session ids are unique across shards: one history per session.
+  ASSERT_EQ(slots.size(), reports.size());
+  for (const auto& [id, history] : slots) EXPECT_GT(history.size(), 25u);
   const std::set<net::FiveTuple> expected(replay.session_flows.begin(),
                                           replay.session_flows.end());
   EXPECT_EQ(reported, expected);
@@ -151,9 +175,11 @@ TEST(ShardedProbe, TinyRingWrapsThousandsOfTimesWithoutChangingReports) {
   const sim::FleetReplay replay = small_fleet(3, 2, 74);
 
   std::vector<SessionReport> direct;
+  SlotHistory direct_slots;
   MultiSessionProbe probe(
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-      [&](const SessionReport& r) { direct.push_back(r); });
+      [&](const SessionReport& r) { direct.push_back(r); }, {},
+      direct_slots.hook());
   for (const auto& pkt : replay.wire) probe.push(pkt);
   probe.flush();
 
@@ -166,14 +192,17 @@ TEST(ShardedProbe, TinyRingWrapsThousandsOfTimesWithoutChangingReports) {
   // drop: this test is about slot reuse, not about the timeout.
   params.backpressure_timeout = std::chrono::seconds(30);
   std::vector<SessionReport> sharded;
+  SlotHistory sharded_slots;
   ShardedProbe engine(suite().models(), params,
-                      [&](const SessionReport& r) { sharded.push_back(r); });
+                      [&](const SessionReport& r) { sharded.push_back(r); },
+                      {}, sharded_slots.hook());
   for (const auto& pkt : replay.wire) ASSERT_TRUE(engine.push(pkt));
   engine.flush();
 
   // >= 1000 wraps of the ring (only gate-passing packets enter it).
   ASSERT_GT(session_packets(replay).size(), 8u * 1000u);
   EXPECT_EQ(sharded, direct);
+  EXPECT_EQ(sharded_slots.sessions(), direct_slots.sessions());
   const ProbeStatsSnapshot stats = engine.stats();
   expect_gated_accounting(stats, replay);
   EXPECT_EQ(stats.packets_dropped, 0u);

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "core/model_suite.hpp"
+#include "core/slot_history.hpp"
 #include "sim/cross_traffic.hpp"
 
 namespace cgctx::core {
@@ -60,23 +61,29 @@ TEST(StreamingAnalyzer, EmitsEventsInOrder) {
   for (std::size_t i = 1; i < events.size(); ++i)
     EXPECT_GE(events[i].at_seconds + 1.5, events[i - 1].at_seconds);
 
-  EXPECT_GT(report.slots.size(), 60u);
+  EXPECT_GT(report.duration_s, 60.0);
 }
 
 TEST(StreamingAnalyzer, MatchesBatchPipelineVerdicts) {
   const auto session = packet_session(sim::GameTitle::kGenshinImpact, 90, 13);
-  const RealtimePipeline batch(suite().models(), default_pipeline_params());
+  SlotHistory batch_slots;
+  RealtimePipeline batch(suite().models(), default_pipeline_params());
+  batch.set_slot_hook(batch_slots.hook());
   const auto batch_report = batch.process_packets(session.packets);
   ASSERT_TRUE(batch_report.has_value());
 
+  SlotHistory streamed_slots;
   StreamingAnalyzer analyzer(suite().models(), default_pipeline_params(),
-                             {});
+                             {}, streamed_slots.hook());
   for (const auto& pkt : session.packets) analyzer.push(pkt);
   const SessionReport streamed = analyzer.finish();
 
-  // Both drivers advance the same SessionEngine, so the reports are
-  // byte-identical — not merely close.
+  // Both drivers advance the same SessionEngine, so the reports and the
+  // slot histories are byte-identical — not merely close.
   EXPECT_EQ(streamed, *batch_report);
+  const auto batch_history = batch_slots.take_all();
+  ASSERT_EQ(batch_history.size(), 1u);
+  EXPECT_EQ(streamed_slots.take_all(), batch_history);
 }
 
 TEST(StreamingAnalyzer, IgnoresCrossTrafficBeforeAndAfterDetection) {
@@ -104,9 +111,10 @@ TEST(StreamingAnalyzer, IgnoresCrossTrafficBeforeAndAfterDetection) {
 
 TEST(StreamingAnalyzer, PureCrossTrafficNeverDetects) {
   std::vector<StreamEvent> events;
+  SlotHistory history;
   StreamingAnalyzer analyzer(
       suite().models(), default_pipeline_params(),
-      [&](const StreamEvent& e) { events.push_back(e); });
+      [&](const StreamEvent& e) { events.push_back(e); }, history.hook());
   ml::Rng rng(17);
   for (const auto& pkt :
        sim::web_browsing_flow(net::Ipv4Addr::from_octets(10, 9, 9, 9), 60.0,
@@ -115,11 +123,14 @@ TEST(StreamingAnalyzer, PureCrossTrafficNeverDetects) {
   EXPECT_FALSE(analyzer.flow_detected());
   EXPECT_TRUE(events.empty());
   const SessionReport report = analyzer.finish();
-  EXPECT_TRUE(report.slots.empty());
+  EXPECT_EQ(report.duration_s, 0.0);
+  EXPECT_TRUE(history.sessions().empty());
 }
 
 TEST(StreamingAnalyzer, ReusableAcrossSessions) {
-  StreamingAnalyzer analyzer(suite().models(), default_pipeline_params(), {});
+  SlotHistory reused_slots;
+  StreamingAnalyzer analyzer(suite().models(), default_pipeline_params(), {},
+                             reused_slots.hook());
   const auto first = packet_session(sim::GameTitle::kDota2, 30, 18);
   for (const auto& pkt : first.packets) analyzer.push(pkt);
   const SessionReport report_a = analyzer.finish();
@@ -134,9 +145,17 @@ TEST(StreamingAnalyzer, ReusableAcrossSessions) {
 
   // finish() resets the engine in place; the reused analyzer's second
   // report must match a fresh analyzer's byte-for-byte.
-  StreamingAnalyzer fresh(suite().models(), default_pipeline_params(), {});
+  SlotHistory fresh_slots;
+  StreamingAnalyzer fresh(suite().models(), default_pipeline_params(), {},
+                          fresh_slots.hook());
   for (const auto& pkt : second.packets) fresh.push(pkt);
   EXPECT_EQ(report_b, fresh.finish());
+  // Sessions 1 and 2 of the reused analyzer; the second matches.
+  const auto reused_history = reused_slots.take_all();
+  ASSERT_EQ(reused_history.size(), 2u);
+  const auto fresh_history = fresh_slots.take_all();
+  ASSERT_EQ(fresh_history.size(), 1u);
+  EXPECT_EQ(reused_history[1], fresh_history[0]);
 }
 
 TEST(StreamingAnalyzer, LookbackCapBoundsAFloodAndCountsDrops) {

@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "core/model_suite.hpp"
+#include "core/slot_history.hpp"
 #include "net/pcap.hpp"
 #include "sim/fleet.hpp"
 #include "telemetry/aggregator.hpp"
@@ -118,11 +119,15 @@ TEST(EndToEnd, SerializedModelsReproduceThePipeline) {
       core::StageClassifier::deserialize(suite().stage.serialize());
   const core::PatternInferrer pattern =
       core::PatternInferrer::deserialize(suite().pattern.serialize());
-  const core::RealtimePipeline original(suite().models(),
-                                        core::default_pipeline_params());
-  const core::RealtimePipeline reloaded(
+  core::SlotHistory original_slots;
+  core::SlotHistory reloaded_slots;
+  core::RealtimePipeline original(suite().models(),
+                                  core::default_pipeline_params());
+  original.set_slot_hook(original_slots.hook());
+  core::RealtimePipeline reloaded(
       core::PipelineModels{&title, &stage, &pattern},
       core::default_pipeline_params());
+  reloaded.set_slot_hook(reloaded_slots.hook());
 
   const sim::SessionGenerator gen;
   sim::SessionSpec spec;
@@ -135,9 +140,13 @@ TEST(EndToEnd, SerializedModelsReproduceThePipeline) {
   EXPECT_EQ(a.title.label, b.title.label);
   EXPECT_EQ(a.objective_session, b.objective_session);
   EXPECT_EQ(a.effective_session, b.effective_session);
-  ASSERT_EQ(a.slots.size(), b.slots.size());
-  for (std::size_t s = 0; s < a.slots.size(); ++s)
-    EXPECT_EQ(a.slots[s].stage, b.slots[s].stage);
+  const auto a_slots = original_slots.take_all();
+  const auto b_slots = reloaded_slots.take_all();
+  ASSERT_EQ(a_slots.size(), 1u);
+  ASSERT_EQ(b_slots.size(), 1u);
+  ASSERT_EQ(a_slots[0].size(), b_slots[0].size());
+  for (std::size_t s = 0; s < a_slots[0].size(); ++s)
+    EXPECT_EQ(a_slots[0][s].stage, b_slots[0][s].stage);
 }
 
 }  // namespace

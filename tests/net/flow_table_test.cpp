@@ -161,6 +161,39 @@ TEST(FlowTable, AddRestartsAFlowSilentPastTheTimeout) {
   EXPECT_EQ(table.evictions(), 1u);
 }
 
+TEST(FlowTable, FlowFirstSeenBeforeTimeZeroKeepsItsOwnClock) {
+  // Capture clocks may sit before the epoch: a flow whose packets all
+  // carry negative timestamps is last seen at its newest packet, not at
+  // 0, so its age, idle restart and idle eviction read its own clock.
+  FlowTable table(10 * kNanosPerSecond);
+  const Timestamp t0 = -100 * kNanosPerSecond;
+  const FlowState& flow =
+      table.add(packet(tuple_a(), Direction::kUpstream, t0, 10));
+  EXPECT_EQ(flow.first_seen, t0);
+  EXPECT_EQ(flow.last_seen, t0);
+  table.add(packet(tuple_a(), Direction::kDownstream, t0 + kNanosPerSecond,
+                   900));
+  EXPECT_EQ(table.find(tuple_a())->last_seen, t0 + kNanosPerSecond);
+  EXPECT_EQ(table.find(tuple_a())->age(), kNanosPerSecond);
+
+  // Silent past the timeout, still before 0: the flow restarts.
+  const Timestamp back = t0 + 50 * kNanosPerSecond;
+  const FlowState& restarted =
+      table.add(packet(tuple_a(), Direction::kDownstream, back, 700));
+  EXPECT_EQ(table.evictions(), 1u);
+  EXPECT_EQ(restarted.first_seen, back);
+  EXPECT_EQ(restarted.last_seen, back);
+  EXPECT_EQ(restarted.total_packets(), 1u);
+  EXPECT_EQ(restarted.age(), 0);
+
+  // A sweep past the timeout, still before 0, evicts it; one within the
+  // timeout keeps it.
+  EXPECT_TRUE(table.evict_idle(back + 5 * kNanosPerSecond).empty());
+  EXPECT_EQ(table.evict_idle(back + 11 * kNanosPerSecond).size(), 1u);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.evictions(), 2u);
+}
+
 TEST(FlowTable, EraseDropsFlowWithoutCountingEviction) {
   FlowTable table;
   table.add(packet(tuple_a(), Direction::kUpstream, 0, 10));
