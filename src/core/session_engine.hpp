@@ -21,7 +21,7 @@
 //  - A live session's state is constant in its length: the report holds
 //    session aggregates only, and each slot's SlotRecord goes to the
 //    observer's slot hook (if any) and is not kept. The title window
-//    (a LaunchWindow, ≈26 KB of buffers) lives behind a pointer; an
+//    (a LaunchWindow, tens of KB of buffers) lives behind a pointer; an
 //    engine given a TitleWindowPool borrows one at start() and hands it
 //    back at the title verdict, so past the verdict a session holds no
 //    window at all.
@@ -29,7 +29,8 @@
 //    pooled engine (MultiSessionProbe keeps a free list) analyzes its
 //    second and later sessions without allocating at all.
 //  - Milestone events go to a SessionObserver, a concrete value type
-//    holding an optional callback and an optional decision-trace ring.
+//    holding an optional callback, an optional decision-trace ring and
+//    an optional slot hook.
 //    Events fire only at milestones (detection, title close, slot close,
 //    retirement), never on the per-packet tally, and the engine builds
 //    one only when the observer has somewhere to send it: an empty

@@ -176,6 +176,7 @@ TEST(SessionBudget, PooledEngineGivesItsWindowBackAtTheVerdict) {
   const sim::LabeledSession session = sim::SessionGenerator().generate(spec);
   const net::Timestamp begin = session.packets.front().timestamp;
 
+  const PipelineModels models = suite().models();  // trained before `empty`
   TitleWindowPool pool;
   const Heap empty;
   std::int64_t in_window = 0;
@@ -183,7 +184,7 @@ TEST(SessionBudget, PooledEngineGivesItsWindowBackAtTheVerdict) {
   std::int64_t window = 0;
   {
     const SessionObserver observer;
-    SessionEngine engine(suite().models(), &params);
+    SessionEngine engine(models, &params);
     engine.set_title_window_pool(&pool);
     engine.start(begin);
     for (const net::PacketRecord& pkt : session.packets) {
