@@ -63,11 +63,12 @@ TEST(Pipeline, StageTimelineRoughlyMatchesGroundTruth) {
   SlotHistory history;
   pipeline.set_slot_hook(history.hook());
   const auto session = lab_session(sim::GameTitle::kCsgo, 400, 42);
-  pipeline.process_session(session);
+  const auto report = pipeline.process_session(session);
   const auto histories = history.take_all();
   ASSERT_EQ(histories.size(), 1u);
   const std::vector<SlotRecord>& slots = histories.front();
   ASSERT_EQ(slots.size(), session.slots.size());
+  EXPECT_EQ(report.duration_s, static_cast<double>(slots.size()));
   // Compare classified stages against ground truth over gameplay slots.
   std::size_t correct = 0;
   std::size_t total = 0;
@@ -206,10 +207,11 @@ TEST(Pipeline, ReportsPerSlotRecords) {
   SlotHistory history;
   pipeline.set_slot_hook(history.hook());
   const auto session = lab_session(sim::GameTitle::kRocketLeague, 100, 29);
-  pipeline.process_session(session);
+  const auto report = pipeline.process_session(session);
   const auto histories = history.take_all();
   ASSERT_EQ(histories.size(), 1u);
   ASSERT_FALSE(histories.front().empty());
+  EXPECT_EQ(report.duration_s, static_cast<double>(histories.front().size()));
   for (const SlotRecord& slot : histories.front()) {
     EXPECT_GE(slot.stage, 0);
     EXPECT_LT(slot.stage, 3);
