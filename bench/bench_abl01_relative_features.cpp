@@ -49,7 +49,7 @@ int main() {
     const ml::Dataset test = core::build_stage_dataset(test_specs, params);
     core::StageClassifier classifier;
     classifier.train(train);
-    const auto cm = ml::evaluate(classifier.forest(), test);
+    const auto cm = ml::evaluate(classifier.reference_forest(), test);
     std::printf("%-32s %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n", variant.name,
                 100 * cm.accuracy(),
                 100 * cm.per_class_accuracy(core::kStageActive),

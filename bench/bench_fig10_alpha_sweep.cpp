@@ -90,7 +90,8 @@ int main() {
       classifier_params.forest.n_trees = 60;  // sweep-sized forest
       core::StageClassifier classifier(classifier_params);
       classifier.train(split.train);
-      std::printf("  %6.1f%%", 100 * classifier.forest().score(split.test));
+      std::printf("  %6.1f%%",
+                  100 * classifier.reference_forest().score(split.test));
     }
     std::putchar('\n');
   }

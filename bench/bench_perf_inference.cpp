@@ -8,7 +8,7 @@
 // to prove the compiled path allocates nothing: any allocation in a
 // compiled single-row, batch or label bench fails the binary (exit 1).
 // BM_ModelLoad* time the other end of a model's life: loading it from
-// its cached text.
+// its cached text, and report the heap the loaded model keeps.
 //
 // Single-row latency is measured over a rotating pool of distinct rows:
 // production never classifies the same flow-second twice, and repeating
@@ -16,9 +16,11 @@
 // entire descent path, flattering it far beyond deployment behavior.
 // Both engines see the identical row sequence.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -160,7 +162,8 @@ void run_zero_alloc(benchmark::State& state, Fn&& fn) {
 // --- Title forest: 500 trees, depth 10 ---------------------------------
 
 void BM_TitleReference(benchmark::State& state) {
-  const ml::RandomForest& forest = bench::bench_models().title.forest();
+  const ml::RandomForest forest =
+      bench::bench_models().title.reference_forest();
   const std::vector<ml::FeatureRow> rows = title_pool();
   std::vector<double> out(forest.num_classes());
   std::size_t next = 0;
@@ -188,7 +191,8 @@ BENCHMARK(BM_TitleCompiled);
 // --- Stage forest: 100 trees, depth 10 ---------------------------------
 
 void BM_StageReference(benchmark::State& state) {
-  const ml::RandomForest& forest = bench::bench_models().stage.forest();
+  const ml::RandomForest forest =
+      bench::bench_models().stage.reference_forest();
   const std::vector<ml::FeatureRow> rows = stage_pool();
   std::vector<double> out(forest.num_classes());
   std::size_t next = 0;
@@ -324,7 +328,8 @@ BENCHMARK(BM_StageBatchLabels);
 /// bounds what the checks cost on top of the walk.
 const ml::CompiledForest& undecided_forest() {
   static const ml::CompiledForest compiled = [] {
-    const std::string text = bench::bench_models().stage.forest().serialize();
+    const std::string text =
+        bench::bench_models().stage.reference_forest().serialize();
     std::string out;
     std::size_t tree = 0;
     std::size_t begin = 0;
@@ -371,7 +376,8 @@ std::vector<ml::FeatureRow> title_batch() {
 }
 
 void BM_TitleBatchReference(benchmark::State& state) {
-  const ml::RandomForest& forest = bench::bench_models().title.forest();
+  const ml::RandomForest forest =
+      bench::bench_models().title.reference_forest();
   const std::vector<ml::FeatureRow> rows = title_batch();
   std::vector<ml::Label> out(rows.size());
   std::vector<double> scratch(forest.num_classes());
@@ -404,11 +410,26 @@ BENCHMARK(BM_TitleBatchCompiled);
 // --- Model loading -------------------------------------------------------
 // A probe restart loads all three forests before its first packet. Each
 // bench deserializes (and compiles) one model from the bench model cache's
-// text; bytes/s is the parse rate over that text.
+// text; bytes/s is the parse rate over that text. model_heap_bytes is what
+// one loaded model keeps on the heap: glibc's in-use bytes (mallinfo2
+// uordblks + hblkhd) with the model alive, minus the same reading before
+// its load.
+
+/// Heap bytes in use: allocated arena chunks plus mmapped blocks.
+std::int64_t heap_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<std::int64_t>(info.uordblks + info.hblkhd);
+}
 
 template <typename Model>
 void run_model_load(benchmark::State& state, const char* name) {
   const std::string text = bench::cached_model_text(name);
+  {
+    const std::int64_t before = heap_in_use();
+    const Model model = Model::deserialize(text);
+    state.counters["model_heap_bytes"] =
+        static_cast<double>(heap_in_use() - before);
+  }
   run_counted(state, [&] {
     Model model = Model::deserialize(text);
     benchmark::DoNotOptimize(model);

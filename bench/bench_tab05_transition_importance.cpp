@@ -26,11 +26,12 @@ int main() {
   const auto split = ml::stratified_split(data, 0.3, rng);
   core::PatternInferrer inferrer;
   inferrer.train(split.train);
+  const ml::RandomForest forest = inferrer.reference_forest();
   std::printf("pattern accuracy on held-out sessions: %.1f%%\n\n",
-              100 * inferrer.forest().score(split.test));
+              100 * forest.score(split.test));
 
   const auto result =
-      ml::permutation_importance(inferrer.forest(), split.test, 10, rng);
+      ml::permutation_importance(forest, split.test, 10, rng);
 
   const char* kStages[] = {"Active", "Passive", "Idle"};
   std::printf("%10s", "From \\ To");

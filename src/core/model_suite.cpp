@@ -27,7 +27,8 @@ ModelSuite train_model_suite(const TrainingBudget& budget,
     auto split = ml::stratified_split(data, 0.25, rng);
     suite.title.train(split.train);
     if (title_accuracy != nullptr)
-      *title_accuracy = ml::evaluate(suite.title.forest(), split.test).accuracy();
+      *title_accuracy =
+          ml::evaluate(suite.title.reference_forest(), split.test).accuracy();
   }
 
   // --- Stage classifier + pattern inferrer: slot fidelity, longer
@@ -44,7 +45,8 @@ ModelSuite train_model_suite(const TrainingBudget& budget,
     suite.stage.train(stage_split.train);
     if (stage_accuracy != nullptr)
       *stage_accuracy =
-          ml::evaluate(suite.stage.forest(), stage_split.test).accuracy();
+          ml::evaluate(suite.stage.reference_forest(), stage_split.test)
+              .accuracy();
 
     // Pattern dataset runs the *trained* stage classifier over separate
     // sessions with much longer gameplay: transition statistics need to
@@ -63,7 +65,8 @@ ModelSuite train_model_suite(const TrainingBudget& budget,
     suite.pattern.train(pattern_split.train);
     if (pattern_accuracy != nullptr)
       *pattern_accuracy =
-          ml::evaluate(suite.pattern.forest(), pattern_split.test).accuracy();
+          ml::evaluate(suite.pattern.reference_forest(), pattern_split.test)
+              .accuracy();
   }
 
   return suite;

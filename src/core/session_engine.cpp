@@ -128,14 +128,15 @@ const ml::FeatureRow& SessionEngine::title_attributes() const {
 void SessionEngine::start(net::Timestamp flow_begin) {
   started_ = true;
   flow_begin_ = flow_begin;
-  if (title_window_ == nullptr) {
-    const LaunchAttributeParams& attributes =
-        models_.title->params().attributes;
-    title_window_ = window_pool_ != nullptr
-                        ? window_pool_->lend(attributes)
-                        : std::make_unique<LaunchWindow>(attributes);
-  }
-  title_window_->start(flow_begin);
+  if (title_window_ != nullptr) title_window_->start(flow_begin);
+}
+
+void SessionEngine::take_title_window() {
+  const LaunchAttributeParams& attributes = models_.title->params().attributes;
+  title_window_ = window_pool_ != nullptr
+                      ? window_pool_->lend(attributes)
+                      : std::make_unique<LaunchWindow>(attributes);
+  title_window_->start(flow_begin_);
 }
 
 void SessionEngine::set_detection(const DetectionResult& detection,
@@ -184,6 +185,7 @@ void SessionEngine::set_title(const TitleResult& title) {
 void SessionEngine::classify_pending_title() {
   const obs::ScopedTimer timer(
       metrics_ != nullptr ? metrics_->title_classify_ns : nullptr);
+  if (title_window_ == nullptr) take_title_window();  // saw no packet
   install_title(models_.title->classify_features(
       title_window_->finish(), scratch(models_.title->scratch_size())));
 }

@@ -21,10 +21,11 @@
 //  - A live session's state is constant in its length: the report holds
 //    session aggregates only, and each slot's SlotRecord goes to the
 //    observer's slot hook (if any) and is not kept. The title window
-//    (a LaunchWindow, tens of KB of buffers) lives behind a pointer; an
-//    engine given a TitleWindowPool borrows one at start() and hands it
-//    back at the title verdict, so past the verdict a session holds no
-//    window at all.
+//    (a LaunchWindow, tens of KB of buffers) lives behind a pointer and
+//    is taken at the session's first packet; an engine given a
+//    TitleWindowPool borrows one there and hands it back at the title
+//    verdict, so past the verdict a session holds no window at all, and
+//    a telemetry-mode session (set_title, no packets) never takes one.
 //  - reset() clears session state but retains buffer capacity, so a
 //    pooled engine (MultiSessionProbe keeps a free list) analyzes its
 //    second and later sessions without allocating at all.
@@ -201,9 +202,9 @@ struct SessionObserver {
 using NullSessionSink = SessionObserver;
 
 /// Spare title windows shared by the engines of one owner (one thread).
-/// An engine borrows a window at start() and gives it back at its title
-/// verdict, so the pool never holds more windows than the owner ever had
-/// sessions inside their launch window at once.
+/// An engine borrows a window at its first packet and gives it back at
+/// its title verdict, so the pool never holds more windows than the
+/// owner ever had sessions inside their launch window at once.
 class TitleWindowPool {
  public:
   /// A spare window, or a new one built with `params` when none is left.
@@ -239,8 +240,8 @@ class SessionEngine {
 
   /// Begins a session whose detected flow started at `flow_begin` (slot
   /// and title-window clocks are relative to it). Call after reset(), and
-  /// before the session's first packet. Takes a title window if the
-  /// engine holds none: from its pool when it has one, else a new one.
+  /// before the session's first packet. Allocates nothing: the title
+  /// window is taken at the first packet (take_title_window).
   void start(net::Timestamp flow_begin);
 
   /// Records the front-end detection verdict into the report and emits
@@ -344,6 +345,9 @@ class SessionEngine {
   SlotOutcome record_slot(const SlotTelemetry& slot, ml::Label stage,
                           const std::optional<PatternResult>& inference);
   void classify_pending_title();
+  /// Takes a title window for the session, started at flow_begin_: from
+  /// the pool when the engine has one, else a new one.
+  void take_title_window();
   /// Classifies the title window and emits kTitleClassified.
   void close_title(double at_seconds, const SessionObserver& observer);
   /// Records the verdict; a pooled engine then gives its window back.
@@ -361,8 +365,9 @@ class SessionEngine {
 
   // Title window: the first N seconds of packets, folded into per-group
   // state as they arrive (only the open slot's non-full packets wait).
-  // Null while a pooled engine holds none (before start(), past the
-  // verdict).
+  // Null until the session's first packet, and again past the verdict
+  // in a pooled engine. A standalone engine keeps its window across
+  // reset().
   std::unique_ptr<LaunchWindow> title_window_;
   TitleWindowPool* window_pool_ = nullptr;
   bool title_done_ = false;
@@ -414,6 +419,7 @@ class SessionEngine {
 inline void SessionEngine::on_packet(const net::PacketRecord& pkt,
                                      const SessionObserver& observer) {
   if (!title_done_) [[unlikely]] {
+    if (title_window_ == nullptr) take_title_window();
     if (title_window_->before_end(pkt.timestamp))
       title_window_->add(pkt);
     else

@@ -14,9 +14,9 @@ void StageClassifier::train(const ml::Dataset& data) {
   if (data.num_features() != kNumVolumetricAttributes)
     throw std::invalid_argument(
         "StageClassifier::train: expected 4 volumetric attributes");
-  forest_ = ml::RandomForest(params_.forest);
-  forest_.fit(data);
-  compiled_ = ml::CompiledForest(forest_);
+  ml::RandomForest forest(params_.forest);
+  forest.fit(data);
+  compiled_ = ml::CompiledForest(forest);
 }
 
 ml::Label StageClassifier::classify(const ml::FeatureRow& attributes) const {
@@ -45,7 +45,7 @@ void StageClassifier::classify_rows(std::span<const double> rows,
 }
 
 std::string StageClassifier::serialize() const {
-  return "stage_classifier\n" + forest_.serialize();
+  return "stage_classifier\n" + reference_forest().serialize();
 }
 
 StageClassifier StageClassifier::deserialize(std::string_view text) {
@@ -54,9 +54,10 @@ StageClassifier StageClassifier::deserialize(std::string_view text) {
   header.expect("stage_classifier");
   header.finish();
   StageClassifier out;
-  out.forest_ = ml::RandomForest::deserialize(in.rest());
-  if (out.forest_.tree_count() > 0) {
-    out.compiled_ = ml::CompiledForest(out.forest_);
+  const ml::RandomForest forest = ml::RandomForest::deserialize(in.rest());
+  out.params_.forest = forest.params();
+  if (forest.tree_count() > 0) {
+    out.compiled_ = ml::CompiledForest(forest);
     if (out.compiled_.num_features() != kNumVolumetricAttributes)
       in.fail("forest does not read 4 volumetric attributes");
   }

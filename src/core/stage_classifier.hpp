@@ -36,7 +36,7 @@ struct StageClassifierParams {
 class StageClassifier {
  public:
   explicit StageClassifier(StageClassifierParams params = {})
-      : params_(params), forest_(params.forest) {}
+      : params_(params) {}
 
   /// Trains on a dataset of 4-attribute rows (VolumetricTracker outputs)
   /// labeled with stage indices.
@@ -70,7 +70,11 @@ class StageClassifier {
     return compiled_.num_classes();
   }
 
-  [[nodiscard]] const ml::RandomForest& forest() const { return forest_; }
+  /// Rebuilt from the compiled forest on every call (the classifier
+  /// keeps no other); for serialize(), evaluation and benches.
+  [[nodiscard]] ml::RandomForest reference_forest() const {
+    return compiled_.reference_forest(params_.forest);
+  }
   /// The compiled engine classification routes through (built by train()
   /// and deserialize()).
   [[nodiscard]] const ml::CompiledForest& compiled() const {
@@ -78,13 +82,13 @@ class StageClassifier {
   }
 
   [[nodiscard]] std::string serialize() const;
-  /// Parses serialize()'s form; the forest is read straight off `text`
-  /// (no copy). Throws std::invalid_argument on anything else.
+  /// Parses serialize()'s form: the forest is read straight off `text`
+  /// (no copy), compiled and dropped, and its header is kept as the
+  /// forest params. Throws std::invalid_argument on anything else.
   static StageClassifier deserialize(std::string_view text);
 
  private:
   StageClassifierParams params_;
-  ml::RandomForest forest_;
   ml::CompiledForest compiled_;
 };
 

@@ -8,7 +8,7 @@
 namespace cgctx::core {
 
 TitleClassifier::TitleClassifier(TitleClassifierParams params)
-    : params_(params), forest_(params.forest) {
+    : params_(params) {
   validate(params_.attributes);
 }
 
@@ -17,9 +17,9 @@ void TitleClassifier::train(const ml::Dataset& data) {
     throw std::invalid_argument(
         "TitleClassifier::train: expected 51 launch attributes");
   class_names_ = data.class_names();
-  forest_ = ml::RandomForest(params_.forest);
-  forest_.fit(data);
-  compiled_ = ml::CompiledForest(forest_);
+  ml::RandomForest forest(params_.forest);
+  forest.fit(data);
+  compiled_ = ml::CompiledForest(forest);
 }
 
 TitleResult TitleClassifier::classify(
@@ -57,7 +57,7 @@ std::string TitleClassifier::serialize() const {
      << ' ' << params_.attributes.slot_seconds << ' '
      << params_.attributes.group_params.v_fraction << '\n';
   for (const std::string& name : class_names_) os << name << '\n';
-  os << forest_.serialize();
+  os << reference_forest().serialize();
   return os.str();
 }
 
@@ -78,9 +78,10 @@ TitleClassifier TitleClassifier::deserialize(std::string_view text) {
   out.class_names_.reserve(n_classes);
   for (std::size_t c = 0; c < n_classes; ++c)
     out.class_names_.emplace_back(in.line());
-  out.forest_ = ml::RandomForest::deserialize(in.rest());
-  if (out.forest_.tree_count() > 0) {
-    out.compiled_ = ml::CompiledForest(out.forest_);
+  const ml::RandomForest forest = ml::RandomForest::deserialize(in.rest());
+  out.params_.forest = forest.params();
+  if (forest.tree_count() > 0) {
+    out.compiled_ = ml::CompiledForest(forest);
     if (out.compiled_.num_features() != kNumLaunchAttributes)
       in.fail("forest does not read 51 launch attributes");
     if (out.compiled_.num_classes() != n_classes)

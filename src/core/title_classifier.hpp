@@ -72,7 +72,11 @@ class TitleClassifier {
   }
 
   [[nodiscard]] const TitleClassifierParams& params() const { return params_; }
-  [[nodiscard]] const ml::RandomForest& forest() const { return forest_; }
+  /// Rebuilt from the compiled forest on every call (the classifier
+  /// keeps no other); for serialize(), evaluation and benches.
+  [[nodiscard]] ml::RandomForest reference_forest() const {
+    return compiled_.reference_forest(params_.forest);
+  }
   /// The compiled engine classification routes through (built by train()
   /// and deserialize()).
   [[nodiscard]] const ml::CompiledForest& compiled() const {
@@ -81,8 +85,9 @@ class TitleClassifier {
 
   /// Persistence (forest + class names + thresholds).
   [[nodiscard]] std::string serialize() const;
-  /// Parses serialize()'s form; the forest is read straight off `text`
-  /// (no copy). Throws std::invalid_argument on anything else.
+  /// Parses serialize()'s form: the forest is read straight off `text`
+  /// (no copy), compiled and dropped, and its header becomes
+  /// params().forest. Throws std::invalid_argument on anything else.
   static TitleClassifier deserialize(std::string_view text);
 
  private:
@@ -91,7 +96,6 @@ class TitleClassifier {
       ml::Classifier::Prediction prediction) const;
 
   TitleClassifierParams params_;
-  ml::RandomForest forest_;
   ml::CompiledForest compiled_;
   std::vector<std::string> class_names_;
 };

@@ -61,9 +61,9 @@ void PatternInferrer::train(const ml::Dataset& data) {
   if (data.num_features() != kNumTransitionAttributes)
     throw std::invalid_argument(
         "PatternInferrer::train: expected 9 transition attributes");
-  forest_ = ml::RandomForest(params_.forest);
-  forest_.fit(data);
-  compiled_ = ml::CompiledForest(forest_);
+  ml::RandomForest forest(params_.forest);
+  forest.fit(data);
+  compiled_ = ml::CompiledForest(forest);
 }
 
 PatternResult PatternInferrer::infer_unchecked(
@@ -119,7 +119,7 @@ void PatternInferrer::infer_rows(
 std::string PatternInferrer::serialize() const {
   return "pattern_inferrer " + std::to_string(params_.confidence_threshold) +
          ' ' + std::to_string(params_.min_transitions) + '\n' +
-         forest_.serialize();
+         reference_forest().serialize();
 }
 
 PatternInferrer PatternInferrer::deserialize(std::string_view text) {
@@ -131,9 +131,10 @@ PatternInferrer PatternInferrer::deserialize(std::string_view text) {
   params.min_transitions = header.integer<std::size_t>();
   header.finish();
   PatternInferrer out(params);
-  out.forest_ = ml::RandomForest::deserialize(in.rest());
-  if (out.forest_.tree_count() > 0) {
-    out.compiled_ = ml::CompiledForest(out.forest_);
+  const ml::RandomForest forest = ml::RandomForest::deserialize(in.rest());
+  out.params_.forest = forest.params();
+  if (forest.tree_count() > 0) {
+    out.compiled_ = ml::CompiledForest(forest);
     if (out.compiled_.num_features() != kNumTransitionAttributes)
       in.fail("forest does not read 9 transition attributes");
   }

@@ -90,7 +90,7 @@ struct PatternResult {
 class PatternInferrer {
  public:
   explicit PatternInferrer(PatternInferrerParams params = {})
-      : params_(params), forest_(params.forest) {}
+      : params_(params) {}
 
   /// Trains on a dataset of 9-attribute transition-probability rows
   /// labeled with pattern indices.
@@ -133,7 +133,11 @@ class PatternInferrer {
     return compiled_.num_classes();
   }
 
-  [[nodiscard]] const ml::RandomForest& forest() const { return forest_; }
+  /// Rebuilt from the compiled forest on every call (the classifier
+  /// keeps no other); for serialize(), evaluation and benches.
+  [[nodiscard]] ml::RandomForest reference_forest() const {
+    return compiled_.reference_forest(params_.forest);
+  }
   /// The compiled engine inference routes through (built by train() and
   /// deserialize()).
   [[nodiscard]] const ml::CompiledForest& compiled() const {
@@ -142,13 +146,13 @@ class PatternInferrer {
   [[nodiscard]] const PatternInferrerParams& params() const { return params_; }
 
   [[nodiscard]] std::string serialize() const;
-  /// Parses serialize()'s form; the forest is read straight off `text`
-  /// (no copy). Throws std::invalid_argument on anything else.
+  /// Parses serialize()'s form: the forest is read straight off `text`
+  /// (no copy), compiled and dropped, and its header becomes
+  /// params().forest. Throws std::invalid_argument on anything else.
   static PatternInferrer deserialize(std::string_view text);
 
  private:
   PatternInferrerParams params_;
-  ml::RandomForest forest_;
   ml::CompiledForest compiled_;
 };
 

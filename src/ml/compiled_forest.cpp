@@ -179,6 +179,56 @@ CompiledForest::CompiledForest(const RandomForest& forest) {
   }
 }
 
+RandomForest CompiledForest::reference_forest(
+    const RandomForestParams& params) const {
+  RandomForest forest(params);
+  if (!compiled()) return forest;
+  forest.num_classes_ = num_classes_;
+  forest.trees_.resize(tree_count());
+  // Depth-first from each root, left child popped first, so a node's
+  // index is its preorder rank: a split's left child is the next node,
+  // and its right child's index is patched in when that child is reached.
+  struct Pending {
+    std::int32_t at;      ///< walk node index
+    std::int32_t parent;  ///< rebuilt split whose right child this is, or -1
+  };
+  std::vector<Pending> stack;
+  for (std::size_t t = 0; t < tree_count(); ++t) {
+    const auto root = static_cast<std::size_t>(walk_roots_[t]);
+    const std::size_t end = t + 1 < tree_count()
+                                ? static_cast<std::size_t>(walk_roots_[t + 1])
+                                : walk_.size();
+    DecisionTree& tree = forest.trees_[t];
+    tree.num_classes_ = num_classes_;
+    tree.num_features_ = num_features_;
+    std::vector<DecisionTree::Node>& nodes = tree.nodes_;
+    nodes.reserve(end - root);
+    stack.assign(1, Pending{walk_roots_[t], -1});
+    while (!stack.empty()) {
+      const Pending pending = stack.back();
+      stack.pop_back();
+      const auto id = static_cast<std::int32_t>(nodes.size());
+      if (pending.parent >= 0)
+        nodes[static_cast<std::size_t>(pending.parent)].right = id;
+      const WalkNode& walk = walk_[static_cast<std::size_t>(pending.at)];
+      DecisionTree::Node& node = nodes.emplace_back();
+      if (walk.child == pending.at - 1) {  // a leaf's self-loop
+        const std::size_t offset =
+            std::bit_cast<std::uint64_t>(walk.threshold) & kLeafOffsetMask;
+        const double* distribution = leaf_pool_.data() + offset;
+        node.distribution.assign(distribution, distribution + num_classes_);
+      } else {
+        node.feature = walk.feature;
+        node.threshold = walk.threshold;
+        node.left = id + 1;
+        stack.push_back({walk.child + 1, id});
+        stack.push_back({walk.child, -1});
+      }
+    }
+  }
+  return forest;
+}
+
 template <bool kLabels>
 std::size_t CompiledForest::walk_row(const double* x, double* sum,
                                      Label* label) const {

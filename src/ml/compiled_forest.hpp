@@ -49,6 +49,15 @@
 // RandomForest::predict_proba exactly; argmax resolves ties to the
 // lowest label exactly as std::max_element does. The parity tests in
 // tests/ml/compiled_forest_test.cpp pin this bit for bit.
+//
+// Compilation is also exactly invertible: reference_forest() rebuilds the
+// RandomForest from the walk nodes and the leaf pool, numbering each
+// tree's nodes in left-first preorder, the order DecisionTree::fit writes.
+// A fitted or fit-written forest therefore serializes byte-identically
+// after a compile-and-rebuild round, which is what lets the runtime
+// classifiers keep only the compiled form and still serialize. A loaded
+// tree written in another order (a right subtree first) comes back in
+// preorder: same predictions, canonical text.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +77,15 @@ class CompiledForest {
   /// Flattens a fitted forest. Throws std::logic_error when the forest
   /// has no trees (compile before fit).
   explicit CompiledForest(const RandomForest& forest);
+
+  /// The inverse of compilation: rebuilds the reference forest, with
+  /// `params` as its header (the compiled form keeps none), each tree's
+  /// nodes numbered in left-first preorder. A leaf is recognised by its
+  /// self-loop and reads its distribution at the offset in its NaN
+  /// payload. Builds every tree and leaf vector anew on each call; an
+  /// uncompiled engine yields an unfitted forest.
+  [[nodiscard]] RandomForest reference_forest(
+      const RandomForestParams& params) const;
 
   [[nodiscard]] bool compiled() const { return !walk_roots_.empty(); }
   [[nodiscard]] std::size_t tree_count() const { return walk_roots_.size(); }

@@ -17,6 +17,7 @@
 
 namespace cgctx::ml {
 
+class CompiledForest;
 class TextReader;
 
 struct DecisionTreeParams {
@@ -102,6 +103,9 @@ class DecisionTree final : public Classifier {
   static DecisionTree deserialize_from(TextReader& in);
 
  private:
+  // CompiledForest::reference_forest rebuilds a tree in place.
+  friend class CompiledForest;
+
   std::int32_t build(const Dataset& train, FitScratch& scratch,
                      std::size_t begin, std::size_t end, std::size_t depth,
                      Rng& rng);

@@ -19,6 +19,8 @@
 
 namespace cgctx::ml {
 
+class CompiledForest;
+
 struct RandomForestParams {
   std::size_t n_trees = 100;
   std::size_t max_depth = 10;
@@ -73,6 +75,9 @@ class RandomForest final : public Classifier {
   static RandomForest deserialize(std::string_view text);
 
  private:
+  // CompiledForest::reference_forest rebuilds a forest in place.
+  friend class CompiledForest;
+
   RandomForestParams params_;
   std::vector<DecisionTree> trees_;
   std::size_t num_classes_ = 0;

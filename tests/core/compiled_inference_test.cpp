@@ -45,10 +45,11 @@ TEST(CompiledInference, TitleRoundTripIsBitwiseIdentical) {
   const TitleClassifier restored =
       TitleClassifier::deserialize(trained.serialize());
   ASSERT_TRUE(restored.compiled().compiled());
+  const ml::RandomForest forest = trained.reference_forest();
   std::vector<double> scratch(restored.scratch_size());
   for (const ml::FeatureRow& row : sample_rows(kNumLaunchAttributes, 41)) {
     expect_bitwise_equal(restored.compiled().predict_proba(row),
-                         trained.forest().predict_proba(row));
+                         forest.predict_proba(row));
     // Both classify front doors agree with each other and the original.
     EXPECT_EQ(restored.classify_features(row, scratch),
               trained.classify_features(row));
@@ -60,15 +61,16 @@ TEST(CompiledInference, StageRoundTripIsBitwiseIdentical) {
   const StageClassifier restored =
       StageClassifier::deserialize(trained.serialize());
   ASSERT_TRUE(restored.compiled().compiled());
+  const ml::RandomForest forest = trained.reference_forest();
   std::vector<double> scratch(restored.scratch_size());
   for (const ml::FeatureRow& row :
        sample_rows(kNumVolumetricAttributes, 43)) {
     expect_bitwise_equal(restored.compiled().predict_proba(row),
-                         trained.forest().predict_proba(row));
-    EXPECT_EQ(restored.classify(row), trained.forest().predict(row));
+                         forest.predict_proba(row));
+    EXPECT_EQ(restored.classify(row), forest.predict(row));
     EXPECT_EQ(restored.classify(row, scratch), restored.classify(row));
     const auto with_scratch = restored.classify_with_confidence(row, scratch);
-    const auto reference = trained.forest().predict_with_confidence(row);
+    const auto reference = forest.predict_with_confidence(row);
     EXPECT_EQ(with_scratch.label, reference.label);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(with_scratch.confidence),
               std::bit_cast<std::uint64_t>(reference.confidence));
@@ -80,10 +82,11 @@ TEST(CompiledInference, PatternRoundTripIsBitwiseIdentical) {
   const PatternInferrer restored =
       PatternInferrer::deserialize(trained.serialize());
   ASSERT_TRUE(restored.compiled().compiled());
+  const ml::RandomForest forest = trained.reference_forest();
   for (const ml::FeatureRow& row :
        sample_rows(kNumTransitionAttributes, 47)) {
     expect_bitwise_equal(restored.compiled().predict_proba(row),
-                         trained.forest().predict_proba(row));
+                         forest.predict_proba(row));
   }
 }
 
@@ -108,8 +111,9 @@ TEST(CompiledInference, ClassifiersCompileAfterTraining) {
   EXPECT_TRUE(suite.stage.compiled().compiled());
   EXPECT_TRUE(suite.pattern.compiled().compiled());
   EXPECT_EQ(suite.title.compiled().tree_count(),
-            suite.title.forest().tree_count());
-  EXPECT_EQ(suite.stage.scratch_size(), suite.stage.forest().num_classes());
+            suite.title.reference_forest().tree_count());
+  EXPECT_EQ(suite.stage.scratch_size(),
+            suite.stage.reference_forest().num_classes());
   EXPECT_EQ(suite.pattern.scratch_size(), kNumPatternLabels);
 }
 

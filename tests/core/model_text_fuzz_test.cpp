@@ -235,10 +235,11 @@ TEST(ModelTextFuzz, RoundTripIsByteIdentical) {
   const std::string pattern_text = pattern.serialize();
   EXPECT_EQ(PatternInferrer::deserialize(pattern_text).serialize(),
             pattern_text);
-  const std::string forest_text = stage.forest().serialize();
+  const ml::RandomForest stage_forest = stage.reference_forest();
+  const std::string forest_text = stage_forest.serialize();
   EXPECT_EQ(ml::RandomForest::deserialize(forest_text).serialize(),
             forest_text);
-  const std::string tree_text = stage.forest().trees().front().serialize();
+  const std::string tree_text = stage_forest.trees().front().serialize();
   EXPECT_EQ(ml::DecisionTree::deserialize(tree_text).serialize(), tree_text);
   const std::string svm_text = svm.serialize();
   EXPECT_EQ(ml::Svm::deserialize(svm_text).serialize(), svm_text);

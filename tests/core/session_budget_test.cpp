@@ -2,8 +2,9 @@
 // its length once the title verdict is in.
 //
 // This binary replaces the global operator new/delete with a counting
-// pair (allocations, and heap bytes in use by malloc_usable_size), so
-// the tests can read what a stretch of a session allocated. An engine
+// pair (allocations, heap bytes in use by malloc_usable_size, and
+// allocations of one watched size), so the tests can read what a stretch
+// of a session allocated. An engine
 // runs 10 800 telemetry slots (3 h) and a MultiSessionProbe session runs
 // an hour of packets; past the verdict neither may allocate, and both
 // hold the same heap at 1 min as at the end.
@@ -18,6 +19,7 @@
 
 #include "core/model_suite.hpp"
 #include "core/multi_session_probe.hpp"
+#include "core/pipeline.hpp"
 #include "core/session_engine.hpp"
 #include "probe_test_models.hpp"
 #include "sim/session.hpp"
@@ -26,6 +28,9 @@ namespace {
 
 std::atomic<std::int64_t> g_allocs{0};
 std::atomic<std::int64_t> g_heap_bytes{0};
+/// Allocations of exactly g_watched_size bytes.
+std::atomic<std::size_t> g_watched_size{0};
+std::atomic<std::int64_t> g_watched{0};
 
 }  // namespace
 
@@ -33,6 +38,8 @@ void* operator new(std::size_t size) {
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (size == g_watched_size.load(std::memory_order_relaxed))
+    g_watched.fetch_add(1, std::memory_order_relaxed);
   g_heap_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
                          std::memory_order_relaxed);
   return p;
@@ -162,6 +169,34 @@ TEST(SessionBudget, ProbeSessionHeapIsFlatPastTheVerdictForAnHour) {
   probe.flush();
   ASSERT_EQ(reports, 1u);
   EXPECT_GE(duration_s, 3600.0);
+}
+
+// A telemetry-mode session gets its title verdict from set_title and
+// never feeds a title window, so process_session must not build one.
+// Windows are counted as allocations of sizeof(LaunchWindow); the same
+// session's packets through process_packets show that the count sees the
+// one window a packet-mode session takes.
+TEST(SessionBudget, ProcessSessionAllocatesNoTitleWindow) {
+  sim::SessionSpec spec;
+  spec.title = sim::GameTitle::kFortnite;
+  spec.gameplay_seconds = 20.0;
+  spec.seed = 11;
+  const sim::LabeledSession session = sim::SessionGenerator().generate(spec);
+  const RealtimePipeline pipeline(suite().models(), default_pipeline_params());
+  const auto windows_built = [](const auto& run) {
+    g_watched_size.store(sizeof(LaunchWindow), std::memory_order_relaxed);
+    const std::int64_t before = g_watched.load(std::memory_order_relaxed);
+    run();
+    const std::int64_t after = g_watched.load(std::memory_order_relaxed);
+    g_watched_size.store(0, std::memory_order_relaxed);
+    return after - before;
+  };
+  EXPECT_EQ(windows_built([&] {
+              EXPECT_TRUE(pipeline.process_packets(session.packets));
+            }),
+            1);
+  EXPECT_EQ(windows_built([&] { (void)pipeline.process_session(session); }),
+            0);
 }
 
 // The figures DESIGN.md's per-session budget quotes, printed and checked

@@ -46,7 +46,7 @@ TEST(TitleClassifier, AccuracyInPaperBand) {
   ml::Rng rng(1);
   ml::Dataset test;
   const TitleClassifier classifier = trained_classifier(rng, 0.25, &test);
-  const auto cm = ml::evaluate(classifier.forest(), test);
+  const auto cm = ml::evaluate(classifier.reference_forest(), test);
   // Paper Table 3: 92.7-98.0% per title, ~95% overall; allow slack for
   // the reduced test-size forest and quarter-scale training plan (the
   // full-scale benches evaluate the paper band itself).
@@ -118,6 +118,24 @@ TEST(TitleClassifier, TrainRejectsWrongWidth) {
   bad.add({1.0, 2.0}, 0);
   TitleClassifier classifier;
   EXPECT_THROW(classifier.train(bad), std::invalid_argument);
+}
+
+// A loaded classifier keeps no reference forest, so the forest header's
+// params live in params().forest, and serialize() writes them back.
+TEST(TitleClassifier, DeserializeKeepsTheForestHeaderAsParams) {
+  const std::string text =
+      "title_classifier 2 0.4 5 1 0.1\na\nb\nforest 1 2\n"
+      "7 3 4 2 1 0 99\ntree 1 2 51\nleaf 0.25 0.75\n";
+  const TitleClassifier loaded = TitleClassifier::deserialize(text);
+  const ml::RandomForestParams& forest = loaded.params().forest;
+  EXPECT_EQ(forest.n_trees, 7u);
+  EXPECT_EQ(forest.max_depth, 3u);
+  EXPECT_EQ(forest.min_samples_split, 4u);
+  EXPECT_EQ(forest.min_samples_leaf, 2u);
+  EXPECT_EQ(forest.max_features, 1u);
+  EXPECT_FALSE(forest.bootstrap);
+  EXPECT_EQ(forest.seed, 99u);
+  EXPECT_EQ(loaded.serialize(), text);
 }
 
 TEST(TitleClassifier, SerializeRoundTrip) {

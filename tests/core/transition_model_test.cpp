@@ -100,11 +100,12 @@ TEST(PatternInferrer, LearnsSyntheticPatterns) {
   const auto split = ml::stratified_split(data, 0.3, rng);
   PatternInferrer inferrer;
   inferrer.train(split.train);
+  const ml::RandomForest forest = inferrer.reference_forest();
   double correct = 0;
   for (std::size_t i = 0; i < split.test.size(); ++i) {
     TransitionTracker t;  // rebuild a tracker-compatible row check
     (void)t;
-    if (inferrer.forest().predict(split.test.row(i)) == split.test.label(i))
+    if (forest.predict(split.test.row(i)) == split.test.label(i))
       ++correct;
   }
   EXPECT_GT(correct / static_cast<double>(split.test.size()), 0.95);

@@ -436,5 +436,113 @@ TEST(CompiledForest, SurvivesForestSerializationRoundTrip) {
   }
 }
 
+/// `rows` x `width` uniform features, labeled by which fifth of [0, 5)
+/// their first two features' sum falls in, cycled over `classes`.
+Dataset wide_data(std::size_t rows, std::size_t width, std::size_t classes,
+                  std::uint64_t seed) {
+  std::vector<std::string> features;
+  for (std::size_t f = 0; f < width; ++f)
+    features.push_back("f" + std::to_string(f));
+  std::vector<std::string> names;
+  for (std::size_t c = 0; c < classes; ++c)
+    names.push_back("c" + std::to_string(c));
+  Dataset data(features, names);
+  Rng rng(seed);
+  for (std::size_t i = 0; i < rows; ++i) {
+    FeatureRow row(width);
+    for (double& x : row) x = rng.uniform(0.0, 2.5);
+    const auto band = static_cast<std::size_t>(row[0] + row[1]);
+    data.add(row, static_cast<Label>((band + i % 2) % classes));
+  }
+  return data;
+}
+
+// Compiling and rebuilding is the identity on every fitted forest: fit
+// writes each tree in left-first preorder, the order the rebuild numbers
+// nodes in, so the rebuilt forest serializes byte for byte as the fit one.
+TEST(CompiledForest, ReferenceForestSerializesAsTheFitForest) {
+  Dataset flat({"x", "y"}, {"a", "b"});
+  for (int i = 0; i < 8; ++i) flat.add({1.0, 2.0}, i % 2);
+  struct Shape {
+    const char* name;
+    Dataset data;
+    RandomForestParams params;
+  };
+  const std::vector<Shape> shapes = {
+      {"root leaf", flat,
+       {.n_trees = 4, .bootstrap = false, .seed = 31}},
+      {"unlimited depth", blobs(60, 1.5, 32, 3),
+       {.n_trees = 15, .max_depth = 0, .seed = 33}},
+      {"2 classes", blobs(80, 1.0, 34),
+       {.n_trees = 20, .max_depth = 6, .seed = 35}},
+      {"13 classes", blobs(20, 1.0, 36, 13),
+       {.n_trees = 12, .seed = 37}},
+      {"max_features subsampling", wide_data(300, 6, 3, 38),
+       {.n_trees = 10, .max_features = 2, .seed = 39}},
+      {"bootstrap off", wide_data(200, 4, 2, 40),
+       {.n_trees = 6, .min_samples_leaf = 3, .bootstrap = false,
+        .seed = 41}},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    RandomForest forest(shape.params);
+    forest.fit(shape.data);
+    const RandomForest rebuilt =
+        CompiledForest(forest).reference_forest(forest.params());
+    EXPECT_EQ(rebuilt.serialize(), forest.serialize());
+  }
+}
+
+// A loader accepts any tree whose children follow their parent, such as
+// one whose right subtree is written before its left. Compiled, it walks
+// bitwise like RandomForest::deserialize's own trees; rebuilt, it comes
+// back in preorder: the one canonicalisation the round trip makes.
+TEST(CompiledForest, ReferenceForestRewritesATreeInPreorder) {
+  const std::string text =
+      "forest 2 2\n2 0 2 1 0 0 7\n"
+      "tree 5 2 2\n"
+      "split 0 0.5 4 1\n"
+      "split 1 -1.25 3 2\n"
+      "leaf 0.25 0.75\n"
+      "leaf 1 0\n"
+      "leaf 0 1\n"
+      "tree 3 2 2\nsplit 1 2 1 2\nleaf 0.5 0.5\nleaf 0.125 0.875\n";
+  const std::string preorder =
+      "forest 2 2\n2 0 2 1 0 0 7\n"
+      "tree 5 2 2\n"
+      "split 0 0.5 1 2\n"
+      "leaf 0 1\n"
+      "split 1 -1.25 3 4\n"
+      "leaf 1 0\n"
+      "leaf 0.25 0.75\n"
+      "tree 3 2 2\nsplit 1 2 1 2\nleaf 0.5 0.5\nleaf 0.125 0.875\n";
+  const RandomForest loaded = RandomForest::deserialize(text);
+  const CompiledForest compiled(loaded);
+  const RandomForest rebuilt = compiled.reference_forest(loaded.params());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double x : {-1.0, 0.5, 0.75, nan})
+    for (const double y : {-2.0, -1.25, 0.0, 2.0, 3.0, nan}) {
+      const FeatureRow row{x, y};
+      expect_bitwise_equal(compiled.predict_proba(row),
+                           loaded.predict_proba(row));
+      expect_bitwise_equal(rebuilt.predict_proba(row),
+                           loaded.predict_proba(row));
+    }
+  EXPECT_EQ(rebuilt.serialize(), preorder);
+  const RandomForest canonical = RandomForest::deserialize(preorder);
+  EXPECT_EQ(CompiledForest(canonical)
+                .reference_forest(canonical.params())
+                .serialize(),
+            preorder);
+}
+
+TEST(CompiledForest, UncompiledReferenceForestIsUnfitted) {
+  const RandomForestParams params{.n_trees = 3, .seed = 5};
+  const RandomForest forest = CompiledForest{}.reference_forest(params);
+  EXPECT_EQ(forest.tree_count(), 0u);
+  EXPECT_EQ(forest.params().seed, 5u);
+  EXPECT_EQ(forest.serialize(), RandomForest(params).serialize());
+}
+
 }  // namespace
 }  // namespace cgctx::ml
