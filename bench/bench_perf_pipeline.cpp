@@ -369,12 +369,14 @@ void BM_EngineTelemetrySessionSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineTelemetrySessionSteadyState);
 
-void BM_EngineTelemetryBatchSteadyState(benchmark::State& state) {
-  // The same pooled-engine sessions, pushed the way process_session
-  // pushes them: push_slots in RealtimePipeline::kSlotBatch chunks, so
-  // each session crosses chunk boundaries (the last chunk is partial) and
-  // the stage and pattern forests walk tree-major. After the warm-up
-  // session sizes the batch buffers, no session may allocate.
+/// The same pooled-engine sessions, pushed the way process_session
+/// pushes them: push_slots in RealtimePipeline::kSlotBatch chunks, so
+/// each session crosses chunk boundaries (the last chunk is partial) and
+/// the stage and pattern forests walk tree-major. Unobserved, the pattern
+/// forest walks only the rows the report reads; `observed` installs
+/// metrics and a trace ring, which read every row's verdict. After the
+/// warm-up session sizes the batch buffers, no session may allocate.
+void run_batch_sessions(benchmark::State& state, bool observed) {
   const auto& suite = bench::bench_models();
   static const core::PipelineParams params = core::default_pipeline_params();
   sim::SessionGenerator generator;
@@ -401,8 +403,15 @@ void BM_EngineTelemetryBatchSteadyState(benchmark::State& state) {
     return;
   }
 
+  obs::MetricsRegistry registry;
+  const core::PipelineMetrics metrics = core::PipelineMetrics::create(registry);
+  obs::DecisionTraceRing ring(1024);
+  core::SessionObserver observer;
   core::SessionEngine engine(suite.models(), &params);
-  const core::SessionObserver observer;
+  if (observed) {
+    observer = core::SessionObserver{nullptr, &ring, 1};
+    engine.set_metrics(&metrics);
+  }
   const auto run_session = [&] {
     engine.reset();
     engine.start(session.launch_begin);
@@ -418,7 +427,16 @@ void BM_EngineTelemetryBatchSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(slots.size()));
 }
+
+void BM_EngineTelemetryBatchSteadyState(benchmark::State& state) {
+  run_batch_sessions(state, false);
+}
 BENCHMARK(BM_EngineTelemetryBatchSteadyState);
+
+void BM_EngineTelemetryBatchSteadyStateInstrumented(benchmark::State& state) {
+  run_batch_sessions(state, true);
+}
+BENCHMARK(BM_EngineTelemetryBatchSteadyStateInstrumented);
 
 void BM_ProbeCrossTrafficSteadyState(benchmark::State& state) {
   // Cross traffic through a probe: each op is one VoIP/web/video packet

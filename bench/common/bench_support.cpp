@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
 
 namespace cgctx::bench {
@@ -117,17 +119,28 @@ core::ModelSuite train_and_cache() {
   return suite;
 }
 
+/// How long each model's load from the cache took, by model name.
+std::map<std::string, double> g_cache_load_ms;
+
+template <typename Model>
+Model load_cached(const std::filesystem::path& dir, const std::string& name) {
+  const std::string text = read_file(dir / (name + ".model"));
+  const auto start = std::chrono::steady_clock::now();
+  Model model = Model::deserialize(text);
+  g_cache_load_ms[name] = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  return model;
+}
+
 core::ModelSuite load_or_train() {
   const std::filesystem::path dir = cache_dir();
   if (read_file(dir / "version") == cache_version()) {
     try {
       core::ModelSuite suite;
-      suite.title = core::TitleClassifier::deserialize(
-          read_file(dir / "title.model"));
-      suite.stage = core::StageClassifier::deserialize(
-          read_file(dir / "stage.model"));
-      suite.pattern = core::PatternInferrer::deserialize(
-          read_file(dir / "pattern.model"));
+      suite.title = load_cached<core::TitleClassifier>(dir, "title");
+      suite.stage = load_cached<core::StageClassifier>(dir, "stage");
+      suite.pattern = load_cached<core::PatternInferrer>(dir, "pattern");
       std::fprintf(stderr, "[bench] loaded cached models from %s\n",
                    dir.string().c_str());
       return suite;
@@ -144,6 +157,14 @@ core::ModelSuite load_or_train() {
 const core::ModelSuite& bench_models() {
   static const core::ModelSuite suite = load_or_train();
   return suite;
+}
+
+double cache_load_ms(const std::string& name) {
+  (void)bench_models();
+  const auto it = g_cache_load_ms.find(name);
+  return it != g_cache_load_ms.end()
+             ? it->second
+             : std::numeric_limits<double>::quiet_NaN();
 }
 
 std::string cached_model_text(const std::string& name) {

@@ -20,6 +20,11 @@ namespace cgctx::bench {
 /// directory to force retraining.
 const core::ModelSuite& bench_models();
 
+/// Milliseconds bench_models() took to deserialize one model ("title",
+/// "stage" or "pattern") from the cache: the process's first load of it.
+/// NaN when the suite was trained in this process instead.
+double cache_load_ms(const std::string& name);
+
 /// Serialized text of one bench_models() model ("title", "stage" or
 /// "pattern") as the model cache holds it; "" when the cache could not be
 /// written.

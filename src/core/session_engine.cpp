@@ -302,9 +302,9 @@ void SessionEngine::push_slots(std::span<const SlotTelemetry> slots,
 
   // 2. Pattern: replay the stages into the transition matrix, keeping the
   // probability row of every slot at or past the floor (ready() is
-  // monotone, so those are the batch's last `ready` slots), then one
-  // forest batch. Pattern inference runs continuously: the report
-  // carries the most recent confident verdict (it sharpens as the
+  // monotone, so those are the batch's last `ready` slots), then walk the
+  // pattern forest over them. Pattern inference runs continuously: the
+  // report carries the most recent confident verdict (it sharpens as the
   // transition matrix matures), while pattern_decided_at_s records when
   // the operator first had a usable answer.
   std::size_t ready = 0;
@@ -316,10 +316,44 @@ void SessionEngine::push_slots(std::span<const SlotTelemetry> slots,
                   kNumTransitionAttributes));
     ++ready;
   }
-  models_.pattern->infer_rows(
-      std::span<const double>(rows_.data(), ready * kNumTransitionAttributes),
-      scratch(ready * models_.pattern->scratch_size()),
-      std::span(inferences_.data(), ready));
+  const std::span inferences(inferences_.data(), ready);
+  // Infers rows [begin, end); true if any of them is confident.
+  const auto walk = [&](std::size_t begin, std::size_t end) {
+    const auto out = inferences.subspan(begin, end - begin);
+    models_.pattern->infer_rows(
+        std::span<const double>(rows_.data() + begin * kNumTransitionAttributes,
+                                out.size() * kNumTransitionAttributes),
+        scratch(out.size() * models_.pattern->scratch_size()), out);
+    return std::any_of(out.begin(), out.end(), [](const auto& inference) {
+      return inference.has_value();
+    });
+  };
+  if (observer.wants_events() || metrics_ != nullptr) {
+    // Events and the decision/flip counters read every slot's verdict.
+    walk(0, ready);
+  } else {
+    // The report reads two verdicts: the session's first confident one
+    // and its last. So walk, while none is decided, front to back up to
+    // the span's first confident row, then back to front from its end
+    // (one row, then blocks) down to its last confident row. Every other
+    // row goes to record_slot as unconfident; pattern_ and
+    // pattern_decided_at_s_ still end the span as the full walk leaves
+    // them, since each walked row gets its exact infer_rows verdict.
+    constexpr std::size_t kBlock = ml::CompiledForest::kWalkGroup;
+    std::fill(inferences.begin(), inferences.end(), std::nullopt);
+    std::size_t walked = 0;  // rows [0, walked) are walked
+    bool confident = false;
+    while (!pattern_ && !confident && walked < ready) {
+      const std::size_t end = std::min(walked + kBlock, ready);
+      confident = walk(walked, end);
+      walked = end;
+    }
+    for (std::size_t end = ready, step = 1; end > walked; step = kBlock) {
+      const std::size_t begin = end - std::min(step, end - walked);
+      if (walk(begin, end)) break;
+      end = begin;
+    }
+  }
   const std::uint64_t t2 = now();
 
   // 3. Everything else, slot by slot.
@@ -328,7 +362,7 @@ void SessionEngine::push_slots(std::span<const SlotTelemetry> slots,
   for (std::size_t i = 0; i < n; ++i)
     deliver(record_slot(slots[i], stages[i],
                         i < first_ready ? below_floor
-                                        : inferences_[i - first_ready]),
+                                        : inferences[i - first_ready]),
             observer);
 
   if (sampled != 0) {

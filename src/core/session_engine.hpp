@@ -286,10 +286,14 @@ class SessionEngine {
   /// events and counters are exactly those of push_slot per slot. Stage
   /// verdicts depend only on the volumetric history, so every stage row
   /// is built first and the stage forest runs once over the span, then
-  /// the pattern forest once over the slots past its transition floor;
-  /// the per-slot record, QoE and event work follows in slot order. The
-  /// engine's batch buffers grow to the largest span pushed and are kept
-  /// (allocation-free once warm).
+  /// the pattern forest over the slots past its transition floor; the
+  /// per-slot record, QoE and event work follows in slot order. With an
+  /// event target or metrics, the pattern forest walks every such slot.
+  /// Without, it walks only the slots the report can read: up to the
+  /// span's first confident one while the session is undecided, and back
+  /// from the span's end to its last confident one. The engine's batch
+  /// buffers grow to the largest span pushed and are kept (allocation-free
+  /// once warm).
   void push_slots(std::span<const SlotTelemetry> slots,
                   const SessionObserver& observer);
 
@@ -342,6 +346,8 @@ class SessionEngine {
 
   /// The per-slot tail of push_slots, once the slot's stage and pattern
   /// inference are known: pattern bookkeeping, record, QoE, counters.
+  /// `inference` is nullopt below the transition floor or the confidence
+  /// threshold, and for a slot push_slots did not walk.
   SlotOutcome record_slot(const SlotTelemetry& slot, ml::Label stage,
                           const std::optional<PatternResult>& inference);
   void classify_pending_title();

@@ -27,6 +27,7 @@
 #include "core/pipeline.hpp"
 #include "core/slot_history.hpp"
 #include "core/streaming_analyzer.hpp"
+#include "core/transition_model.hpp"
 #include "obs/trace.hpp"
 #include "probe_test_models.hpp"
 #include "sim/cross_traffic.hpp"
@@ -582,6 +583,168 @@ TEST(SessionEngine, LateAndDuplicatePacketsFoldIntoTheOpenSlot) {
   for (std::size_t s = 0; s < dup_slots.size(); ++s) {
     EXPECT_GE(dup_slots[s].throughput_mbps, late_slots[s].throughput_mbps);
     EXPECT_LE(dup_slots[s].loss_rate, late_slots[s].loss_rate);
+  }
+}
+
+std::vector<SlotTelemetry> telemetry_of(const sim::LabeledSession& session) {
+  std::vector<SlotTelemetry> slots;
+  for (const sim::SlotSample& sample : session.slots) {
+    SlotTelemetry& slot = slots.emplace_back();
+    slot.volumetrics =
+        RawSlotVolumetrics{sample.down_bytes, sample.down_packets,
+                           sample.up_bytes, sample.up_packets};
+    slot.frames = sample.frames;
+    slot.rtt_ms = sample.rtt_ms;
+    slot.loss_rate = sample.loss_rate;
+  }
+  return slots;
+}
+
+/// Every slot's pattern verdict, replayed one slot at a time from the
+/// stages the engine recorded: nullopt below the transition floor or the
+/// confidence threshold.
+std::vector<std::optional<PatternResult>> slot_verdicts(
+    const std::vector<SlotRecord>& slots) {
+  const PatternInferrer& pattern = *suite().models().pattern;
+  std::vector<double> scratch(pattern.scratch_size());
+  TransitionTracker transitions;
+  std::vector<std::optional<PatternResult>> verdicts;
+  for (const SlotRecord& slot : slots) {
+    transitions.push(slot.stage);
+    verdicts.push_back(pattern.infer(transitions, scratch));
+  }
+  return verdicts;
+}
+
+// Without events or metrics, push_slots walks the pattern forest only
+// over the rows a report reads (the span's first confident row while the
+// session is undecided, and its last confident row). The report must
+// not depend on that: every span length and every observer gives the
+// report of the every-row walk, which the test also derives from a
+// slot-by-slot replay of the recorded stages.
+TEST(SessionEngine, PatternWalkLeavesReportsIndependentOfSpanAndObserver) {
+  const PipelineParams params = default_pipeline_params();
+  const sim::SessionGenerator gen;
+  struct Case {
+    sim::GameTitle title;
+    std::uint64_t seed;
+  };
+  // Never confident; first confident at slot 338 and lapsed from 418 on;
+  // confident from 149, lapsed over slots 191-498, confident again.
+  constexpr Case kCases[] = {{sim::GameTitle::kHonkaiStarRail, 2},
+                             {sim::GameTitle::kBaldursGate3, 1},
+                             {sim::GameTitle::kFortnite, 1}};
+  constexpr std::size_t kWhole = 0;
+  constexpr std::size_t kSpans[] = {1, 15, 16, 17, 256, kWhole};
+  enum Mode { kEmpty, kEvents, kMetrics };
+
+  // What the chosen sessions show, per span length (index into kSpans).
+  bool never_confident = false;
+  std::array<bool, std::size(kSpans)> first_mid_span{};
+  std::array<bool, std::size(kSpans)> last_far_from_end{};
+  std::array<bool, std::size(kSpans)> lapse_across_boundary{};
+
+  for (const Case& c : kCases) {
+    sim::SessionSpec spec;
+    spec.title = c.title;
+    spec.gameplay_seconds = 600.0;
+    spec.seed = c.seed;
+    const sim::LabeledSession session = gen.generate_slots_only(spec);
+    const std::vector<SlotTelemetry> slots = telemetry_of(session);
+    const TitleResult title = suite().models().title->classify(
+        session.packets, session.launch_begin);
+
+    std::vector<StreamEvent> events;
+    const SessionEventCallback record = [&](const StreamEvent& event) {
+      events.push_back(event);
+    };
+    SlotHistory history;
+    const auto run = [&](std::size_t span, Mode mode) {
+      obs::MetricsRegistry registry;
+      const PipelineMetrics metrics = PipelineMetrics::create(registry);
+      SessionObserver observer;
+      if (mode == kEvents) observer = {&record, nullptr, 1, &history.hook()};
+      SessionEngine engine(suite().models(), &params);
+      if (mode == kMetrics) engine.set_metrics(&metrics);
+      engine.start(session.launch_begin);
+      engine.set_title(title);
+      const std::span<const SlotTelemetry> all(slots);
+      if (span == kWhole) span = all.size();
+      for (std::size_t at = 0; at < all.size(); at += span)
+        engine.push_slots(all.subspan(at, std::min(span, all.size() - at)),
+                          observer);
+      return engine.finish(observer);
+    };
+
+    // The every-row walk, one slot at a time, and its slot-by-slot replay.
+    const SessionReport expected = run(1, kEvents);
+    const std::vector<StreamEvent> expected_events = std::exchange(events, {});
+    const std::vector<SlotRecord> records = history.take_all().at(0);
+    ASSERT_EQ(records.size(), slots.size());
+    const auto verdicts = slot_verdicts(records);
+    const auto confident = [&](std::size_t i) {
+      return verdicts[i].has_value();
+    };
+    std::optional<std::size_t> first;
+    std::optional<std::size_t> last;
+    for (std::size_t i = 0; i < verdicts.size(); ++i)
+      if (confident(i)) {
+        if (!first) first = i;
+        last = i;
+      }
+    if (first) {
+      EXPECT_EQ(expected.pattern_decided_at_s, static_cast<double>(*first + 1));
+      EXPECT_EQ(expected.pattern, verdicts[*last]);
+    } else {
+      never_confident = true;
+      EXPECT_LT(expected.pattern_decided_at_s, 0.0);
+      TransitionTracker transitions;
+      for (const SlotRecord& slot : records) transitions.push(slot.stage);
+      EXPECT_EQ(expected.pattern, suite().models().pattern->infer_unchecked(
+                                      transitions));
+    }
+
+    for (std::size_t k = 0; k < std::size(kSpans); ++k) {
+      const std::size_t span = kSpans[k] == kWhole ? slots.size() : kSpans[k];
+      SCOPED_TRACE("span " + std::to_string(span));
+      for (const Mode mode : {kEmpty, kEvents, kMetrics}) {
+        SCOPED_TRACE("mode " + std::to_string(mode));
+        EXPECT_EQ(run(span, mode), expected);
+      }
+      EXPECT_EQ(std::exchange(events, {}), expected_events);
+      EXPECT_EQ(history.take_all().at(0), records);
+
+      if (first && *first % span != 0 && *first % span != span - 1)
+        first_mid_span[k] = true;
+      for (std::size_t begin = 0; begin < slots.size(); begin += span) {
+        const std::size_t end = std::min(begin + span, slots.size());
+        for (std::size_t i = end; i-- > begin;)
+          if (confident(i)) {
+            if (end - 1 - i > ml::CompiledForest::kWalkGroup)
+              last_far_from_end[k] = true;
+            break;
+          }
+        if (begin > 0 && first && *first < begin - 1 &&
+            !confident(begin - 1) && !confident(begin))
+          lapse_across_boundary[k] = true;
+      }
+    }
+  }
+
+  // Each case the walk plan distinguishes shows up in some session.
+  EXPECT_TRUE(never_confident);
+  for (std::size_t k = 0; k < std::size(kSpans); ++k) {
+    SCOPED_TRACE("span index " + std::to_string(k));
+    if (kSpans[k] != 1) {
+      EXPECT_TRUE(first_mid_span[k]);
+    }
+    if (kSpans[k] == kWhole ||
+        kSpans[k] > ml::CompiledForest::kWalkGroup + 1) {
+      EXPECT_TRUE(last_far_from_end[k]);
+    }
+    if (kSpans[k] != kWhole) {
+      EXPECT_TRUE(lapse_across_boundary[k]);
+    }
   }
 }
 
