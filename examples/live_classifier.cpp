@@ -2,8 +2,8 @@
 // flows, a gaming session, and household cross-traffic) through the
 // StreamingAnalyzer exactly as an inline probe would see it, printing
 // classification events as they happen — flow detection, the five-second
-// title verdict, player activity stage changes, and the pattern
-// inference once confident.
+// title verdict, player activity stage changes, the pattern inference
+// once confident, effective-QoE changes and the session's retirement.
 //
 //   ./live_classifier [title_index 0-12] [seed]
 #include <cstdio>
@@ -13,6 +13,7 @@
 
 #include "core/model_suite.hpp"
 #include "core/streaming_analyzer.hpp"
+#include "obs/trace.hpp"
 #include "sim/cross_traffic.hpp"
 #include "sim/platform_anatomy.hpp"
 
@@ -62,29 +63,13 @@ int main(int argc, char** argv) {
 
   core::StreamingAnalyzer analyzer(
       suite.models(), core::default_pipeline_params(),
-      [](const core::StreamEvent& event) {
-        std::printf("[%7.2fs] %s", event.at_seconds,
-                    core::to_string(event.type));
-        if (event.detection)
-          std::printf(": %s on %s",
-                      net::to_string(event.detection->flow).c_str(),
-                      core::to_string(event.detection->platform));
-        if (event.title)
-          std::printf(": %s (confidence %.0f%%)",
-                      event.title->label ? event.title->class_name.c_str()
-                                         : "unknown",
-                      100 * event.title->confidence);
-        if (event.stage)
-          std::printf(" -> %s",
-                      core::stage_class_names()[static_cast<std::size_t>(
-                                                    *event.stage)]
-                          .c_str());
-        if (event.pattern)
-          std::printf(": %s (confidence %.0f%%)",
-                      core::pattern_class_names()[static_cast<std::size_t>(
-                                                      event.pattern->label)]
-                          .c_str(),
-                      100 * event.pattern->confidence);
+      [](const obs::TraceEvent& event) {
+        std::printf("[%7.2fs] %s: %.*s", event.at_seconds,
+                    obs::to_string(event.type),
+                    static_cast<int>(event.name_view().size()),
+                    event.name_view().data());
+        if (event.confidence > 0)
+          std::printf(" (confidence %.0f%%)", 100 * event.confidence);
         std::putchar('\n');
       });
 
@@ -96,6 +81,9 @@ int main(int argc, char** argv) {
               report.duration_s / 60.0, report.mean_down_mbps,
               core::to_string(report.objective_session),
               core::to_string(report.effective_session));
+  if (report.detection)
+    std::printf("Detected flow: %s\n",
+                net::to_string(report.detection->flow).c_str());
   std::printf("Ground truth: title '%s', pattern '%s'.\n",
               sim::to_string(spec.title),
               sim::to_string(sim::info(spec.title).pattern));

@@ -100,7 +100,7 @@ class MultiSessionProbe {
   void set_metrics(const PipelineMetrics* metrics) { metrics_ = metrics; }
 
   /// Optional decision-trace ring (nullptr: none). Sessions are numbered
-  /// `first_id`, `first_id + id_stride`, ... (trace events and slot hook
+  /// `first_id`, `first_id + id_stride`, ... (events and slot hook
   /// alike; 1, 2, ... by default) so shard-local probes can interleave
   /// globally unique ids. Must be installed before the first packet; the
   /// ring must outlive the probe.

@@ -6,17 +6,6 @@
 
 namespace cgctx::core {
 
-const char* to_string(StreamEventType type) {
-  switch (type) {
-    case StreamEventType::kFlowDetected: return "flow-detected";
-    case StreamEventType::kTitleClassified: return "title-classified";
-    case StreamEventType::kStageChanged: return "stage-changed";
-    case StreamEventType::kPatternInferred: return "pattern-inferred";
-    case StreamEventType::kQoeChanged: return "qoe-changed";
-  }
-  return "?";
-}
-
 namespace {
 
 // Fixed-name lookups: the engine's steady state may append a trace event
@@ -35,70 +24,24 @@ const char* pattern_name(ml::Label pattern) {
   return "?";
 }
 
-const char* title_name(const TitleResult& title) {
-  return title.label ? title.class_name.c_str() : "(unknown)";
+std::string_view title_name(const TitleResult& title) {
+  return title.label ? std::string_view(title.class_name) : "(unknown)";
 }
 
 }  // namespace
 
-void SessionObserver::emit(const StreamEvent& event) const {
-  if (on_event != nullptr && event.type != StreamEventType::kQoeChanged)
-    (*on_event)(event);
-  if (trace == nullptr) return;
-  obs::TraceEvent out;
-  out.session_id = session_id;
-  out.at_seconds = event.at_seconds;
-  switch (event.type) {
-    case StreamEventType::kFlowDetected:
-      out.type = obs::TraceEventType::kFlowPromoted;
-      if (event.detection) out.set_name(to_string(event.detection->platform));
-      break;
-    case StreamEventType::kTitleClassified:
-      out.type = obs::TraceEventType::kTitleVerdict;
-      if (event.title) {
-        out.label = event.title->label
-                        ? static_cast<std::int32_t>(*event.title->label)
-                        : -1;
-        out.confidence = event.title->confidence;
-        out.set_name(title_name(*event.title));
-      }
-      break;
-    case StreamEventType::kStageChanged:
-      out.type = obs::TraceEventType::kStageTransition;
-      if (event.stage) {
-        out.label = static_cast<std::int32_t>(*event.stage);
-        out.set_name(stage_name(*event.stage));
-      }
-      break;
-    case StreamEventType::kPatternInferred:
-      out.type = obs::TraceEventType::kPatternDecision;
-      if (event.pattern) {
-        out.label = static_cast<std::int32_t>(event.pattern->label);
-        out.confidence = event.pattern->confidence;
-        out.set_name(pattern_name(event.pattern->label));
-      }
-      break;
-    case StreamEventType::kQoeChanged:
-      out.type = obs::TraceEventType::kQoeChange;
-      if (event.qoe) {
-        out.label = static_cast<std::int32_t>(*event.qoe);
-        out.set_name(to_string(*event.qoe));
-      }
-      break;
-  }
-  trace->push(out);
-}
-
-void SessionObserver::retired(const SessionReport& report) const {
-  if (trace == nullptr) return;
-  obs::TraceEvent out;
-  out.session_id = session_id;
-  out.at_seconds = report.duration_s;
-  out.type = obs::TraceEventType::kSessionRetired;
-  out.label = static_cast<std::int32_t>(report.effective_session);
-  out.confidence = report.title.confidence;
-  out.set_name(title_name(report.title));
-  trace->push(out);
+void SessionObserver::emit(obs::TraceEventType type, double at_seconds,
+                           std::int32_t label, double confidence,
+                           std::string_view name) const {
+  obs::TraceEvent event;
+  event.session_id = session_id;
+  event.at_seconds = at_seconds;
+  event.type = type;
+  event.label = label;
+  event.confidence = confidence;
+  event.set_name(name);
+  if (on_event != nullptr) (*on_event)(event);
+  if (trace != nullptr) trace->push(event);
 }
 
 SessionEngine::SessionEngine(PipelineModels models,
@@ -144,11 +87,9 @@ void SessionEngine::set_detection(const DetectionResult& detection,
                                   const SessionObserver& observer) {
   report_.detection = detection;
   if (!observer.wants_events()) return;
-  StreamEvent event;
-  event.type = StreamEventType::kFlowDetected;
-  event.at_seconds = net::duration_to_seconds(detected_at - flow_begin_);
-  event.detection = detection;
-  observer.emit(event);
+  observer.emit(obs::TraceEventType::kFlowPromoted,
+                net::duration_to_seconds(detected_at - flow_begin_), -1, 0.0,
+                to_string(detection.platform));
 }
 
 void SessionEngine::install_title(const TitleResult& title) {
@@ -194,11 +135,9 @@ void SessionEngine::close_title(double at_seconds,
                                 const SessionObserver& observer) {
   classify_pending_title();
   if (!observer.wants_events()) return;
-  StreamEvent event;
-  event.type = StreamEventType::kTitleClassified;
-  event.at_seconds = at_seconds;
-  event.title = report_.title;
-  observer.emit(event);
+  observer.emit(obs::TraceEventType::kTitleVerdict, at_seconds,
+                report_.title.label.value_or(-1), report_.title.confidence,
+                title_name(report_.title));
 }
 
 void SessionEngine::close_slot(const SessionObserver& observer) {
@@ -220,26 +159,17 @@ void SessionEngine::deliver(const SlotOutcome& outcome,
   if (observer.on_slot != nullptr)
     (*observer.on_slot)(observer.session_id, outcome.record);
   if (!observer.wants_events()) return;
-  if (outcome.stage_changed) {
-    StreamEvent event;
-    event.type = StreamEventType::kStageChanged;
-    event.at_seconds = outcome.at_seconds;
-    event.stage = last_stage_;
-    observer.emit(event);
-  }
-  if (outcome.pattern_event) {
-    StreamEvent event;
-    event.type = StreamEventType::kPatternInferred;
-    event.at_seconds = outcome.at_seconds;
-    event.pattern = pattern_;
-    observer.emit(event);
-  }
+  if (outcome.stage_changed)
+    observer.emit(obs::TraceEventType::kStageTransition, outcome.at_seconds,
+                  last_stage_, 0.0, stage_name(last_stage_));
+  if (outcome.pattern_event)
+    observer.emit(obs::TraceEventType::kPatternDecision, outcome.at_seconds,
+                  pattern_->label, pattern_->confidence,
+                  pattern_name(pattern_->label));
   if (outcome.qoe_changed) {
-    StreamEvent event;
-    event.type = StreamEventType::kQoeChanged;
-    event.at_seconds = outcome.at_seconds;
-    event.qoe = static_cast<QoeLevel>(last_effective_);
-    observer.emit(event);
+    const auto qoe = static_cast<QoeLevel>(last_effective_);
+    observer.emit(obs::TraceEventType::kQoeChange, outcome.at_seconds,
+                  static_cast<std::int32_t>(qoe), 0.0, to_string(qoe));
   }
 }
 
@@ -252,7 +182,10 @@ const SessionReport& SessionEngine::finish(const SessionObserver& observer) {
   if (started_ && !title_done_)
     close_title(static_cast<double>(next_slot_), observer);
   finalize();
-  observer.retired(report_);
+  if (observer.wants_events())
+    observer.emit(obs::TraceEventType::kSessionRetired, report_.duration_s,
+                  static_cast<std::int32_t>(report_.effective_session),
+                  report_.title.confidence, title_name(report_.title));
   return report_;
 }
 

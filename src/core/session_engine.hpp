@@ -29,9 +29,9 @@
 //  - reset() clears session state but retains buffer capacity, so a
 //    pooled engine (MultiSessionProbe keeps a free list) analyzes its
 //    second and later sessions without allocating at all.
-//  - Milestone events go to a SessionObserver, a concrete value type
-//    holding an optional callback, an optional decision-trace ring and
-//    an optional slot hook.
+//  - Milestone events (obs::TraceEvent, a POD record) go to a
+//    SessionObserver, a concrete value type holding an optional callback,
+//    an optional decision-trace ring and an optional slot hook.
 //    Events fire only at milestones (detection, title close, slot close,
 //    retirement), never on the per-packet tally, and the engine builds
 //    one only when the observer has somewhere to send it: an empty
@@ -45,6 +45,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/flow_detector.hpp"
@@ -122,41 +123,13 @@ struct SessionReport {
   friend bool operator==(const SessionReport&, const SessionReport&) = default;
 };
 
-/// Classification milestones the engine surfaces as it advances.
-/// kQoeChanged fires once per effective-QoE level change (potentially
-/// every slot under churn); SessionObserver routes it to the decision
-/// trace only.
-enum class StreamEventType : std::uint8_t {
-  kFlowDetected,
-  kTitleClassified,
-  kStageChanged,
-  kPatternInferred,
-  kQoeChanged,
-};
-
-const char* to_string(StreamEventType type);
-
-struct StreamEvent {
-  StreamEventType type = StreamEventType::kFlowDetected;
-  /// Seconds since the detected flow began.
-  double at_seconds = 0.0;
-  /// kFlowDetected: the detection result.
-  std::optional<DetectionResult> detection;
-  /// kTitleClassified: the verdict.
-  std::optional<TitleResult> title;
-  /// kStageChanged: the new stage label.
-  std::optional<ml::Label> stage;
-  /// kPatternInferred: the inference.
-  std::optional<PatternResult> pattern;
-  /// kQoeChanged: the new effective QoE level.
-  std::optional<QoeLevel> qoe;
-
-  friend bool operator==(const StreamEvent&, const StreamEvent&) = default;
-};
-
 /// Event callback installed on the adapter layers (StreamingAnalyzer,
-/// MultiSessionProbe); the engine reaches it through a SessionObserver.
-using SessionEventCallback = std::function<void(const StreamEvent&)>;
+/// MultiSessionProbe, ShardedProbe); the engine reaches it through a
+/// SessionObserver. It receives the same POD events as the decision
+/// trace: every milestone, from flow promotion to session retirement,
+/// stamped with the observer's session id. The event is valid only for
+/// the call.
+using SessionEventCallback = std::function<void(const obs::TraceEvent&)>;
 
 /// Per-slot hook: the session's id (SessionObserver::session_id) and the
 /// record of the slot that just closed, called once per slot in slot
@@ -174,15 +147,13 @@ struct SlotTelemetry {
 };
 
 /// Where one session's milestone events and slot records go. Every
-/// target is optional and caller-owned. This is the one place that
-/// routes events: the decision-trace ring records every event, the
-/// callback every event except kQoeChanged (callbacks predate that type
-/// and never see it). The slot hook receives every closed slot's record,
-/// whatever the event targets.
+/// target is optional and caller-owned. The callback and the
+/// decision-trace ring receive the same events; the slot hook receives
+/// every closed slot's record, whatever the event targets.
 struct SessionObserver {
   const SessionEventCallback* on_event = nullptr;  ///< non-null => callable
   obs::DecisionTraceRing* trace = nullptr;
-  std::uint64_t session_id = 0;  ///< carried by trace events and slots
+  std::uint64_t session_id = 0;  ///< carried by events and slots
   const SlotCallback* on_slot = nullptr;  ///< non-null => callable
 
   /// Whether any event has somewhere to go; the engine skips building
@@ -190,11 +161,11 @@ struct SessionObserver {
   [[nodiscard]] bool wants_events() const {
     return on_event != nullptr || trace != nullptr;
   }
-  /// Routes one milestone. The trace side is allocation-free.
-  void emit(const StreamEvent& event) const;
-  /// Appends the trace's terminal session-retired event (callbacks
-  /// receive reports through their front-end instead).
-  void retired(const SessionReport& report) const;
+  /// Builds one milestone event for this session and hands it to the
+  /// callback and the ring. Allocation-free (`name` is truncated into
+  /// the event's inline array).
+  void emit(obs::TraceEventType type, double at_seconds, std::int32_t label,
+            double confidence, std::string_view name) const;
 };
 
 /// The empty observer under its former compile-time-sink name, kept
@@ -245,7 +216,7 @@ class SessionEngine {
   void start(net::Timestamp flow_begin);
 
   /// Records the front-end detection verdict into the report and emits
-  /// kFlowDetected, stamped with the age of the packet that triggered the
+  /// flow-promoted, stamped with the age of the packet that triggered the
   /// verdict (`detected_at`). Call after start().
   void set_detection(const DetectionResult& detection,
                      net::Timestamp detected_at,
@@ -354,7 +325,7 @@ class SessionEngine {
   /// Takes a title window for the session, started at flow_begin_: from
   /// the pool when the engine has one, else a new one.
   void take_title_window();
-  /// Classifies the title window and emits kTitleClassified.
+  /// Classifies the title window and emits title-verdict.
   void close_title(double at_seconds, const SessionObserver& observer);
   /// Records the verdict; a pooled engine then gives its window back.
   void install_title(const TitleResult& title);

@@ -221,7 +221,7 @@ ShardedProbe::ShardedProbe(PipelineModels models, ShardedProbeParams params,
   SessionEventCallback event_sink;
   if (on_event) {
     event_sink = [this, on_event = std::move(on_event)](
-                     const StreamEvent& event) {
+                     const obs::TraceEvent& event) {
       const std::lock_guard<std::mutex> lock(sink_mu_);
       on_event(event);
     };

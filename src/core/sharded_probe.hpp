@@ -78,9 +78,9 @@ class ShardedProbe {
   /// `on_report` / `on_event` / `on_slot` are invoked from the shards'
   /// worker threads, each on the thread of the shard that owns the
   /// session, but never concurrently (an internal mutex serializes them).
-  /// `on_slot` receives every closed slot's record with the session's id;
-  /// ids are unique across shards (shard i numbers its sessions i+1,
-  /// i+1+N, ...), and a report's slots all arrive before the report.
+  /// `on_event` and `on_slot` carry the session's id; ids are unique
+  /// across shards (shard i numbers its sessions i+1, i+1+N, ...), and a
+  /// report's slots and events all arrive before the report.
   ShardedProbe(PipelineModels models, ShardedProbeParams params,
                ReportCallback on_report, SessionEventCallback on_event = {},
                SlotCallback on_slot = {});

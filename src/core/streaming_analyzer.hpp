@@ -6,11 +6,13 @@
 // front-end (core::LaunchFrontEnd: flow table + detector + lookback) and
 // adapts one core::SessionEngine — the same state machine every entry
 // point drives — to a std::function callback, surfacing classification
-// milestones as typed events:
-//   kFlowDetected    — the cloud-gaming streaming flow was identified;
-//   kTitleClassified — the five-second title verdict (or "unknown");
-//   kStageChanged    — the player activity stage flipped;
-//   kPatternInferred — the gameplay pattern cleared its confidence bar.
+// milestones as obs::TraceEvent records, the decision trace's events:
+//   flow-promoted    — the cloud-gaming streaming flow was identified;
+//   title-verdict    — the five-second title verdict (or "unknown");
+//   stage-transition — the player activity stage flipped;
+//   pattern-decision — the gameplay pattern cleared its confidence bar;
+//   qoe-change       — the effective QoE level changed;
+//   session-retired  — finish() closed the session.
 #pragma once
 
 #include <cstdint>

@@ -382,8 +382,8 @@ TEST(MultiSessionProbe, FlushMidStreamStartsTheNextSessionAfterTheFlush) {
   MultiSessionProbe probe(
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
       [&](const SessionReport& r) { reports.push_back(r); },
-      [&](const StreamEvent& event) {
-        if (event.type == StreamEventType::kFlowDetected)
+      [&](const obs::TraceEvent& event) {
+        if (event.type == obs::TraceEventType::kFlowPromoted)
           detections.emplace_back(now, event.at_seconds);
       });
   net::Timestamp first_after_flush = 0;
@@ -565,15 +565,16 @@ TEST(MultiSessionProbe, SweepAndFlushRetireInCanonicalKeyOrder) {
   std::vector<net::FiveTuple> retired;
   MultiSessionProbe probe(
       suite().models(), MultiSessionProbeParams{default_pipeline_params()},
-      [&](const SessionReport& r) { retired.push_back(r.detection->flow); },
-      [&](const StreamEvent& event) {
-        if (event.type == StreamEventType::kFlowDetected)
-          promoted.push_back(event.detection->flow);
-      });
+      [&](const SessionReport& r) { retired.push_back(r.detection->flow); });
   const net::Timestamp group_b_start = net::duration_from_seconds(200.0);
   std::size_t retired_by_sweep = 0;
   for (const auto& pkt : wire) {
+    // Sessions ever promoted = live + retired; a push that grows it
+    // promoted the pushed packet's flow.
+    const std::size_t sessions_before = probe.live_sessions() + retired.size();
     probe.push(pkt);
+    if (probe.live_sessions() + retired.size() > sessions_before)
+      promoted.push_back(pkt.tuple.canonical());
     // Group B's first packet runs the sweep that retires group A.
     if (pkt.timestamp >= group_b_start && retired_by_sweep == 0)
       retired_by_sweep = retired.size();

@@ -21,6 +21,8 @@
 #include "core/multi_session_probe.hpp"
 #include "core/pipeline.hpp"
 #include "core/session_engine.hpp"
+#include "core/streaming_analyzer.hpp"
+#include "obs/trace.hpp"
 #include "probe_test_models.hpp"
 #include "sim/session.hpp"
 
@@ -197,6 +199,42 @@ TEST(SessionBudget, ProcessSessionAllocatesNoTitleWindow) {
             1);
   EXPECT_EQ(windows_built([&] { (void)pipeline.process_session(session); }),
             0);
+}
+
+// Tracing a session must cost it no allocation: trace events are POD, so
+// a title name longer than libstdc++'s 15-char inline string ("Honkai:
+// Star Rail", 17) must reach the ring without a heap copy. One analyzer
+// per run, warmed by one session; then the same session with and
+// without a decision trace.
+TEST(SessionBudget, TracedSessionAllocatesAsMuchAsAnUntracedOne) {
+  const auto generate = [](sim::GameTitle title) {
+    sim::SessionSpec spec;
+    spec.title = title;
+    spec.gameplay_seconds = 20.0;
+    spec.seed = 3;
+    return sim::SessionGenerator().generate(spec);
+  };
+  const sim::LabeledSession warm = generate(sim::GameTitle::kFortnite);
+  const sim::LabeledSession session =
+      generate(sim::GameTitle::kHonkaiStarRail);
+  const auto session_allocs = [&](obs::DecisionTraceRing* ring) {
+    StreamingAnalyzer analyzer(suite().models(), default_pipeline_params(),
+                               {});
+    analyzer.set_trace(ring);
+    for (const net::PacketRecord& pkt : warm.packets) analyzer.push(pkt);
+    (void)analyzer.finish();
+    const Heap before;
+    for (const net::PacketRecord& pkt : session.packets) analyzer.push(pkt);
+    const SessionReport report = analyzer.finish();
+    const Heap after;
+    EXPECT_GT(report.title.class_name.size(), 15u);  // past the inline buffer
+    return after.allocs - before.allocs;
+  };
+  obs::DecisionTraceRing ring(256);
+  const std::int64_t untraced = session_allocs(nullptr);
+  const std::int64_t traced = session_allocs(&ring);
+  EXPECT_GT(ring.size(), 0u);
+  EXPECT_EQ(traced, untraced);
 }
 
 // The figures DESIGN.md's per-session budget quotes, printed and checked

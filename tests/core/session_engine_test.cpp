@@ -654,8 +654,8 @@ TEST(SessionEngine, PatternWalkLeavesReportsIndependentOfSpanAndObserver) {
     const TitleResult title = suite().models().title->classify(
         session.packets, session.launch_begin);
 
-    std::vector<StreamEvent> events;
-    const SessionEventCallback record = [&](const StreamEvent& event) {
+    std::vector<obs::TraceEvent> events;
+    const SessionEventCallback record = [&](const obs::TraceEvent& event) {
       events.push_back(event);
     };
     SlotHistory history;
@@ -678,7 +678,8 @@ TEST(SessionEngine, PatternWalkLeavesReportsIndependentOfSpanAndObserver) {
 
     // The every-row walk, one slot at a time, and its slot-by-slot replay.
     const SessionReport expected = run(1, kEvents);
-    const std::vector<StreamEvent> expected_events = std::exchange(events, {});
+    const std::vector<obs::TraceEvent> expected_events =
+        std::exchange(events, {});
     const std::vector<SlotRecord> records = history.take_all().at(0);
     ASSERT_EQ(records.size(), slots.size());
     const auto verdicts = slot_verdicts(records);

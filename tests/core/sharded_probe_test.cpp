@@ -230,7 +230,7 @@ TEST(ShardedProbe, DefaultBackpressureRidesOutAStalledWorker) {
   ShardedProbe engine(
       suite().models(), params,
       [&](const SessionReport& r) { sharded.push_back(r); },
-      [&](const StreamEvent&) {
+      [&](const obs::TraceEvent&) {
         if (stalled) return;
         stalled = true;
         std::this_thread::sleep_for(std::chrono::milliseconds(150));

@@ -33,29 +33,35 @@ sim::LabeledSession packet_session(sim::GameTitle title, double gameplay_s,
 }
 
 TEST(StreamingAnalyzer, EmitsEventsInOrder) {
-  std::vector<StreamEvent> events;
+  std::vector<obs::TraceEvent> events;
   StreamingAnalyzer analyzer(
       suite().models(), default_pipeline_params(),
-      [&](const StreamEvent& e) { events.push_back(e); });
+      [&](const obs::TraceEvent& e) { events.push_back(e); });
 
   const auto session = packet_session(sim::GameTitle::kFortnite, 60, 11);
   for (const auto& pkt : session.packets) analyzer.push(pkt);
   const SessionReport report = analyzer.finish();
 
   ASSERT_GE(events.size(), 3u);
-  EXPECT_EQ(events[0].type, StreamEventType::kFlowDetected);
-  ASSERT_TRUE(events[0].detection.has_value());
-  EXPECT_EQ(events[0].detection->flow, session.tuple.canonical());
+  EXPECT_EQ(events[0].type, obs::TraceEventType::kFlowPromoted);
+  ASSERT_TRUE(report.detection.has_value());
+  EXPECT_EQ(report.detection->flow, session.tuple.canonical());
+  EXPECT_EQ(events[0].name_view(), to_string(report.detection->platform));
 
   // A title verdict arrives shortly after the five-second window.
-  const auto title_event =
-      std::find_if(events.begin(), events.end(), [](const StreamEvent& e) {
-        return e.type == StreamEventType::kTitleClassified;
+  const auto title_event = std::find_if(
+      events.begin(), events.end(), [](const obs::TraceEvent& e) {
+        return e.type == obs::TraceEventType::kTitleVerdict;
       });
   ASSERT_NE(title_event, events.end());
   EXPECT_GE(title_event->at_seconds, 5.0);
   EXPECT_LT(title_event->at_seconds, 7.0);
-  ASSERT_TRUE(title_event->title.has_value());
+  EXPECT_EQ(title_event->label, report.title.label.value_or(-1));
+  EXPECT_EQ(title_event->confidence, report.title.confidence);
+
+  // The session's last event is its retirement.
+  EXPECT_EQ(events.back().type, obs::TraceEventType::kSessionRetired);
+  EXPECT_EQ(events.back().at_seconds, report.duration_s);
 
   // Stage changes appear, and events are time-ordered.
   for (std::size_t i = 1; i < events.size(); ++i)
@@ -87,10 +93,10 @@ TEST(StreamingAnalyzer, MatchesBatchPipelineVerdicts) {
 }
 
 TEST(StreamingAnalyzer, IgnoresCrossTrafficBeforeAndAfterDetection) {
-  std::vector<StreamEvent> events;
+  std::vector<obs::TraceEvent> events;
   StreamingAnalyzer analyzer(
       suite().models(), default_pipeline_params(),
-      [&](const StreamEvent& e) { events.push_back(e); });
+      [&](const obs::TraceEvent& e) { events.push_back(e); });
 
   const auto session = packet_session(sim::GameTitle::kCsgo, 40, 15);
   ml::Rng rng(16);
@@ -110,11 +116,11 @@ TEST(StreamingAnalyzer, IgnoresCrossTrafficBeforeAndAfterDetection) {
 }
 
 TEST(StreamingAnalyzer, PureCrossTrafficNeverDetects) {
-  std::vector<StreamEvent> events;
+  std::vector<obs::TraceEvent> events;
   SlotHistory history;
   StreamingAnalyzer analyzer(
       suite().models(), default_pipeline_params(),
-      [&](const StreamEvent& e) { events.push_back(e); }, history.hook());
+      [&](const obs::TraceEvent& e) { events.push_back(e); }, history.hook());
   ml::Rng rng(17);
   for (const auto& pkt :
        sim::web_browsing_flow(net::Ipv4Addr::from_octets(10, 9, 9, 9), 60.0,
@@ -208,15 +214,6 @@ TEST(StreamingAnalyzer, LookbackCapBoundsAFloodAndCountsDrops) {
 TEST(StreamingAnalyzer, RequiresModels) {
   EXPECT_THROW(StreamingAnalyzer(PipelineModels{}, PipelineParams{}, {}),
                std::invalid_argument);
-}
-
-TEST(StreamEvent, TypeNames) {
-  EXPECT_STREQ(to_string(StreamEventType::kFlowDetected), "flow-detected");
-  EXPECT_STREQ(to_string(StreamEventType::kTitleClassified),
-               "title-classified");
-  EXPECT_STREQ(to_string(StreamEventType::kStageChanged), "stage-changed");
-  EXPECT_STREQ(to_string(StreamEventType::kPatternInferred),
-               "pattern-inferred");
 }
 
 }  // namespace

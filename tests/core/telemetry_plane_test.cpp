@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -164,37 +165,27 @@ TEST(TelemetryPlane, PipelineTraceTellsTheSessionStory) {
   EXPECT_EQ(ring.at(0).session_id, 2u);
 }
 
-TEST(TelemetryPlane, StreamingAnalyzerTracesAndHidesQoeFromCallbacks) {
-  obs::DecisionTraceRing ring(256);
-  std::vector<StreamEventType> callback_events;
-  StreamingAnalyzer analyzer(
-      suite().models(), default_pipeline_params(),
-      [&](const StreamEvent& event) { callback_events.push_back(event.type); });
-  analyzer.set_trace(&ring);
-
-  const sim::LabeledSession session = packet_session(47);
-  for (const auto& pkt : session.packets) analyzer.push(pkt);
-  const SessionReport report = analyzer.finish();
-  ASSERT_GT(report.duration_s, 0.0);
-
-  ASSERT_GT(ring.size(), 0u);
-  EXPECT_EQ(ring.at(ring.size() - 1).type,
-            obs::TraceEventType::kSessionRetired);
-  // The std::function callback predates QoE events and must never see
-  // one, traced or not.
-  for (const StreamEventType type : callback_events)
-    EXPECT_NE(type, StreamEventType::kQoeChanged);
-}
-
 /// What one front-end run delivered to each event consumer.
 struct ObservedRun {
-  std::vector<StreamEvent> events;
+  std::vector<obs::TraceEvent> events;
   std::vector<obs::TraceEvent> trace;
 };
 
+/// Events grouped by session id, each session's in arrival order. Only
+/// per-session order is common to callback and ring: ShardedProbe keeps
+/// one ring per shard, and its shards' callbacks interleave as they run.
+std::map<std::uint64_t, std::vector<obs::TraceEvent>> by_session(
+    const std::vector<obs::TraceEvent>& events) {
+  std::map<std::uint64_t, std::vector<obs::TraceEvent>> out;
+  for (const obs::TraceEvent& event : events)
+    out[event.session_id].push_back(event);
+  return out;
+}
+
 /// Runs a front-end with the callback only, the trace only, and both: each
 /// consumer must see exactly the same thing whether or not the other one
-/// is installed.
+/// is installed, and with both installed, each session's callback events
+/// are its ring events.
 template <class RunFn>
 void expect_callback_and_trace_independent(const RunFn& run) {
   const ObservedRun callback_only = run(true, false);
@@ -204,8 +195,10 @@ void expect_callback_and_trace_independent(const RunFn& run) {
   ASSERT_FALSE(trace_only.trace.empty());
   EXPECT_TRUE(callback_only.trace.empty());
   EXPECT_TRUE(trace_only.events.empty());
-  EXPECT_EQ(both.events, callback_only.events);
   EXPECT_EQ(both.trace, trace_only.trace);
+  const auto events = by_session(both.events);
+  EXPECT_EQ(events, by_session(callback_only.events));
+  EXPECT_EQ(events, by_session(both.trace));
 }
 
 TEST(TelemetryPlane, CallbackAndTraceAreIndependent) {
@@ -224,7 +217,7 @@ TEST(TelemetryPlane, CallbackAndTraceAreIndependent) {
   const auto callback = [](ObservedRun& run, bool install) {
     if (!install) return SessionEventCallback{};
     return SessionEventCallback(
-        [&run](const StreamEvent& event) { run.events.push_back(event); });
+        [&run](const obs::TraceEvent& event) { run.events.push_back(event); });
   };
 
   expect_callback_and_trace_independent([&](bool with_callback,
@@ -254,6 +247,23 @@ TEST(TelemetryPlane, CallbackAndTraceAreIndependent) {
     for (const auto& pkt : wire) analyzer.push(pkt);
     EXPECT_GT(analyzer.finish().duration_s, 0.0);
     ring.append_to(run.trace);
+    return run;
+  });
+
+  expect_callback_and_trace_independent([&](bool with_callback,
+                                            bool with_trace) {
+    ObservedRun run;
+    ShardedProbeParams params;
+    params.probe = MultiSessionProbeParams{default_pipeline_params()};
+    params.num_shards = 2;
+    params.trace_capacity = with_trace ? 1024 : 0;
+    ShardedProbe probe(suite().models(), params,
+                       [](const SessionReport&) {},
+                       callback(run, with_callback));
+    for (const auto& pkt : wire) probe.push(pkt);
+    probe.flush();
+    EXPECT_EQ(probe.reports_emitted(), 2u);
+    run.trace = probe.drain_trace();
     return run;
   });
 }

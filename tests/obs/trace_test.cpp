@@ -17,6 +17,19 @@ TraceEvent make_event(std::uint64_t session, double t, TraceEventType type) {
   return event;
 }
 
+// The JSONL "type" values: consumers of the trace and the event
+// callbacks key on these names.
+TEST(TraceEvent, TypeNames) {
+  EXPECT_STREQ(to_string(TraceEventType::kFlowPromoted), "flow-promoted");
+  EXPECT_STREQ(to_string(TraceEventType::kTitleVerdict), "title-verdict");
+  EXPECT_STREQ(to_string(TraceEventType::kStageTransition),
+               "stage-transition");
+  EXPECT_STREQ(to_string(TraceEventType::kPatternDecision),
+               "pattern-decision");
+  EXPECT_STREQ(to_string(TraceEventType::kQoeChange), "qoe-change");
+  EXPECT_STREQ(to_string(TraceEventType::kSessionRetired), "session-retired");
+}
+
 TEST(TraceEvent, NameTruncatesToInlineCapacity) {
   TraceEvent event;
   event.set_name("short");
