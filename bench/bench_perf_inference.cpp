@@ -346,7 +346,8 @@ const ml::CompiledForest& undecided_forest() {
       out += '\n';
       begin = end + 1;
     }
-    return ml::CompiledForest(ml::RandomForest::deserialize(out));
+    ml::RandomForestParams header;
+    return ml::CompiledForest::parse(out, header);
   }();
   return compiled;
 }

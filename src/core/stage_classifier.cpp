@@ -54,13 +54,10 @@ StageClassifier StageClassifier::deserialize(std::string_view text) {
   header.expect("stage_classifier");
   header.finish();
   StageClassifier out;
-  const ml::RandomForest forest = ml::RandomForest::deserialize(in.rest());
-  out.params_.forest = forest.params();
-  if (forest.tree_count() > 0) {
-    out.compiled_ = ml::CompiledForest(forest);
-    if (out.compiled_.num_features() != kNumVolumetricAttributes)
-      in.fail("forest does not read 4 volumetric attributes");
-  }
+  out.compiled_ = ml::CompiledForest::parse(in.rest(), out.params_.forest);
+  if (out.compiled_.compiled() &&
+      out.compiled_.num_features() != kNumVolumetricAttributes)
+    in.fail("forest does not read 4 volumetric attributes");
   return out;
 }
 

@@ -39,6 +39,10 @@ void StreamingAnalyzer::push(const net::PacketRecord& pkt) {
 }
 
 SessionReport StreamingAnalyzer::finish() {
+  if (!engine_.started()) {  // no flow detected: no session to retire
+    front_end_.clear();
+    return SessionReport{};
+  }
   SessionReport out = engine_.finish(observer_);  // copy: the engine is reused
   ++observer_.session_id;
 

@@ -46,7 +46,8 @@ class StreamingAnalyzer {
 
   /// Flushes the partially filled final slot and returns the session
   /// report accumulated so far. The analyzer is reusable afterward
-  /// (state resets for the next session).
+  /// (state resets for the next session). Without a detected flow it
+  /// returns an empty report and retires nothing.
   SessionReport finish();
 
   [[nodiscard]] bool flow_detected() const {
@@ -63,8 +64,8 @@ class StreamingAnalyzer {
   }
 
   /// Optional decision trace. Successive sessions the analyzer processes
-  /// are numbered `first_id`, `first_id + 1`, ... (advanced by finish()).
-  /// The ring must outlive the analyzer.
+  /// are numbered `first_id`, `first_id + 1`, ... (advanced as finish()
+  /// retires each). The ring must outlive the analyzer.
   void set_trace(obs::DecisionTraceRing* ring, std::uint64_t first_id = 1) {
     observer_.trace = ring;
     observer_.session_id = first_id;
@@ -87,7 +88,7 @@ class StreamingAnalyzer {
   EventCallback on_event_;
   SlotCallback on_slot_;
   /// Routes events to on_event_ and the trace, and slots to on_slot_; its
-  /// session id advances at each finish().
+  /// session id advances at each finish() that retires a session.
   SessionObserver observer_;
 
   /// Flow table, detector and lookback until the flow is detected.

@@ -78,10 +78,8 @@ TitleClassifier TitleClassifier::deserialize(std::string_view text) {
   out.class_names_.reserve(n_classes);
   for (std::size_t c = 0; c < n_classes; ++c)
     out.class_names_.emplace_back(in.line());
-  const ml::RandomForest forest = ml::RandomForest::deserialize(in.rest());
-  out.params_.forest = forest.params();
-  if (forest.tree_count() > 0) {
-    out.compiled_ = ml::CompiledForest(forest);
+  out.compiled_ = ml::CompiledForest::parse(in.rest(), out.params_.forest);
+  if (out.compiled_.compiled()) {
     if (out.compiled_.num_features() != kNumLaunchAttributes)
       in.fail("forest does not read 51 launch attributes");
     if (out.compiled_.num_classes() != n_classes)

@@ -131,13 +131,10 @@ PatternInferrer PatternInferrer::deserialize(std::string_view text) {
   params.min_transitions = header.integer<std::size_t>();
   header.finish();
   PatternInferrer out(params);
-  const ml::RandomForest forest = ml::RandomForest::deserialize(in.rest());
-  out.params_.forest = forest.params();
-  if (forest.tree_count() > 0) {
-    out.compiled_ = ml::CompiledForest(forest);
-    if (out.compiled_.num_features() != kNumTransitionAttributes)
-      in.fail("forest does not read 9 transition attributes");
-  }
+  out.compiled_ = ml::CompiledForest::parse(in.rest(), out.params_.forest);
+  if (out.compiled_.compiled() &&
+      out.compiled_.num_features() != kNumTransitionAttributes)
+    in.fail("forest does not read 9 transition attributes");
   return out;
 }
 

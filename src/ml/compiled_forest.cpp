@@ -5,7 +5,10 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
+
+#include "ml/text_reader.hpp"
 
 namespace cgctx::ml {
 
@@ -75,115 +78,204 @@ void lockstep(std::size_t lanes, std::size_t passes, const Step& step) {
 }
 }  // namespace
 
+/// The one layout routine, behind the constructor and parse(): add_tree()
+/// lays a tree out after those already added, by one BFS pass, its leaf
+/// values entering the pool in walk order; finish() trims the arrays to
+/// their sizes and sets up row retirement.
+struct CompiledForest::Builder {
+  Builder(CompiledForest& forest, std::size_t trees) : out(forest) {
+    out.walk_roots_.reserve(trees);
+    spans.reserve(trees);
+  }
+
+  CompiledForest& out;
+  /// BFS queue of (tree-local node id, depth).
+  std::vector<std::pair<std::int32_t, std::size_t>> queue;
+  /// Per tree: its leaf-value span (max - min over its leaves' values).
+  std::vector<double> spans;
+  bool unit_leaves = true;  ///< every leaf value lies in [0, 1]
+
+  /// `nodes` is one tree, node 0 its root; `leaf(node)` points at a leaf
+  /// node's num_classes() values.
+  template <typename Leaf>
+  void add_tree(std::span<const DecisionTree::Node> nodes,
+                const Leaf& leaf) {
+    const std::size_t classes = out.num_classes_;
+    const std::size_t wbase = out.walk_.size();
+    out.walk_roots_.push_back(static_cast<std::int32_t>(wbase));
+    // A BFS hands sibling pairs consecutive ranks, so a split only stores
+    // its left child's index (right = left + 1), and that index is the
+    // queue length at the moment the pair is enqueued.
+    queue.reserve(nodes.size());
+    queue.assign(1, {0, 0});
+    double lowest = std::numeric_limits<double>::infinity();
+    double highest = -lowest;
+    for (std::size_t rank = 0; rank < queue.size(); ++rank) {
+      const auto [id, depth] = queue[rank];
+      const DecisionTree::Node& node = nodes[static_cast<std::size_t>(id)];
+      if (!node.is_leaf()) {
+        const auto left = static_cast<std::int32_t>(wbase + queue.size());
+        out.walk_.push_back({node.threshold, node.feature, left});
+        queue.emplace_back(node.left, depth + 1);
+        queue.emplace_back(node.right, depth + 1);
+        continue;
+      }
+      // Quiet NaN whose low bits are the leaf's pool offset: still
+      // compares false against everything (the self-loop driver) and
+      // doubles as the accumulation pass's distribution pointer.
+      const auto offset = static_cast<std::uint64_t>(out.leaf_pool_.size());
+      out.walk_.push_back({std::bit_cast<double>(kLeafNanBits | offset), 0,
+                           static_cast<std::int32_t>(wbase + rank) - 1});
+      const double* const values = leaf(node);
+      out.leaf_pool_.insert(out.leaf_pool_.end(), values, values + classes);
+      for (std::size_t c = 0; c < classes; ++c) {
+        unit_leaves = unit_leaves && values[c] >= 0.0 && values[c] <= 1.0;
+        lowest = std::min(lowest, values[c]);
+        highest = std::max(highest, values[c]);
+      }
+      out.max_depth_ = std::max(out.max_depth_, depth);
+    }
+    spans.push_back(highest - lowest);
+  }
+
+  void finish() {
+    out.walk_.shrink_to_fit();
+    out.leaf_pool_.shrink_to_fit();
+    // retire_margin_[k] = slack[k + 1] + kRetireGuard, with slack[k] the
+    // suffix sum of the spans from tree k on. The first check is the first
+    // tree whose walked spans alone (the largest lead the trees so far can
+    // build) could clear its margin.
+    const std::size_t trees = spans.size();
+    out.first_check_ = trees;
+    if (!unit_leaves || trees > kMaxRetireTrees) return;
+    out.retire_margin_.assign(trees, 0.0);
+    double slack = 0.0;
+    for (std::size_t k = trees; k-- > 0;) {
+      out.retire_margin_[k] = slack + kRetireGuard;
+      slack += spans[k];
+    }
+    double walked = 0.0;
+    for (std::size_t k = 0; k < trees; ++k) {
+      walked += spans[k];
+      if (walked > out.retire_margin_[k]) {
+        out.first_check_ = k;
+        break;
+      }
+    }
+  }
+};
+
 CompiledForest::CompiledForest(const RandomForest& forest) {
   if (forest.tree_count() == 0)
     throw std::logic_error("CompiledForest: compile before fit");
   num_classes_ = forest.num_classes();
   if (num_classes_ == 0)
     throw std::logic_error("CompiledForest: forest has no classes");
+  // fit and parse() give every tree the forest's class count and width.
+  num_features_ = forest.trees().front().num_features();
+  Builder builder(*this, forest.tree_count());
+  for (const DecisionTree& tree : forest.trees())
+    builder.add_tree(tree.nodes(), [](const DecisionTree::Node& leaf) {
+      return leaf.distribution.data();
+    });
+  builder.finish();
+}
 
-  std::size_t total_nodes = 0;
-  std::size_t total_leaves = 0;
-  for (const DecisionTree& tree : forest.trees()) {
-    total_nodes += tree.node_count();
-    total_leaves += (tree.node_count() + 1) / 2;  // full binary tree
-  }
-  walk_.reserve(total_nodes);
-  walk_roots_.reserve(forest.tree_count());
-  leaf_pool_.reserve(total_leaves * num_classes_);
+CompiledForest CompiledForest::parse(std::string_view text,
+                                     RandomForestParams& header) {
+  TextReader in(text, "RandomForest");
+  in.expect("forest");
+  const std::size_t trees = in.count();
+  CompiledForest out;
+  out.num_classes_ = in.count();
+  header.n_trees = in.integer<std::size_t>();
+  header.max_depth = in.integer<std::size_t>();
+  header.min_samples_split = in.integer<std::size_t>();
+  header.min_samples_leaf = in.integer<std::size_t>();
+  header.max_features = in.integer<std::size_t>();
+  const auto bootstrap = in.integer<unsigned>();
+  if (bootstrap > 1) in.fail("bootstrap flag is not 0 or 1");
+  header.bootstrap = bootstrap == 1;
+  header.seed = in.integer<std::uint64_t>();
 
-  // BFS queue of (tree-local node id, depth). A BFS hands sibling pairs
-  // consecutive ranks, so a split only stores its left child's index
-  // (right = left + 1), and that index is the queue length at the moment
-  // the pair is enqueued.
-  struct Pending {
-    std::int32_t node;
-    std::size_t depth;
-  };
-  std::vector<Pending> queue;
-  // Leaf-value span per tree (max - min over its leaves' class entries),
-  // and whether every leaf value lies in [0, 1].
-  std::vector<double> spans;
-  spans.reserve(forest.tree_count());
-  bool unit_leaves = true;
-  for (const DecisionTree& tree : forest.trees()) {
-    if (tree.num_classes() != num_classes_)
-      throw std::logic_error("CompiledForest: inconsistent class counts");
-    if (num_features_ == 0) num_features_ = tree.num_features();
-    if (tree.num_features() != num_features_)
-      throw std::logic_error("CompiledForest: inconsistent feature widths");
-    const auto& nodes = tree.nodes();
-    const auto wbase = static_cast<std::int32_t>(walk_.size());
-    walk_roots_.push_back(wbase);
-    queue.clear();
-    queue.push_back({0, 0});  // a tree's node 0 is its root
-    double lowest = std::numeric_limits<double>::infinity();
-    double highest = -lowest;
-    for (std::size_t rank = 0; rank < queue.size(); ++rank) {
-      const auto [id, depth] = queue[rank];
-      const DecisionTree::Node& node = nodes[static_cast<std::size_t>(id)];
-      const auto self = wbase + static_cast<std::int32_t>(rank);
-      if (node.is_leaf()) {
-        if (node.distribution.size() != num_classes_)
-          throw std::logic_error("CompiledForest: bad leaf width");
-        // Quiet NaN whose low bits are the leaf's pool offset: still
-        // compares false against everything (the self-loop driver) and
-        // doubles as the accumulation pass's distribution pointer.
-        const auto offset = static_cast<std::uint64_t>(leaf_pool_.size());
-        leaf_pool_.insert(leaf_pool_.end(), node.distribution.begin(),
-                          node.distribution.end());
-        for (const double v : node.distribution) {
-          unit_leaves = unit_leaves && v >= 0.0 && v <= 1.0;
-          lowest = std::min(lowest, v);
-          highest = std::max(highest, v);
-        }
-        walk_.push_back(WalkNode{
-            .threshold = std::bit_cast<double>(kLeafNanBits | offset),
-            .feature = 0,
-            .child = self - 1,
-        });
-        max_depth_ = std::max(max_depth_, depth);
+  Builder builder(out, trees);
+  // One tree at a time: its nodes (a leaf's `left` is its ordinal among
+  // the tree's leaves, indexing `values`) and each node's parent count.
+  // fit() writes preorder, so a valid tree has every child after its
+  // parent and every non-root node under exactly one parent; anything else
+  // (a cycle, a shared or orphaned subtree) would hang the layout's BFS.
+  std::vector<DecisionTree::Node> nodes;
+  std::vector<double> values;
+  std::vector<std::uint8_t> parents;
+  for (std::size_t t = 0; t < trees; ++t) {
+    in.expect("tree");
+    const std::size_t node_count = in.count();
+    const std::size_t classes = in.count();
+    const auto width = in.integer<std::size_t>();
+    if (node_count > static_cast<std::size_t>(
+                         std::numeric_limits<std::int32_t>::max()))
+      in.fail("node count outside the int32 child index range");
+    nodes.assign(node_count, {});
+    values.clear();
+    parents.assign(node_count, 0);
+    std::int32_t leaves = 0;
+    for (std::size_t i = 0; i < node_count; ++i) {
+      DecisionTree::Node& n = nodes[i];
+      const std::string_view tag = in.token();
+      if (tag == "leaf") {
+        in.require_room(classes);
+        n.left = leaves++;
+        for (std::size_t c = 0; c < classes; ++c) values.push_back(in.real());
+      } else if (tag == "split") {
+        n.feature = in.integer<std::int32_t>();
+        n.threshold = in.real();
+        n.left = in.integer<std::int32_t>();
+        n.right = in.integer<std::int32_t>();
+        if (n.feature < 0 || static_cast<std::size_t>(n.feature) >= width)
+          in.fail("bad feature index");
+        const auto self = static_cast<std::int32_t>(i);
+        if (n.left <= self || n.right <= self ||
+            static_cast<std::size_t>(n.left) >= node_count ||
+            static_cast<std::size_t>(n.right) >= node_count)
+          in.fail("bad child index");
+        if (++parents[static_cast<std::size_t>(n.left)] > 1 ||
+            ++parents[static_cast<std::size_t>(n.right)] > 1)
+          in.fail("node has two parents");
       } else {
-        walk_.push_back(WalkNode{
-            .threshold = node.threshold,
-            .feature = node.feature,
-            .child = wbase + static_cast<std::int32_t>(queue.size()),
-        });
-        queue.push_back({node.left, depth + 1});
-        queue.push_back({node.right, depth + 1});
+        in.fail("bad node tag");
       }
     }
-    spans.push_back(highest - lowest);
+    for (std::size_t i = 1; i < node_count; ++i)
+      if (parents[i] == 0) in.fail("unreachable node");
+    // An empty tree has no root for the walks to start from.
+    if (node_count == 0)
+      in.fail("tree " + std::to_string(t) + " has no nodes");
+    // Every walk sizes its sums by the header's class count: a tree voting
+    // over another count would read or write out of bounds.
+    if (classes != out.num_classes_)
+      in.fail("tree " + std::to_string(t) + " has " + std::to_string(classes) +
+              " classes, forest header says " +
+              std::to_string(out.num_classes_));
+    if (t == 0)
+      out.num_features_ = width;
+    else if (width != out.num_features_)
+      in.fail("tree " + std::to_string(t) +
+              " feature width disagrees with tree 0");
+    builder.add_tree(nodes, [&](const DecisionTree::Node& leaf) {
+      return values.data() + static_cast<std::size_t>(leaf.left) * classes;
+    });
   }
-
-  // retire_margin_[k] = slack[k + 1] + kRetireGuard, with slack[k] the
-  // suffix sum of the spans from tree k on. The first check is the first
-  // tree whose walked spans alone (the largest lead the trees so far can
-  // build) could clear its margin.
-  const std::size_t trees = spans.size();
-  first_check_ = trees;
-  if (!unit_leaves || trees > kMaxRetireTrees) return;
-  retire_margin_.assign(trees, 0.0);
-  double slack = 0.0;
-  for (std::size_t k = trees; k-- > 0;) {
-    retire_margin_[k] = slack + kRetireGuard;
-    slack += spans[k];
-  }
-  double walked = 0.0;
-  for (std::size_t k = 0; k < trees; ++k) {
-    walked += spans[k];
-    if (walked > retire_margin_[k]) {
-      first_check_ = k;
-      break;
-    }
-  }
+  if (trees > 0 && out.num_classes_ == 0) in.fail("forest has no classes");
+  in.finish();
+  builder.finish();
+  return out;
 }
 
 RandomForest CompiledForest::reference_forest(
     const RandomForestParams& params) const {
   RandomForest forest(params);
-  if (!compiled()) return forest;
   forest.num_classes_ = num_classes_;
+  if (!compiled()) return forest;
   forest.trees_.resize(tree_count());
   // Depth-first from each root, left child popped first, so a node's
   // index is its preorder rank: a split's left child is the next node,

@@ -50,18 +50,23 @@
 // lowest label exactly as std::max_element does. The parity tests in
 // tests/ml/compiled_forest_test.cpp pin this bit for bit.
 //
+// Forest text loads straight into this layout: parse(), the only reader
+// of forest text, hands each tree to the BFS routine the constructor
+// uses, so a load builds no reference forest and allocates per model.
+//
 // Compilation is also exactly invertible: reference_forest() rebuilds the
 // RandomForest from the walk nodes and the leaf pool, numbering each
 // tree's nodes in left-first preorder, the order DecisionTree::fit writes.
 // A fitted or fit-written forest therefore serializes byte-identically
 // after a compile-and-rebuild round, which is what lets the runtime
-// classifiers keep only the compiled form and still serialize. A loaded
-// tree written in another order (a right subtree first) comes back in
-// preorder: same predictions, canonical text.
+// classifiers keep only the compiled form and still serialize. A tree
+// written in another order (a right subtree first) loads and comes back
+// in preorder: same predictions, canonical text.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "ml/classifier.hpp"
@@ -78,12 +83,19 @@ class CompiledForest {
   /// has no trees (compile before fit).
   explicit CompiledForest(const RandomForest& forest);
 
+  /// Parses RandomForest::serialize()'s text into the compiled form and
+  /// the header's params into `header`; throws std::invalid_argument
+  /// ("RandomForest: ... at byte N") on anything else. A zero-tree forest
+  /// yields an uncompiled engine that keeps the header's class count.
+  [[nodiscard]] static CompiledForest parse(std::string_view text,
+                                            RandomForestParams& header);
+
   /// The inverse of compilation: rebuilds the reference forest, with
   /// `params` as its header (the compiled form keeps none), each tree's
   /// nodes numbered in left-first preorder. A leaf is recognised by its
   /// self-loop and reads its distribution at the offset in its NaN
   /// payload. Builds every tree and leaf vector anew on each call; an
-  /// uncompiled engine yields an unfitted forest.
+  /// uncompiled engine yields an unfitted forest of its class count.
   [[nodiscard]] RandomForest reference_forest(
       const RandomForestParams& params) const;
 
@@ -200,6 +212,9 @@ class CompiledForest {
                          Label* labels) const;
   /// Divides accumulated leaf sums by the tree count.
   void average(std::span<double> out) const;
+
+  /// The BFS layout routine the constructor and parse() share (.cpp).
+  struct Builder;
 
   /// One packed traversal node: everything a descent step reads sits in
   /// one 16-byte (quarter-cache-line) record. Siblings are adjacent, so

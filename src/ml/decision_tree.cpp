@@ -5,10 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
-
-#include "ml/text_reader.hpp"
 
 namespace cgctx::ml {
 
@@ -221,66 +218,6 @@ void DecisionTree::serialize_to(std::ostream& os) const {
     }
   }
   os.precision(old_precision);
-}
-
-std::string DecisionTree::serialize() const {
-  std::ostringstream os;
-  serialize_to(os);
-  return os.str();
-}
-
-DecisionTree DecisionTree::deserialize_from(TextReader& in) {
-  in.expect("tree");
-  const std::size_t node_count = in.count();
-  DecisionTree out;
-  out.num_classes_ = in.count();
-  out.num_features_ = in.integer<std::size_t>();
-  if (node_count > static_cast<std::size_t>(
-                       std::numeric_limits<std::int32_t>::max()))
-    in.fail("node count outside the int32 child index range");
-  out.nodes_.resize(node_count);
-  // Parent count per node. fit() writes nodes in preorder, so a valid
-  // tree has every child after its parent and every non-root node under
-  // exactly one parent; anything else (a cycle, a shared or orphaned
-  // subtree) would hang or blow up the walks that follow child links.
-  std::vector<std::uint8_t> parents(node_count, 0);
-  for (std::size_t i = 0; i < node_count; ++i) {
-    Node& n = out.nodes_[i];
-    const std::string_view tag = in.token();
-    if (tag == "leaf") {
-      in.require_room(out.num_classes_);
-      n.distribution.resize(out.num_classes_);
-      for (double& d : n.distribution) d = in.real();
-    } else if (tag == "split") {
-      n.feature = in.integer<std::int32_t>();
-      n.threshold = in.real();
-      n.left = in.integer<std::int32_t>();
-      n.right = in.integer<std::int32_t>();
-      if (n.feature < 0 ||
-          static_cast<std::size_t>(n.feature) >= out.num_features_)
-        in.fail("bad feature index");
-      const auto self = static_cast<std::int32_t>(i);
-      if (n.left <= self || n.right <= self ||
-          static_cast<std::size_t>(n.left) >= node_count ||
-          static_cast<std::size_t>(n.right) >= node_count)
-        in.fail("bad child index");
-      if (++parents[static_cast<std::size_t>(n.left)] > 1 ||
-          ++parents[static_cast<std::size_t>(n.right)] > 1)
-        in.fail("node has two parents");
-    } else {
-      in.fail("bad node tag");
-    }
-  }
-  for (std::size_t i = 1; i < node_count; ++i)
-    if (parents[i] == 0) in.fail("unreachable node");
-  return out;
-}
-
-DecisionTree DecisionTree::deserialize(std::string_view text) {
-  TextReader in(text, "DecisionTree");
-  DecisionTree out = deserialize_from(in);
-  in.finish();
-  return out;
 }
 
 }  // namespace cgctx::ml

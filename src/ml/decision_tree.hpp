@@ -7,8 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
+#include <iosfwd>
 #include <utility>
 #include <vector>
 
@@ -18,7 +17,6 @@
 namespace cgctx::ml {
 
 class CompiledForest;
-class TextReader;
 
 struct DecisionTreeParams {
   /// Maximum tree depth; 0 means unlimited.
@@ -92,15 +90,9 @@ class DecisionTree final : public Classifier {
   /// always the next node). Read by ml::CompiledForest.
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
 
-  /// Round-trippable text form.
-  [[nodiscard]] std::string serialize() const;
-  /// Parses serialize()'s form; throws std::invalid_argument on anything
-  /// else, including text left over after the tree.
-  static DecisionTree deserialize(std::string_view text);
-  /// Streaming variants used by RandomForest serialization: one tree is
-  /// written to `os` / read from `in`'s cursor, which is left after it.
+  /// Writes one of RandomForest::serialize()'s trees. A tree has no
+  /// parser of its own: forest text loads through CompiledForest::parse.
   void serialize_to(std::ostream& os) const;
-  static DecisionTree deserialize_from(TextReader& in);
 
  private:
   // CompiledForest::reference_forest rebuilds a tree in place.

@@ -5,9 +5,8 @@
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
-#include <string>
 
-#include "ml/text_reader.hpp"
+#include "ml/compiled_forest.hpp"
 
 namespace cgctx::ml {
 
@@ -168,43 +167,8 @@ std::string RandomForest::serialize() const {
 }
 
 RandomForest RandomForest::deserialize(std::string_view text) {
-  TextReader in(text, "RandomForest");
-  in.expect("forest");
-  const std::size_t tree_count = in.count();
-  RandomForest out;
-  out.num_classes_ = in.count();
-  out.params_.n_trees = in.integer<std::size_t>();
-  out.params_.max_depth = in.integer<std::size_t>();
-  out.params_.min_samples_split = in.integer<std::size_t>();
-  out.params_.min_samples_leaf = in.integer<std::size_t>();
-  out.params_.max_features = in.integer<std::size_t>();
-  const auto bootstrap = in.integer<unsigned>();
-  if (bootstrap > 1) in.fail("bootstrap flag is not 0 or 1");
-  out.params_.bootstrap = bootstrap == 1;
-  out.params_.seed = in.integer<std::uint64_t>();
-  out.trees_.reserve(tree_count);
-  for (std::size_t t = 0; t < tree_count; ++t) {
-    DecisionTree tree = DecisionTree::deserialize_from(in);
-    // An empty tree has no root for the walks to start from.
-    if (tree.node_count() == 0)
-      in.fail("tree " + std::to_string(t) + " has no nodes");
-    // The header's class count is what predict_proba sizes its output
-    // by; a tree voting over a different class count would read or write
-    // out of bounds. Reject the payload instead of trusting the header.
-    if (tree.num_classes() != out.num_classes_)
-      in.fail("tree " + std::to_string(t) + " has " +
-              std::to_string(tree.num_classes()) +
-              " classes, forest header says " +
-              std::to_string(out.num_classes_));
-    if (!out.trees_.empty() &&
-        tree.num_features() != out.trees_.front().num_features())
-      in.fail("tree " + std::to_string(t) +
-              " feature width disagrees with tree 0");
-    out.trees_.push_back(std::move(tree));
-  }
-  if (tree_count > 0 && out.num_classes_ == 0) in.fail("forest has no classes");
-  in.finish();
-  return out;
+  RandomForestParams header;
+  return CompiledForest::parse(text, header).reference_forest(header);
 }
 
 }  // namespace cgctx::ml

@@ -69,9 +69,9 @@ class RandomForest final : public Classifier {
 
   /// Round-trippable text form (params + every tree).
   [[nodiscard]] std::string serialize() const;
-  /// Parses serialize()'s form in place (trees are read straight off
-  /// `text`); throws std::invalid_argument on anything else, including
-  /// text left over after the last tree.
+  /// CompiledForest::parse, then its exact inverse: each tree comes back
+  /// in left-first preorder, as fit writes it. Throws
+  /// std::invalid_argument on anything but serialize()'s form.
   static RandomForest deserialize(std::string_view text);
 
  private:

@@ -22,6 +22,7 @@
 #include "core/pipeline.hpp"
 #include "core/session_engine.hpp"
 #include "core/streaming_analyzer.hpp"
+#include "core/title_classifier.hpp"
 #include "obs/trace.hpp"
 #include "probe_test_models.hpp"
 #include "sim/session.hpp"
@@ -235,6 +236,37 @@ TEST(SessionBudget, TracedSessionAllocatesAsMuchAsAnUntracedOne) {
   const std::int64_t traced = session_allocs(&ring);
   EXPECT_GT(ring.size(), 0u);
   EXPECT_EQ(traced, untraced);
+}
+
+// A probe restart loads every model before its first packet: a load must
+// allocate per model, not per leaf. A 60-tree title model (thousands of
+// leaves) parses straight into its compiled layout in a few dozen
+// allocations.
+TEST(SessionBudget, TitleModelLoadAllocatesPerModelNotPerLeaf) {
+  TitleClassifierParams params;
+  params.forest.n_trees = 60;
+  params.forest.seed = 4;
+  ml::Dataset data(launch_attribute_names(), {"a", "b", "c", "d"});
+  ml::Rng rng(5);
+  for (std::size_t i = 0; i < 400; ++i) {
+    const auto label = static_cast<ml::Label>(i % 4);
+    ml::FeatureRow row(kNumLaunchAttributes);
+    for (double& v : row) v = rng.normal(0.3 * static_cast<double>(label), 1.0);
+    data.add(std::move(row), label);
+  }
+  TitleClassifier trained(params);
+  trained.train(data);
+  const std::string text = trained.serialize();
+  const Heap before;
+  const TitleClassifier loaded = TitleClassifier::deserialize(text);
+  const Heap after;
+  ASSERT_EQ(loaded.compiled().tree_count(), 60u);
+  EXPECT_GT(loaded.compiled().node_count(), 60u * 20);
+  EXPECT_EQ(loaded.serialize(), text);
+  std::printf("title model load: %lld allocations, %zu nodes\n",
+              static_cast<long long>(after.allocs - before.allocs),
+              loaded.compiled().node_count());
+  EXPECT_LE(after.allocs - before.allocs, 64);
 }
 
 // The figures DESIGN.md's per-session budget quotes, printed and checked

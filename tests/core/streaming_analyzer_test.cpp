@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "core/model_suite.hpp"
+#include "core/pipeline_metrics.hpp"
 #include "core/slot_history.hpp"
 #include "sim/cross_traffic.hpp"
 
@@ -131,6 +132,43 @@ TEST(StreamingAnalyzer, PureCrossTrafficNeverDetects) {
   const SessionReport report = analyzer.finish();
   EXPECT_EQ(report.duration_s, 0.0);
   EXPECT_TRUE(history.sessions().empty());
+}
+
+// finish() without a detected flow retires no session: no event, no
+// trace record, no finished-session count, and the next session still
+// takes the first id.
+TEST(StreamingAnalyzer, FinishWithoutDetectionRetiresNothing) {
+  std::vector<obs::TraceEvent> events;
+  StreamingAnalyzer analyzer(
+      suite().models(), default_pipeline_params(),
+      [&](const obs::TraceEvent& e) { events.push_back(e); });
+  obs::DecisionTraceRing ring(1024);
+  constexpr std::uint64_t first_id = 7;
+  analyzer.set_trace(&ring, first_id);
+  obs::MetricsRegistry registry;
+  const PipelineMetrics metrics = PipelineMetrics::create(registry);
+  analyzer.set_metrics(&metrics);
+
+  ml::Rng rng(21);
+  for (const auto& pkt :
+       sim::web_browsing_flow(net::Ipv4Addr::from_octets(10, 9, 9, 8), 60.0,
+                              rng))
+    analyzer.push(pkt);
+  ASSERT_FALSE(analyzer.flow_detected());
+  EXPECT_EQ(analyzer.finish(), SessionReport{});
+  EXPECT_TRUE(events.empty());
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(metrics.sessions_finished->value(), 0u);
+
+  const auto session = packet_session(sim::GameTitle::kFortnite, 30, 22);
+  for (const auto& pkt : session.packets) analyzer.push(pkt);
+  ASSERT_TRUE(analyzer.finish().detection.has_value());
+  ASSERT_FALSE(events.empty());
+  for (const obs::TraceEvent& e : events) EXPECT_EQ(e.session_id, first_id);
+  ASSERT_GT(ring.size(), 0u);
+  for (std::size_t i = 0; i < ring.size(); ++i)
+    EXPECT_EQ(ring.at(i).session_id, first_id);
+  EXPECT_EQ(metrics.sessions_finished->value(), 1u);
 }
 
 TEST(StreamingAnalyzer, ReusableAcrossSessions) {

@@ -457,18 +457,17 @@ Dataset wide_data(std::size_t rows, std::size_t width, std::size_t classes,
   return data;
 }
 
-// Compiling and rebuilding is the identity on every fitted forest: fit
-// writes each tree in left-first preorder, the order the rebuild numbers
-// nodes in, so the rebuilt forest serializes byte for byte as the fit one.
-TEST(CompiledForest, ReferenceForestSerializesAsTheFitForest) {
+/// Forest shapes the fitted-forest layout and the parser must agree on.
+struct Shape {
+  const char* name;
+  Dataset data;
+  RandomForestParams params;
+};
+
+std::vector<Shape> fit_shapes() {
   Dataset flat({"x", "y"}, {"a", "b"});
   for (int i = 0; i < 8; ++i) flat.add({1.0, 2.0}, i % 2);
-  struct Shape {
-    const char* name;
-    Dataset data;
-    RandomForestParams params;
-  };
-  const std::vector<Shape> shapes = {
+  return {
       {"root leaf", flat,
        {.n_trees = 4, .bootstrap = false, .seed = 31}},
       {"unlimited depth", blobs(60, 1.5, 32, 3),
@@ -483,7 +482,13 @@ TEST(CompiledForest, ReferenceForestSerializesAsTheFitForest) {
        {.n_trees = 6, .min_samples_leaf = 3, .bootstrap = false,
         .seed = 41}},
   };
-  for (const Shape& shape : shapes) {
+}
+
+// Compiling and rebuilding is the identity on every fitted forest: fit
+// writes each tree in left-first preorder, the order the rebuild numbers
+// nodes in, so the rebuilt forest serializes byte for byte as the fit one.
+TEST(CompiledForest, ReferenceForestSerializesAsTheFitForest) {
+  for (const Shape& shape : fit_shapes()) {
     SCOPED_TRACE(shape.name);
     RandomForest forest(shape.params);
     forest.fit(shape.data);
@@ -493,10 +498,47 @@ TEST(CompiledForest, ReferenceForestSerializesAsTheFitForest) {
   }
 }
 
+// Parsing a fitted forest's text builds the engine compiling the forest
+// builds: same shape, and bitwise the same predictions on every row,
+// NaN, infinities and split thresholds included, single and batched.
+TEST(CompiledForest, ParseMatchesCompileOfTheFit) {
+  for (const Shape& shape : fit_shapes()) {
+    SCOPED_TRACE(shape.name);
+    RandomForest forest(shape.params);
+    forest.fit(shape.data);
+    const CompiledForest compiled(forest);
+    RandomForestParams header;
+    const CompiledForest parsed =
+        CompiledForest::parse(forest.serialize(), header);
+    EXPECT_EQ(RandomForest(header).serialize(),
+              RandomForest(forest.params()).serialize());
+    EXPECT_EQ(parsed.tree_count(), compiled.tree_count());
+    EXPECT_EQ(parsed.node_count(), compiled.node_count());
+    EXPECT_EQ(parsed.max_depth(), compiled.max_depth());
+    EXPECT_EQ(parsed.num_classes(), compiled.num_classes());
+    EXPECT_EQ(parsed.num_features(), compiled.num_features());
+    const std::size_t n = 40;
+    const std::vector<double> rows = label_rows(forest, n, 42);
+    std::vector<double> want(n * compiled.num_classes());
+    std::vector<double> got(want.size());
+    compiled.predict_proba_rows_into(rows, want);
+    parsed.predict_proba_rows_into(rows, got);
+    expect_bitwise_equal(got, want);
+    const std::size_t width = compiled.num_features();
+    for (std::size_t i = 0; i < n; ++i) {
+      const FeatureRow row(rows.begin() + static_cast<std::ptrdiff_t>(i * width),
+                           rows.begin() + static_cast<std::ptrdiff_t>((i + 1) * width));
+      expect_bitwise_equal(parsed.predict_proba(row), compiled.predict_proba(row));
+      EXPECT_EQ(parsed.predict(row), compiled.predict(row));
+    }
+  }
+}
+
 // A loader accepts any tree whose children follow their parent, such as
-// one whose right subtree is written before its left. Compiled, it walks
-// bitwise like RandomForest::deserialize's own trees; rebuilt, it comes
-// back in preorder: the one canonicalisation the round trip makes.
+// one whose right subtree is written before its left. It parses into the
+// engine its preorder form parses into, and comes back from both
+// reference_forest() and RandomForest::deserialize renumbered in preorder:
+// the one canonicalisation a load makes.
 TEST(CompiledForest, ReferenceForestRewritesATreeInPreorder) {
   const std::string text =
       "forest 2 2\n2 0 2 1 0 0 7\n"
@@ -516,24 +558,24 @@ TEST(CompiledForest, ReferenceForestRewritesATreeInPreorder) {
       "leaf 1 0\n"
       "leaf 0.25 0.75\n"
       "tree 3 2 2\nsplit 1 2 1 2\nleaf 0.5 0.5\nleaf 0.125 0.875\n";
+  RandomForestParams header;
+  const CompiledForest parsed = CompiledForest::parse(text, header);
+  const CompiledForest canonical = CompiledForest::parse(preorder, header);
+  EXPECT_EQ(parsed.node_count(), canonical.node_count());
+  EXPECT_EQ(parsed.max_depth(), canonical.max_depth());
   const RandomForest loaded = RandomForest::deserialize(text);
-  const CompiledForest compiled(loaded);
-  const RandomForest rebuilt = compiled.reference_forest(loaded.params());
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const double x : {-1.0, 0.5, 0.75, nan})
     for (const double y : {-2.0, -1.25, 0.0, 2.0, 3.0, nan}) {
       const FeatureRow row{x, y};
-      expect_bitwise_equal(compiled.predict_proba(row),
-                           loaded.predict_proba(row));
-      expect_bitwise_equal(rebuilt.predict_proba(row),
-                           loaded.predict_proba(row));
+      expect_bitwise_equal(parsed.predict_proba(row),
+                           canonical.predict_proba(row));
+      expect_bitwise_equal(loaded.predict_proba(row),
+                           canonical.predict_proba(row));
     }
-  EXPECT_EQ(rebuilt.serialize(), preorder);
-  const RandomForest canonical = RandomForest::deserialize(preorder);
-  EXPECT_EQ(CompiledForest(canonical)
-                .reference_forest(canonical.params())
-                .serialize(),
-            preorder);
+  EXPECT_EQ(parsed.reference_forest(header).serialize(), preorder);
+  EXPECT_EQ(loaded.serialize(), preorder);
+  EXPECT_EQ(RandomForest::deserialize(preorder).serialize(), preorder);
 }
 
 TEST(CompiledForest, UncompiledReferenceForestIsUnfitted) {

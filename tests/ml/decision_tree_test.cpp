@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
+
 #include "../rejection_message.hpp"
+#include "ml/random_forest.hpp"
 
 namespace cgctx::ml {
 namespace {
@@ -17,6 +20,20 @@ Dataset blobs(std::size_t per_class, double separation, std::uint64_t seed) {
     data.add({rng.normal(separation, 1.0), rng.normal(0.0, 1.0)}, 1);
   }
   return data;
+}
+
+/// Loads tree text (two classes) as the one tree of a forest: the forest
+/// parser is the only reader of tree text.
+DecisionTree load_tree(const std::string& text) {
+  return RandomForest::deserialize("forest 1 2\n1 0 2 1 0 0 1\n" + text)
+      .trees()
+      .front();
+}
+
+std::string text_of(const DecisionTree& tree) {
+  std::ostringstream os;
+  tree.serialize_to(os);
+  return os.str();
 }
 
 /// XOR pattern: not linearly separable, needs depth >= 2.
@@ -158,7 +175,7 @@ TEST(DecisionTree, SerializeRoundTripPredictsIdentically) {
   const Dataset data = blobs(60, 2.5, 13);
   DecisionTree tree(DecisionTreeParams{.max_depth = 6});
   tree.fit(data);
-  const DecisionTree copy = DecisionTree::deserialize(tree.serialize());
+  const DecisionTree copy = load_tree(text_of(tree));
   Rng rng(17);
   for (int i = 0; i < 100; ++i) {
     const FeatureRow row{rng.uniform(-6, 6), rng.uniform(-3, 3)};
@@ -167,13 +184,13 @@ TEST(DecisionTree, SerializeRoundTripPredictsIdentically) {
 }
 
 TEST(DecisionTree, DeserializeRejectsCorruptHeader) {
-  EXPECT_THROW(DecisionTree::deserialize("not_a_tree 1 2 3"),
+  EXPECT_THROW(load_tree("not_a_tree 1 2 3"),
                std::invalid_argument);
 }
 
 TEST(DecisionTree, DeserializeRejectsBadChildIndex) {
   // A split node pointing at node 0 (the root) is invalid.
-  EXPECT_THROW(DecisionTree::deserialize("tree 1 2 2\nsplit 0 0.5 0 0\n"),
+  EXPECT_THROW(load_tree("tree 1 2 2\nsplit 0 0.5 0 0\n"),
                std::invalid_argument);
 }
 
@@ -185,13 +202,13 @@ TEST(DecisionTree, DeserializeRejectsBadChildIndex) {
 
 TEST(DecisionTree, DeserializeRejectsCycle) {
   // Node 1 names itself (and node 0's sibling) as children.
-  EXPECT_THROW(DecisionTree::deserialize("tree 3 2 2\n"
+  EXPECT_THROW(load_tree("tree 3 2 2\n"
                                          "split 0 0.5 1 2\n"
                                          "split 1 0.5 1 2\n"
                                          "leaf 0.5 0.5\n"),
                std::invalid_argument);
   // A back edge from node 2 to node 1.
-  EXPECT_THROW(DecisionTree::deserialize("tree 5 2 2\n"
+  EXPECT_THROW(load_tree("tree 5 2 2\n"
                                          "split 0 0.5 1 4\n"
                                          "split 0 0.5 2 3\n"
                                          "split 1 0.5 1 3\n"
@@ -202,13 +219,13 @@ TEST(DecisionTree, DeserializeRejectsCycle) {
 
 TEST(DecisionTree, DeserializeRejectsSharedChildren) {
   // Both of the root's children are node 1.
-  EXPECT_THROW(DecisionTree::deserialize("tree 3 2 2\n"
+  EXPECT_THROW(load_tree("tree 3 2 2\n"
                                          "split 0 0.5 1 1\n"
                                          "leaf 1 0\n"
                                          "leaf 0 1\n"),
                std::invalid_argument);
   // Node 2 hangs under both the root and node 1.
-  EXPECT_THROW(DecisionTree::deserialize("tree 4 2 2\n"
+  EXPECT_THROW(load_tree("tree 4 2 2\n"
                                          "split 0 0.5 1 2\n"
                                          "split 1 0.5 2 3\n"
                                          "leaf 1 0\n"
@@ -217,7 +234,7 @@ TEST(DecisionTree, DeserializeRejectsSharedChildren) {
 }
 
 TEST(DecisionTree, DeserializeRejectsUnreachableNode) {
-  EXPECT_THROW(DecisionTree::deserialize("tree 4 2 2\n"
+  EXPECT_THROW(load_tree("tree 4 2 2\n"
                                          "split 0 0.5 1 2\n"
                                          "leaf 1 0\n"
                                          "leaf 0 1\n"
@@ -228,13 +245,13 @@ TEST(DecisionTree, DeserializeRejectsUnreachableNode) {
 TEST(DecisionTree, DeserializeRejectsFeatureIndexOutsideTheRow) {
   for (const char* feature : {"2", "-1", "7"}) {
     SCOPED_TRACE(feature);
-    EXPECT_THROW(DecisionTree::deserialize(std::string("tree 3 2 2\nsplit ") +
+    EXPECT_THROW(load_tree(std::string("tree 3 2 2\nsplit ") +
                                            feature +
                                            " 0.5 1 2\nleaf 1 0\nleaf 0 1\n"),
                  std::invalid_argument);
   }
   // The same tree with an in-range feature loads and predicts.
-  const DecisionTree ok = DecisionTree::deserialize(
+  const DecisionTree ok = load_tree(
       "tree 3 2 2\nsplit 1 0.5 1 2\nleaf 1 0\nleaf 0 1\n");
   EXPECT_EQ(ok.predict({9.0, 0.0}), 0);
   EXPECT_EQ(ok.predict({-9.0, 1.0}), 1);
@@ -262,7 +279,7 @@ TEST(DecisionTree, DeserializeRejectsNonFiniteThreshold) {
     SCOPED_TRACE(threshold);
     const std::string text = std::string("tree 3 2 2\nsplit 0 ") + threshold +
                              " 1 2\nleaf 1 0\nleaf 0 1\n";
-    EXPECT_NE(rejection_message([&] { (void)DecisionTree::deserialize(text); })
+    EXPECT_NE(rejection_message([&] { (void)load_tree(text); })
                   .find("finite number"),
               std::string::npos);
   }
@@ -272,7 +289,7 @@ TEST(DecisionTree, DeserializeRejectsNonFiniteLeaf) {
   for (const char* p : {"nan", "inf", "-inf", "1e999"}) {
     SCOPED_TRACE(p);
     const std::string text = std::string("tree 1 2 2\nleaf 0.5 ") + p + "\n";
-    EXPECT_NE(rejection_message([&] { (void)DecisionTree::deserialize(text); })
+    EXPECT_NE(rejection_message([&] { (void)load_tree(text); })
                   .find("finite number"),
               std::string::npos);
   }
@@ -286,14 +303,14 @@ TEST(DecisionTree, DeserializeRejectsOversizedCounts) {
        {"tree 18446744073709551615 3 4\n", "tree 4000000 3 4\n",
         "tree 1 18446744073709551615 2\nleaf 1\n", "tree 1 4000000 2\nleaf 1\n"}) {
     SCOPED_TRACE(text);
-    EXPECT_NE(rejection_message([&] { (void)DecisionTree::deserialize(text); })
+    EXPECT_NE(rejection_message([&] { (void)load_tree(text); })
                   .find("bytes left"),
               std::string::npos);
   }
   // A signed or out-of-range count is not a count at all.
   for (const char* text : {"tree -1 3 4\n", "tree 99999999999999999999 3 4\n"}) {
     SCOPED_TRACE(text);
-    EXPECT_NE(rejection_message([&] { (void)DecisionTree::deserialize(text); })
+    EXPECT_NE(rejection_message([&] { (void)load_tree(text); })
                   .find("expected an integer"),
               std::string::npos);
   }
@@ -301,9 +318,9 @@ TEST(DecisionTree, DeserializeRejectsOversizedCounts) {
 
 TEST(DecisionTree, DeserializeRejectsTrailingTokens) {
   const std::string text = "tree 1 2 2\nleaf 1 0\n";
-  EXPECT_EQ(DecisionTree::deserialize(text + "\n \n").serialize(), text);
+  EXPECT_EQ(text_of(load_tree(text + "\n \n")), text);
   EXPECT_NE(rejection_message([&] {
-              (void)DecisionTree::deserialize(text + "leaf 0 1\n");
+              (void)load_tree(text + "leaf 0 1\n");
             }).find("trailing"),
             std::string::npos);
 }

@@ -284,6 +284,15 @@ TEST(RandomForest, DeserializeRejectsOversizedCounts) {
             std::string::npos);
 }
 
+// A zero-tree forest loads as an unfitted one and writes its header back.
+TEST(RandomForest, DeserializeKeepsAZeroTreeHeader) {
+  const std::string text = "forest 0 3\n100 10 2 1 0 1 42\n";
+  const RandomForest forest = RandomForest::deserialize(text);
+  EXPECT_EQ(forest.tree_count(), 0u);
+  EXPECT_EQ(forest.num_classes(), 3u);
+  EXPECT_EQ(forest.serialize(), text);
+}
+
 // A tree with no nodes has no root: CompiledForest and the reference walk
 // would both index node 0 of an empty vector.
 TEST(RandomForest, DeserializeRejectsEmptyTree) {
