@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "capture_fixture.hpp"
 #include "net/byte_io.hpp"
 #include "net/framing.hpp"
 #include "net/read_buffer.hpp"
@@ -85,15 +86,6 @@ void write_raw_pcap(const std::filesystem::path& path, bool big_endian,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(w.data().data()),
             static_cast<std::streamsize>(w.size()));
-}
-
-/// Deterministic frame bytes that differ per record and per offset, so a
-/// misplaced carry-over cannot read back equal.
-std::vector<std::uint8_t> pattern_frame(std::size_t size, std::uint32_t salt) {
-  std::vector<std::uint8_t> bytes(size);
-  for (std::size_t i = 0; i < size; ++i)
-    bytes[i] = static_cast<std::uint8_t>((i * 131 + salt * 7919) >> 3);
-  return bytes;
 }
 
 /// Writes `frames` through PcapWriter and checks PcapReader returns each
@@ -325,6 +317,60 @@ TEST_F(PcapTest, PartialTrailingRecordHeaderThrows) {
     PcapReader reader(path_);
     ASSERT_TRUE(reader.next().has_value());
     EXPECT_THROW(reader.next(), std::runtime_error);
+  }
+}
+
+// The bytes write_pcap puts on disk for a fixed generated session, pinned
+// so a change to the writer or the framing can change only its speed.
+TEST_F(PcapTest, WrittenBytesArePinned) {
+  const std::vector<PacketRecord> packets = pinned_capture_packets();
+  EXPECT_EQ(write_pcap(path_, packets), packets.size());
+  EXPECT_EQ(std::filesystem::file_size(path_), 8765649u);
+  EXPECT_EQ(file_digest(path_), 0x73e897331b40ca31ULL);
+}
+
+// The writers buffer 64 KiB at a time. Records that straddle the first
+// and the second buffer's end, one that fills a buffer exactly, and one
+// larger than three buffers all read back byte for byte.
+TEST_F(PcapTest, RecordsStraddlingTheWriteBufferRoundTrip) {
+  constexpr std::size_t kBuffer = 64 * 1024;
+  constexpr std::size_t kFileHeader = 24;
+  constexpr std::size_t kRecordHeader = 16;
+  for (std::size_t shift : {0u, 1u, 5u, 15u, 16u, 17u, 900u}) {
+    SCOPED_TRACE(shift);
+    std::vector<CapturedFrame> frames(5);
+    frames[0].bytes =
+        pattern_frame(kBuffer - kFileHeader - kRecordHeader - shift, 1);
+    frames[1].bytes = pattern_frame(1200, 2);
+    frames[2].bytes = pattern_frame(kBuffer - 1200 - 2 * kRecordHeader, 3);
+    frames[3].bytes = pattern_frame(3 * kBuffer + 5, 4);
+    frames[4].bytes = pattern_frame(60, 5);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      frames[i].timestamp = static_cast<Timestamp>(i) * kNanosPerSecond + 3;
+      frames[i].original_length =
+          static_cast<std::uint32_t>(frames[i].bytes.size());
+    }
+    expect_round_trip(path_, frames, /*snaplen=*/1u << 20);
+  }
+}
+
+// A failed write is reported by write() or by close(), for frames large
+// enough to fill the buffer and for a few small ones that never do.
+TEST_F(PcapTest, WriteErrorsThrow) {
+  const std::filesystem::path full = "/dev/full";
+  if (!std::filesystem::exists(full)) GTEST_SKIP() << "no /dev/full";
+  for (const std::size_t size : {1200u, 60u}) {
+    SCOPED_TRACE(size);
+    CapturedFrame frame;
+    frame.bytes = pattern_frame(size, 1);
+    const int count = size > 1000 ? 200 : 3;
+    PcapWriter writer(full);
+    EXPECT_THROW(
+        {
+          for (int i = 0; i < count; ++i) writer.write(frame);
+          writer.close();
+        },
+        std::runtime_error);
   }
 }
 

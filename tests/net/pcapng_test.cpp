@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "capture_fixture.hpp"
 #include "net/byte_io.hpp"
 #include "net/framing.hpp"
 #include "net/read_buffer.hpp"
@@ -298,6 +299,71 @@ TEST_F(PcapngTest, BlocksLargerThanTheReadBufferAreReadAndSkipped) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->timestamp, 43);
   EXPECT_FALSE(reader.next().has_value());
+}
+
+// The bytes write_pcapng puts on disk for a fixed generated session.
+TEST_F(PcapngTest, WrittenBytesArePinned) {
+  const std::vector<PacketRecord> packets = pinned_capture_packets();
+  EXPECT_EQ(write_pcapng(path_, packets), packets.size());
+  EXPECT_EQ(std::filesystem::file_size(path_), 8915304u);
+  EXPECT_EQ(file_digest(path_), 0x27865ab63991949dULL);
+}
+
+// Blocks that straddle the first and second 64 KiB write buffer's end
+// (each padding length included), one that fills a buffer exactly, and
+// one larger than three buffers all read back byte for byte.
+TEST_F(PcapngTest, BlocksStraddlingTheWriteBufferRoundTrip) {
+  constexpr std::size_t kBuffer = 64 * 1024;
+  constexpr std::size_t kHeaderBlocks = 28 + 32;  // SHB + IDB
+  constexpr std::size_t kEpbOverhead = 32;
+  for (std::size_t shift : {0u, 1u, 2u, 3u, 4u, 17u, 28u, 29u, 900u}) {
+    SCOPED_TRACE(shift);
+    std::vector<CapturedFrame> frames(5);
+    frames[0].bytes =
+        pattern_frame(kBuffer - kHeaderBlocks - kEpbOverhead - shift, 1);
+    frames[1].bytes = pattern_frame(1201, 2);
+    frames[2].bytes = pattern_frame(kBuffer - 1204 - 2 * kEpbOverhead, 3);
+    frames[3].bytes = pattern_frame(3 * kBuffer + 5, 4);
+    frames[4].bytes = pattern_frame(61, 5);
+    {
+      PcapngWriter writer(path_, /*snaplen=*/1u << 20);
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        frames[i].timestamp = static_cast<Timestamp>(i) * kNanosPerSecond + 3;
+        frames[i].original_length =
+            static_cast<std::uint32_t>(frames[i].bytes.size());
+        writer.write(frames[i]);
+      }
+    }
+    PcapngReader reader(path_);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const auto loaded = reader.next();
+      ASSERT_TRUE(loaded.has_value()) << i;
+      EXPECT_EQ(loaded->timestamp, frames[i].timestamp) << i;
+      EXPECT_EQ(loaded->original_length, frames[i].original_length) << i;
+      EXPECT_EQ(loaded->bytes, frames[i].bytes) << i;
+    }
+    EXPECT_FALSE(reader.next().has_value());
+  }
+}
+
+// A failed write is reported by write() or by close(), for frames large
+// enough to fill the buffer and for a few small ones that never do.
+TEST_F(PcapngTest, WriteErrorsThrow) {
+  const std::filesystem::path full = "/dev/full";
+  if (!std::filesystem::exists(full)) GTEST_SKIP() << "no /dev/full";
+  for (const std::size_t size : {1200u, 60u}) {
+    SCOPED_TRACE(size);
+    CapturedFrame frame;
+    frame.bytes = pattern_frame(size, 1);
+    const int count = size > 1000 ? 200 : 3;
+    PcapngWriter writer(full);
+    EXPECT_THROW(
+        {
+          for (int i = 0; i < count; ++i) writer.write(frame);
+          writer.close();
+        },
+        std::runtime_error);
+  }
 }
 
 }  // namespace

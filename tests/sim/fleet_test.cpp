@@ -137,5 +137,96 @@ TEST(FleetReplay, DeterministicForASeed) {
   }
 }
 
+/// FNV-1a over every field of the wire's records and of session_flows.
+class WireDigest {
+ public:
+  void add(std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (value >> (8 * i)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(const net::FiveTuple& t) {
+    add(t.src_ip.value);
+    add(t.dst_ip.value);
+    add(t.src_port);
+    add(t.dst_port);
+    add(t.protocol);
+  }
+  void add(const net::PacketRecord& pkt) {
+    add(static_cast<std::uint64_t>(pkt.timestamp));
+    add(static_cast<std::uint64_t>(pkt.direction));
+    add(pkt.tuple);
+    add(pkt.payload_size);
+    add(pkt.rtp.has_value());
+    if (pkt.rtp) {
+      add(pkt.rtp->payload_type);
+      add(pkt.rtp->marker);
+      add(pkt.rtp->sequence);
+      add(pkt.rtp->rtp_timestamp);
+      add(pkt.rtp->ssrc);
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t wire_digest(const FleetReplay& replay) {
+  WireDigest d;
+  d.add(replay.wire.size());
+  for (const net::PacketRecord& pkt : replay.wire) d.add(pkt);
+  d.add(replay.session_flows.size());
+  for (const net::FiveTuple& flow : replay.session_flows) d.add(flow);
+  return d.value();
+}
+
+// The wire perfbench replays, pinned field by field: its wire_mixed and
+// pcap_mixed option sets at seeds 1-3, and the defaults. The merge that
+// builds the wire may change only how fast it runs.
+TEST(FleetReplay, WireDigestIsPinned) {
+  const auto mixed = [](std::uint64_t seed) {
+    FleetReplayOptions o;
+    o.seed = seed;
+    o.sessions = 16;
+    o.gameplay_seconds = 40.0;
+    o.start_spread_s = 20.0;
+    o.cross_traffic_flows = 150;
+    o.cross_traffic_duration_s = 50.0;
+    return o;
+  };
+  const auto capture = [](std::uint64_t seed) {
+    FleetReplayOptions o;
+    o.seed = seed;
+    o.sessions = 4;
+    o.gameplay_seconds = 15.0;
+    o.start_spread_s = 8.0;
+    o.cross_traffic_flows = 36;
+    o.cross_traffic_duration_s = 15.0;
+    return o;
+  };
+  const struct {
+    const char* name;
+    FleetReplayOptions options;
+    std::size_t packets;
+    std::uint64_t digest;
+  } cases[] = {
+      {"wire_mixed seed 1", mixed(1), 1939895, 0x02aef1e488ec3783ULL},
+      {"wire_mixed seed 2", mixed(2), 2062201, 0x56a8bede08e9b79bULL},
+      {"wire_mixed seed 3", mixed(3), 1878529, 0xf3452461579fa0eeULL},
+      {"pcap_mixed seed 1", capture(1), 161842, 0x26ec2225ece80ff6ULL},
+      {"pcap_mixed seed 2", capture(2), 198279, 0x00c09b67b227006dULL},
+      {"pcap_mixed seed 3", capture(3), 152025, 0xbf6cabeb662846cbULL},
+      {"defaults", FleetReplayOptions{}, 127590, 0xad2b733f9a61b1c5ULL},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const FleetReplay replay = build_fleet_replay(c.options);
+    EXPECT_EQ(replay.wire.size(), c.packets);
+    EXPECT_EQ(wire_digest(replay), c.digest);
+  }
+}
+
 }  // namespace
 }  // namespace cgctx::sim
