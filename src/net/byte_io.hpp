@@ -91,6 +91,35 @@ class ByteWriter {
   std::vector<std::uint8_t> buf_;
 };
 
+/// Encodes `v` big-endian at `out[at..at+2)`, in place; the caller has
+/// sized `out`.
+inline void store_u16_be(std::span<std::uint8_t> out, std::size_t at,
+                         std::uint16_t v) {
+  out[at] = static_cast<std::uint8_t>(v >> 8);
+  out[at + 1] = static_cast<std::uint8_t>(v);
+}
+
+/// 32-bit counterpart of store_u16_be.
+inline void store_u32_be(std::span<std::uint8_t> out, std::size_t at,
+                         std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    out[at + i] = static_cast<std::uint8_t>(v >> (24 - 8 * i));
+}
+
+/// Little-endian counterpart of store_u16_be.
+inline void store_u16_le(std::span<std::uint8_t> out, std::size_t at,
+                         std::uint16_t v) {
+  out[at] = static_cast<std::uint8_t>(v);
+  out[at + 1] = static_cast<std::uint8_t>(v >> 8);
+}
+
+/// Little-endian counterpart of store_u32_be.
+inline void store_u32_le(std::span<std::uint8_t> out, std::size_t at,
+                         std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    out[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 /// RFC 1071 Internet checksum over a byte span (used by the IPv4 header).
 std::uint16_t internet_checksum(std::span<const std::uint8_t> bytes);
 

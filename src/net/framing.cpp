@@ -1,5 +1,7 @@
 #include "net/framing.hpp"
 
+#include <algorithm>
+
 #include "net/byte_io.hpp"
 
 namespace cgctx::net {
@@ -15,41 +17,41 @@ constexpr std::size_t kUdpHeaderSize = 8;
 
 std::vector<std::uint8_t> encode_udp_frame(const FiveTuple& tuple,
                                            std::span<const std::uint8_t> payload) {
-  ByteWriter w;
+  constexpr std::size_t kIp = kEthernetHeaderSize;
+  constexpr std::size_t kUdp = kIp + kIpv4HeaderSize;
+  constexpr std::size_t kPayload = kUdp + kUdpHeaderSize;
+  std::vector<std::uint8_t> frame(kPayload + payload.size());
+  const std::span<std::uint8_t> out(frame);
+
   // Ethernet II. Destination first. Direction on the wire is implied by
   // the IP addresses; MACs are cosmetic.
-  w.write_bytes(std::span<const std::uint8_t>(kServerMac, 6));
-  w.write_bytes(std::span<const std::uint8_t>(kClientMac, 6));
-  w.write_u16_be(kEtherTypeIpv4);
+  std::copy_n(kServerMac, 6, frame.begin());
+  std::copy_n(kClientMac, 6, frame.begin() + 6);
+  store_u16_be(out, 12, kEtherTypeIpv4);
 
-  // IPv4 header, built separately so its checksum can be patched in.
-  ByteWriter ip;
-  const auto total_len =
-      static_cast<std::uint16_t>(kIpv4HeaderSize + kUdpHeaderSize + payload.size());
-  ip.write_u8(0x45);  // version 4, IHL 5
-  ip.write_u8(0x00);  // DSCP/ECN
-  ip.write_u16_be(total_len);
-  ip.write_u16_be(0x0000);  // identification
-  ip.write_u16_be(0x4000);  // flags: DF
-  ip.write_u8(64);          // TTL
-  ip.write_u8(tuple.protocol);
-  ip.write_u16_be(0);  // checksum placeholder
-  ip.write_u32_be(tuple.src_ip.value);
-  ip.write_u32_be(tuple.dst_ip.value);
-  auto ip_bytes = ip.take();
-  const std::uint16_t csum = internet_checksum(ip_bytes);
-  ip_bytes[10] = static_cast<std::uint8_t>(csum >> 8);
-  ip_bytes[11] = static_cast<std::uint8_t>(csum & 0xff);
-  w.write_bytes(ip_bytes);
+  // IPv4 header; the checksum is taken over it with its field still 0.
+  out[kIp] = 0x45;      // version 4, IHL 5
+  out[kIp + 1] = 0x00;  // DSCP/ECN
+  store_u16_be(out, kIp + 2,
+               static_cast<std::uint16_t>(kIpv4HeaderSize + kUdpHeaderSize +
+                                          payload.size()));
+  store_u16_be(out, kIp + 4, 0x0000);  // identification
+  store_u16_be(out, kIp + 6, 0x4000);  // flags: DF
+  out[kIp + 8] = 64;                   // TTL
+  out[kIp + 9] = tuple.protocol;
+  store_u32_be(out, kIp + 12, tuple.src_ip.value);
+  store_u32_be(out, kIp + 16, tuple.dst_ip.value);
+  store_u16_be(out, kIp + 10,
+               internet_checksum(out.subspan(kIp, kIpv4HeaderSize)));
 
   // UDP header. Checksum 0 = "not computed", valid for UDP/IPv4.
-  w.write_u16_be(tuple.src_port);
-  w.write_u16_be(tuple.dst_port);
-  w.write_u16_be(static_cast<std::uint16_t>(kUdpHeaderSize + payload.size()));
-  w.write_u16_be(0);
+  store_u16_be(out, kUdp, tuple.src_port);
+  store_u16_be(out, kUdp + 2, tuple.dst_port);
+  store_u16_be(out, kUdp + 4,
+               static_cast<std::uint16_t>(kUdpHeaderSize + payload.size()));
 
-  w.write_bytes(payload);
-  return w.take();
+  std::copy(payload.begin(), payload.end(), frame.begin() + kPayload);
+  return frame;
 }
 
 std::optional<DecodedFrame> decode_udp_frame(std::span<const std::uint8_t> frame) {
@@ -96,20 +98,16 @@ std::optional<DecodedFrame> decode_udp_frame(std::span<const std::uint8_t> frame
 }
 
 std::vector<std::uint8_t> build_payload(const PacketRecord& pkt) {
-  ByteWriter w;
-  std::size_t header_bytes = 0;
-  if (pkt.rtp.has_value()) {
-    auto rtp_bytes = pkt.rtp->serialize();
-    header_bytes = rtp_bytes.size();
-    w.write_bytes(rtp_bytes);
-  }
-  if (pkt.payload_size > header_bytes) {
-    const std::size_t fill = pkt.payload_size - header_bytes;
-    const std::uint8_t seed =
-        pkt.rtp ? static_cast<std::uint8_t>(pkt.rtp->sequence & 0xff) : 0xa5;
-    w.write_fill(fill, seed);
-  }
-  return w.take();
+  const std::size_t header_bytes = pkt.rtp ? RtpHeader::kWireSize : 0;
+  const std::uint8_t fill =
+      pkt.rtp ? static_cast<std::uint8_t>(pkt.rtp->sequence & 0xff) : 0xa5;
+  std::vector<std::uint8_t> payload(
+      std::max<std::size_t>(header_bytes, pkt.payload_size), fill);
+  if (pkt.rtp)
+    pkt.rtp->write_to(
+        std::span<std::uint8_t, RtpHeader::kWireSize>(payload.data(),
+                                                      RtpHeader::kWireSize));
+  return payload;
 }
 
 PacketRecord record_from_frame(const DecodedFrame& frame, Timestamp timestamp,

@@ -1,5 +1,7 @@
 #include "net/pcap.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "net/byte_io.hpp"
@@ -20,23 +22,29 @@ constexpr std::size_t kRecordHeaderSize = 16;
 /// bounds how far the read buffer can grow.
 constexpr std::uint32_t kMaxRecordLength = 1u << 20;
 
+/// Checked before the file is opened: a snaplen whose records PcapReader
+/// would reject.
+std::uint32_t writable_snaplen(std::uint32_t snaplen) {
+  if (snaplen > kMaxRecordLength)
+    throw std::invalid_argument(
+        "PcapWriter: snaplen over 1 MiB, longer than PcapReader accepts");
+  return snaplen;
+}
+
 }  // namespace
 
 PcapWriter::PcapWriter(const std::filesystem::path& path, std::uint32_t snaplen)
-    : out_(path, std::ios::binary | std::ios::trunc), snaplen_(snaplen) {
-  if (!out_) throw std::runtime_error("PcapWriter: cannot open " + path.string());
-  ByteWriter w;
-  w.write_u32_le(kMagicNano);
-  w.write_u16_le(2);  // version major
-  w.write_u16_le(4);  // version minor
-  w.write_u32_le(0);  // thiszone
-  w.write_u32_le(0);  // sigfigs
-  w.write_u32_le(snaplen_);
-  w.write_u32_le(kLinkTypeEthernet);
-  const auto& hdr = w.data();
-  out_.write(reinterpret_cast<const char*>(hdr.data()),
-             static_cast<std::streamsize>(hdr.size()));
-  if (!out_) throw std::runtime_error("PcapWriter: header write failed");
+    : snaplen_(writable_snaplen(snaplen)), out_(path) {
+  if (!out_.is_open())
+    throw std::runtime_error("PcapWriter: cannot open " + path.string());
+  std::array<std::uint8_t, kFileHeaderSize> header{};
+  store_u32_le(header, 0, kMagicNano);
+  store_u16_le(header, 4, 2);  // version major
+  store_u16_le(header, 6, 4);  // version minor
+  // thiszone and sigfigs stay 0.
+  store_u32_le(header, 16, snaplen_);
+  store_u32_le(header, 20, kLinkTypeEthernet);
+  out_.append(header);
 }
 
 PcapWriter::~PcapWriter() {
@@ -49,31 +57,21 @@ PcapWriter::~PcapWriter() {
 
 void PcapWriter::write(const CapturedFrame& frame) {
   if (!out_.is_open()) throw std::runtime_error("PcapWriter: write after close");
-  const std::uint32_t incl_len =
-      std::min<std::uint32_t>(snaplen_, static_cast<std::uint32_t>(frame.bytes.size()));
-  ByteWriter w;
-  w.write_u32_le(static_cast<std::uint32_t>(frame.timestamp / kNanosPerSecond));
-  w.write_u32_le(static_cast<std::uint32_t>(frame.timestamp % kNanosPerSecond));
-  w.write_u32_le(incl_len);
-  w.write_u32_le(frame.original_length != 0
-                     ? frame.original_length
-                     : static_cast<std::uint32_t>(frame.bytes.size()));
-  const auto& rec = w.data();
-  out_.write(reinterpret_cast<const char*>(rec.data()),
-             static_cast<std::streamsize>(rec.size()));
-  out_.write(reinterpret_cast<const char*>(frame.bytes.data()),
-             static_cast<std::streamsize>(incl_len));
-  if (!out_) throw std::runtime_error("PcapWriter: record write failed");
+  const auto incl_len = static_cast<std::uint32_t>(
+      std::min<std::size_t>(snaplen_, frame.bytes.size()));
+  std::array<std::uint8_t, kRecordHeaderSize> header;
+  store_u32_le(header, 0, static_cast<std::uint32_t>(frame.timestamp / kNanosPerSecond));
+  store_u32_le(header, 4, static_cast<std::uint32_t>(frame.timestamp % kNanosPerSecond));
+  store_u32_le(header, 8, incl_len);
+  store_u32_le(header, 12, frame.original_length != 0
+                               ? frame.original_length
+                               : static_cast<std::uint32_t>(frame.bytes.size()));
+  out_.append(header);
+  out_.append(std::span(frame.bytes).first(incl_len));
   ++frames_written_;
 }
 
-void PcapWriter::close() {
-  if (out_.is_open()) {
-    out_.flush();
-    if (!out_) throw std::runtime_error("PcapWriter: flush failed");
-    out_.close();
-  }
-}
+void PcapWriter::close() { out_.close(); }
 
 PcapReader::PcapReader(const std::filesystem::path& path) : in_(path) {
   if (!in_.is_open())

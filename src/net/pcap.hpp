@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <span>
 #include <string>
@@ -18,6 +17,7 @@
 #include "net/packet.hpp"
 #include "net/read_buffer.hpp"
 #include "net/time.hpp"
+#include "net/write_buffer.hpp"
 
 namespace cgctx::net {
 
@@ -28,11 +28,15 @@ struct CapturedFrame {
   std::uint32_t original_length = 0;  ///< on-wire length before any snaplen cut
 };
 
-/// Streams frames into a pcap file. The file header is written on open;
-/// frames are appended per call. Throws std::runtime_error on I/O failure.
+/// Streams frames into a pcap file through one bounded WriteBuffer. The
+/// file header is written on open; frames are appended per call without
+/// allocating. Throws std::runtime_error on I/O failure, from write() or,
+/// for the last buffered frames, from close().
 class PcapWriter {
  public:
   /// Opens (truncates) `path` and writes the nanosecond-resolution header.
+  /// Throws std::invalid_argument for a snaplen over 1 MiB, since
+  /// PcapReader rejects longer records.
   explicit PcapWriter(const std::filesystem::path& path,
                       std::uint32_t snaplen = 65535);
   ~PcapWriter();
@@ -50,8 +54,8 @@ class PcapWriter {
   [[nodiscard]] std::size_t frames_written() const { return frames_written_; }
 
  private:
-  std::ofstream out_;
-  std::uint32_t snaplen_;
+  std::uint32_t snaplen_;  ///< checked before out_ opens the file
+  WriteBuffer out_;
   std::size_t frames_written_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "net/pcapng.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "net/byte_io.hpp"
@@ -41,54 +42,56 @@ Timestamp ticks_to_ns(std::uint64_t ticks, std::uint64_t ticks_per_second) {
   return static_cast<Timestamp>(ticks / ticks_per_second * kNs + rest_ns);
 }
 
-void write_block(std::ofstream& out, std::uint32_t type,
-                 const std::vector<std::uint8_t>& body) {
-  ByteWriter w;
-  const auto total = static_cast<std::uint32_t>(12 + padded4(body.size()));
-  w.write_u32_le(type);
-  w.write_u32_le(total);
-  w.write_bytes(body);
-  w.write_fill(padded4(body.size()) - body.size(), 0);
-  w.write_u32_le(total);
-  const auto& bytes = w.data();
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+/// Checked before the file is opened: a snaplen whose Enhanced Packet
+/// Blocks PcapngReader would reject.
+std::uint32_t writable_snaplen(std::uint32_t snaplen) {
+  if (snaplen > kMaxBlockLength - kBlockOverhead - kEpbFixedSize)
+    throw std::invalid_argument(
+        "PcapngWriter: snaplen makes blocks longer than PcapngReader accepts");
+  return snaplen;
+}
+
+/// Appends one block whose body is already a multiple of 4 bytes long.
+void write_block(WriteBuffer& out, std::uint32_t type,
+                 std::span<const std::uint8_t> body) {
+  const auto total = static_cast<std::uint32_t>(kBlockOverhead + body.size());
+  std::array<std::uint8_t, kBlockHeaderSize> head;
+  store_u32_le(head, 0, type);
+  store_u32_le(head, 4, total);
+  out.append(head);
+  out.append(body);
+  std::array<std::uint8_t, 4> tail;
+  store_u32_le(tail, 0, total);
+  out.append(tail);
 }
 
 }  // namespace
 
 PcapngWriter::PcapngWriter(const std::filesystem::path& path,
                            std::uint32_t snaplen)
-    : out_(path, std::ios::binary | std::ios::trunc), snaplen_(snaplen) {
-  if (!out_)
+    : snaplen_(writable_snaplen(snaplen)), out_(path) {
+  if (!out_.is_open())
     throw std::runtime_error("PcapngWriter: cannot open " + path.string());
 
-  // Section Header Block.
-  {
-    ByteWriter body;
-    body.write_u32_le(kByteOrderMagic);
-    body.write_u16_le(1);  // major
-    body.write_u16_le(0);  // minor
-    body.write_u32_le(0xFFFFFFFF);  // section length unknown (-1)
-    body.write_u32_le(0xFFFFFFFF);
-    write_block(out_, kShbType, body.data());
-  }
+  std::array<std::uint8_t, 16> shb;
+  store_u32_le(shb, 0, kByteOrderMagic);
+  store_u16_le(shb, 4, 1);            // major
+  store_u16_le(shb, 6, 0);            // minor
+  store_u32_le(shb, 8, 0xFFFFFFFF);   // section length unknown (-1)
+  store_u32_le(shb, 12, 0xFFFFFFFF);
+  write_block(out_, kShbType, shb);
+
   // Interface Description Block: Ethernet, nanosecond timestamps.
-  {
-    ByteWriter body;
-    body.write_u16_le(kLinkEthernet);
-    body.write_u16_le(0);  // reserved
-    body.write_u32_le(snaplen_);
-    // if_tsresol option: one byte, value 9 => 10^-9 s ticks.
-    body.write_u16_le(kOptTsResol);
-    body.write_u16_le(1);
-    body.write_u8(9);
-    body.write_fill(3, 0);  // pad option value to 4 bytes
-    body.write_u16_le(kOptEnd);
-    body.write_u16_le(0);
-    write_block(out_, kIdbType, body.data());
-  }
-  if (!out_) throw std::runtime_error("PcapngWriter: header write failed");
+  std::array<std::uint8_t, 20> idb{};
+  store_u16_le(idb, 0, kLinkEthernet);
+  // Bytes 2-3 reserved.
+  store_u32_le(idb, 4, snaplen_);
+  // if_tsresol option: one byte, value 9 => 10^-9 s ticks, padded to 4.
+  store_u16_le(idb, 8, kOptTsResol);
+  store_u16_le(idb, 10, 1);
+  idb[12] = 9;
+  store_u16_le(idb, 16, kOptEnd);  // and a zero option length
+  write_block(out_, kIdbType, idb);
 }
 
 PcapngWriter::~PcapngWriter() {
@@ -102,31 +105,32 @@ PcapngWriter::~PcapngWriter() {
 void PcapngWriter::write(const CapturedFrame& frame) {
   if (!out_.is_open())
     throw std::runtime_error("PcapngWriter: write after close");
-  const std::uint32_t captured = std::min<std::uint32_t>(
-      snaplen_, static_cast<std::uint32_t>(frame.bytes.size()));
+  const auto captured = static_cast<std::uint32_t>(
+      std::min<std::size_t>(snaplen_, frame.bytes.size()));
+  const std::size_t padding = padded4(captured) - captured;
+  const auto total = static_cast<std::uint32_t>(kBlockOverhead + kEpbFixedSize +
+                                                captured + padding);
   const auto ticks = static_cast<std::uint64_t>(frame.timestamp);
-  ByteWriter body;
-  body.write_u32_le(0);  // interface id
-  body.write_u32_le(static_cast<std::uint32_t>(ticks >> 32));
-  body.write_u32_le(static_cast<std::uint32_t>(ticks & 0xffffffff));
-  body.write_u32_le(captured);
-  body.write_u32_le(frame.original_length != 0
-                        ? frame.original_length
-                        : static_cast<std::uint32_t>(frame.bytes.size()));
-  body.write_bytes(std::span<const std::uint8_t>(frame.bytes.data(), captured));
-  body.write_fill(padded4(captured) - captured, 0);
-  write_block(out_, kEpbType, body.data());
-  if (!out_) throw std::runtime_error("PcapngWriter: record write failed");
+  std::array<std::uint8_t, kBlockHeaderSize + kEpbFixedSize> head;
+  store_u32_le(head, 0, kEpbType);
+  store_u32_le(head, 4, total);
+  store_u32_le(head, 8, 0);  // interface id
+  store_u32_le(head, 12, static_cast<std::uint32_t>(ticks >> 32));
+  store_u32_le(head, 16, static_cast<std::uint32_t>(ticks & 0xffffffff));
+  store_u32_le(head, 20, captured);
+  store_u32_le(head, 24, frame.original_length != 0
+                             ? frame.original_length
+                             : static_cast<std::uint32_t>(frame.bytes.size()));
+  out_.append(head);
+  out_.append(std::span(frame.bytes).first(captured));
+  // Zero padding to 4 bytes, then the trailing block length.
+  std::array<std::uint8_t, 8> tail{};
+  store_u32_le(tail, padding, total);
+  out_.append(std::span(tail).first(padding + 4));
   ++frames_written_;
 }
 
-void PcapngWriter::close() {
-  if (out_.is_open()) {
-    out_.flush();
-    if (!out_) throw std::runtime_error("PcapngWriter: flush failed");
-    out_.close();
-  }
-}
+void PcapngWriter::close() { out_.close(); }
 
 PcapngReader::PcapngReader(const std::filesystem::path& path) : in_(path) {
   if (!in_.is_open())

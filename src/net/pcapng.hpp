@@ -11,21 +11,25 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "net/pcap.hpp"  // CapturedFrame
 #include "net/read_buffer.hpp"
+#include "net/write_buffer.hpp"
 
 namespace cgctx::net {
 
+/// Streams frames into a pcapng file through one bounded WriteBuffer,
+/// without allocating per frame. Throws std::runtime_error on I/O failure,
+/// from write() or, for the last buffered blocks, from close().
 class PcapngWriter {
  public:
   /// Opens (truncates) `path`, writing the SHB and one Ethernet IDB with
-  /// nanosecond timestamp resolution. Throws std::runtime_error on I/O
-  /// failure.
+  /// nanosecond timestamp resolution. Throws std::invalid_argument for a
+  /// snaplen whose Enhanced Packet Blocks would exceed the 64 MiB that
+  /// PcapngReader accepts, and std::runtime_error on I/O failure.
   explicit PcapngWriter(const std::filesystem::path& path,
                         std::uint32_t snaplen = 65535);
   ~PcapngWriter();
@@ -41,8 +45,8 @@ class PcapngWriter {
   [[nodiscard]] std::size_t frames_written() const { return frames_written_; }
 
  private:
-  std::ofstream out_;
-  std::uint32_t snaplen_;
+  std::uint32_t snaplen_;  ///< checked before out_ opens the file
+  WriteBuffer out_;
   std::size_t frames_written_ = 0;
 };
 

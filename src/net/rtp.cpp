@@ -5,14 +5,18 @@
 namespace cgctx::net {
 
 std::vector<std::uint8_t> RtpHeader::serialize() const {
-  ByteWriter w;
-  w.write_u8(0x80);  // V=2, P=0, X=0, CC=0
-  w.write_u8(static_cast<std::uint8_t>((marker ? 0x80 : 0x00) |
-                                       (payload_type & 0x7f)));
-  w.write_u16_be(sequence);
-  w.write_u32_be(rtp_timestamp);
-  w.write_u32_be(ssrc);
-  return w.take();
+  std::vector<std::uint8_t> bytes(kWireSize);
+  write_to(std::span<std::uint8_t, kWireSize>(bytes.data(), kWireSize));
+  return bytes;
+}
+
+void RtpHeader::write_to(std::span<std::uint8_t, kWireSize> out) const {
+  out[0] = 0x80;  // V=2, P=0, X=0, CC=0
+  out[1] = static_cast<std::uint8_t>((marker ? 0x80 : 0x00) |
+                                     (payload_type & 0x7f));
+  store_u16_be(out, 2, sequence);
+  store_u32_be(out, 4, rtp_timestamp);
+  store_u32_be(out, 8, ssrc);
 }
 
 std::optional<RtpHeader> parse_rtp(std::span<const std::uint8_t> payload) {

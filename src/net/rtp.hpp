@@ -28,6 +28,9 @@ struct RtpHeader {
 
   /// Serializes the 12-byte fixed header (V=2, P=0, X=0, CC=0).
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
+
+  /// Writes serialize()'s bytes in place at the front of `out`.
+  void write_to(std::span<std::uint8_t, kWireSize> out) const;
 };
 
 /// Parses an RTP fixed header from the start of a UDP payload. Returns

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <utility>
 
 #include "sim/cross_traffic.hpp"
 
@@ -56,6 +60,75 @@ SessionSpec FleetSampler::sample() {
   return spec;
 }
 
+namespace {
+
+/// A run's next packet in the merge: ties go to the earlier run.
+using MergeKey = std::pair<net::Timestamp, std::size_t>;
+
+/// Restores the min-heap order of `heap` after its top changed.
+void sift_down(std::vector<MergeKey>& heap) {
+  const MergeKey moving = heap.front();
+  std::size_t at = 0;
+  for (std::size_t child = 1; child < heap.size(); child = 2 * at + 1) {
+    if (child + 1 < heap.size() && heap[child + 1] < heap[child]) ++child;
+    if (!(heap[child] < moving)) break;
+    heap[at] = heap[child];
+    at = child;
+  }
+  heap[at] = moving;
+}
+
+}  // namespace
+
+std::vector<net::PacketRecord> merge_by_time(
+    std::vector<std::vector<net::PacketRecord>> runs) {
+  const auto earlier = [](const net::PacketRecord& a,
+                          const net::PacketRecord& b) {
+    return a.timestamp < b.timestamp;
+  };
+  std::size_t total = 0;
+  for (const auto& run : runs) {
+    if (!std::is_sorted(run.begin(), run.end(), earlier))
+      throw std::logic_error("merge_by_time: a run is not sorted by time");
+    total += run.size();
+  }
+
+  // Min-heap of each unfinished run's next packet.
+  std::vector<MergeKey> heap;
+  std::vector<std::size_t> next(runs.size(), 0);
+  for (std::size_t r = 0; r < runs.size(); ++r)
+    if (!runs[r].empty()) heap.emplace_back(runs[r].front().timestamp, r);
+  std::make_heap(heap.begin(), heap.end(), std::greater<>());
+
+  std::vector<net::PacketRecord> wire;
+  wire.reserve(total);
+  while (!heap.empty()) {
+    // Copy from the top run while it stays first: until its next key
+    // passes the smaller of the top's children.
+    const std::size_t r = heap.front().second;
+    const std::vector<net::PacketRecord>& run = runs[r];
+    MergeKey limit{std::numeric_limits<net::Timestamp>::max(), runs.size()};
+    if (heap.size() > 1) limit = heap[1];
+    if (heap.size() > 2) limit = std::min(limit, heap[2]);
+    std::size_t at = next[r];
+    do {
+      wire.push_back(run[at++]);
+    } while (at < run.size() && MergeKey{run[at].timestamp, r} < limit);
+
+    if (at < run.size()) {
+      next[r] = at;
+      heap.front().first = run[at].timestamp;
+    } else {
+      std::vector<net::PacketRecord>().swap(runs[r]);
+      heap.front() = heap.back();
+      heap.pop_back();
+      if (heap.empty()) break;
+    }
+    sift_down(heap);
+  }
+  return wire;
+}
+
 FleetReplay build_fleet_replay(const FleetReplayOptions& options) {
   FleetReplay replay;
   ml::Rng rng(options.seed);
@@ -64,6 +137,9 @@ FleetReplay build_fleet_replay(const FleetReplayOptions& options) {
   FleetSampler sampler(fleet_options);
   const SessionGenerator generator;
 
+  // One time-sorted run per session and per cross flow, in wire order.
+  std::vector<std::vector<net::PacketRecord>> runs;
+  runs.reserve(options.sessions + options.cross_traffic_flows);
   std::set<net::FiveTuple> used_flows;
   for (std::size_t i = 0; i < options.sessions; ++i) {
     SessionSpec spec = sampler.sample();
@@ -78,8 +154,7 @@ FleetReplay build_fleet_replay(const FleetReplayOptions& options) {
       session = generator.generate(spec);
     }
     replay.session_flows.push_back(session.tuple.canonical());
-    replay.wire.insert(replay.wire.end(), session.packets.begin(),
-                       session.packets.end());
+    runs.push_back(std::move(session.packets));
   }
 
   for (std::size_t i = 0; i < options.cross_traffic_flows; ++i) {
@@ -99,13 +174,10 @@ FleetReplay build_fleet_replay(const FleetReplayOptions& options) {
     const net::Duration offset =
         net::duration_from_seconds(rng.uniform(0.0, options.start_spread_s));
     for (net::PacketRecord& pkt : flow) pkt.timestamp += offset;
-    replay.wire.insert(replay.wire.end(), flow.begin(), flow.end());
+    runs.push_back(std::move(flow));
   }
 
-  std::stable_sort(replay.wire.begin(), replay.wire.end(),
-                   [](const net::PacketRecord& a, const net::PacketRecord& b) {
-                     return a.timestamp < b.timestamp;
-                   });
+  replay.wire = merge_by_time(std::move(runs));
   return replay;
 }
 

@@ -64,10 +64,20 @@ struct FleetReplay {
   std::vector<net::FiveTuple> session_flows;
 };
 
+/// Merges `runs`, each sorted by timestamp, into one timestamp-sorted
+/// wire. Packets with equal timestamps keep run order, then their order
+/// within the run: exactly the order a stable sort of the runs'
+/// concatenation gives. Costs O(n log k) for n packets in k runs, and
+/// frees each run's storage once its last packet is copied. Throws
+/// std::logic_error when a run is not sorted.
+[[nodiscard]] std::vector<net::PacketRecord> merge_by_time(
+    std::vector<std::vector<net::PacketRecord>> runs);
+
 /// Samples `options.sessions` fleet sessions (reusing FleetSampler's
 /// title/config/network mix), renders them at packet fidelity with
 /// staggered starts and guaranteed-distinct flow tuples, mixes in cross
-/// traffic, and merges everything into one time-sorted wire.
+/// traffic, and merges everything into one time-sorted wire
+/// (merge_by_time, runs in that order: sessions, then cross flows).
 [[nodiscard]] FleetReplay build_fleet_replay(const FleetReplayOptions& options);
 
 }  // namespace cgctx::sim

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <vector>
 
@@ -23,6 +24,9 @@
 #include "core/session_engine.hpp"
 #include "core/streaming_analyzer.hpp"
 #include "core/title_classifier.hpp"
+#include "net/framing.hpp"
+#include "net/pcap.hpp"
+#include "net/pcapng.hpp"
 #include "obs/trace.hpp"
 #include "probe_test_models.hpp"
 #include "sim/session.hpp"
@@ -320,6 +324,75 @@ TEST(SessionBudget, PooledEngineGivesItsWindowBackAtTheVerdict) {
   EXPECT_GT(window, 0);
   EXPECT_LT(past_verdict, in_window);
   EXPECT_LT(past_verdict, window);
+}
+
+/// A downstream RTP packet with a 1 160-byte payload, the size of a
+/// typical video packet in the generated captures.
+net::PacketRecord video_packet() {
+  net::PacketRecord pkt;
+  pkt.timestamp = 1'700'000'000'123'456'789;
+  pkt.tuple = net::FiveTuple{net::Ipv4Addr::from_octets(119, 81, 1, 9),
+                             net::Ipv4Addr::from_octets(10, 0, 0, 5), 49004,
+                             50123, 17};
+  pkt.payload_size = 1160;
+  pkt.rtp = net::RtpHeader{.payload_type = 98, .marker = true,
+                           .sequence = 4242, .rtp_timestamp = 90'000,
+                           .ssrc = 0xabcd0123};
+  return pkt;
+}
+
+// Framing a record sizes each buffer once: one allocation for the UDP
+// payload, one for the Ethernet frame.
+TEST(SessionBudget, FramingAllocatesOneBufferEach) {
+  const net::PacketRecord pkt = video_packet();
+  const std::vector<std::uint8_t> payload = net::build_payload(pkt);
+  const Heap before_payload;
+  const std::vector<std::uint8_t> again = net::build_payload(pkt);
+  const Heap after_payload;
+  EXPECT_EQ(after_payload.allocs - before_payload.allocs, 1);
+  EXPECT_EQ(again, payload);
+  const Heap before_frame;
+  const std::vector<std::uint8_t> frame =
+      net::encode_udp_frame(pkt.tuple, payload);
+  const Heap after_frame;
+  EXPECT_EQ(after_frame.allocs - before_frame.allocs, 1);
+  EXPECT_EQ(frame.size(), 14u + 20u + 8u + 1160u);
+}
+
+/// Allocations of `frames` more writes of one frame through `writer`,
+/// after a first write.
+template <typename Writer>
+std::int64_t writer_allocations(Writer& writer, int frames) {
+  net::CapturedFrame frame;
+  frame.timestamp = video_packet().timestamp;
+  frame.bytes = net::encode_udp_frame(video_packet().tuple,
+                                      net::build_payload(video_packet()));
+  writer.write(frame);
+  const Heap before;
+  for (int i = 0; i < frames; ++i) writer.write(frame);
+  const Heap after;
+  writer.close();
+  return after.allocs - before.allocs;
+}
+
+// The capture writers append each record into their one buffer: no
+// allocation per frame, across many buffer flushes.
+TEST(SessionBudget, CaptureWritersAllocateNothingPerFrame) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
+  const std::filesystem::path pcap = dir / "cgctx_budget_writer.pcap";
+  const std::filesystem::path pcapng = dir / "cgctx_budget_writer.pcapng";
+  {
+    net::PcapWriter writer(pcap);
+    EXPECT_EQ(writer_allocations(writer, 1000), 0);
+  }
+  {
+    net::PcapngWriter writer(pcapng);
+    EXPECT_EQ(writer_allocations(writer, 1000), 0);
+  }
+  EXPECT_EQ(net::read_pcap(pcap, net::Ipv4Addr{0}).size(), 1001u);
+  EXPECT_EQ(net::read_pcapng(pcapng, net::Ipv4Addr{0}).size(), 1001u);
+  std::filesystem::remove(pcap);
+  std::filesystem::remove(pcapng);
 }
 
 }  // namespace

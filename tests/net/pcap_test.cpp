@@ -333,7 +333,7 @@ TEST_F(PcapTest, WrittenBytesArePinned) {
 // and the second buffer's end, one that fills a buffer exactly, and one
 // larger than three buffers all read back byte for byte.
 TEST_F(PcapTest, RecordsStraddlingTheWriteBufferRoundTrip) {
-  constexpr std::size_t kBuffer = 64 * 1024;
+  constexpr std::size_t kBuffer = WriteBuffer::kCapacity;
   constexpr std::size_t kFileHeader = 24;
   constexpr std::size_t kRecordHeader = 16;
   for (std::size_t shift : {0u, 1u, 5u, 15u, 16u, 17u, 900u}) {
@@ -372,6 +372,22 @@ TEST_F(PcapTest, WriteErrorsThrow) {
         },
         std::runtime_error);
   }
+}
+
+// PcapReader rejects records over 1 MiB, so the writer rejects a snaplen
+// that could write one, before it opens the file.
+TEST_F(PcapTest, WriterRejectsSnaplensTheReaderWouldNot) {
+  for (const std::uint32_t snaplen : {(1u << 20) + 1, 0xffffffffu}) {
+    SCOPED_TRACE(snaplen);
+    EXPECT_THROW({ PcapWriter writer(path_, snaplen); }, std::invalid_argument);
+    EXPECT_FALSE(std::filesystem::exists(path_));
+  }
+  std::vector<CapturedFrame> frames(2);
+  frames[0].bytes = pattern_frame(1u << 20, 1);
+  frames[1].bytes = pattern_frame(60, 2);
+  for (CapturedFrame& frame : frames)
+    frame.original_length = static_cast<std::uint32_t>(frame.bytes.size());
+  expect_round_trip(path_, frames, /*snaplen=*/1u << 20);
 }
 
 }  // namespace

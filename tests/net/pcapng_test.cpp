@@ -313,7 +313,7 @@ TEST_F(PcapngTest, WrittenBytesArePinned) {
 // (each padding length included), one that fills a buffer exactly, and
 // one larger than three buffers all read back byte for byte.
 TEST_F(PcapngTest, BlocksStraddlingTheWriteBufferRoundTrip) {
-  constexpr std::size_t kBuffer = 64 * 1024;
+  constexpr std::size_t kBuffer = WriteBuffer::kCapacity;
   constexpr std::size_t kHeaderBlocks = 28 + 32;  // SHB + IDB
   constexpr std::size_t kEpbOverhead = 32;
   for (std::size_t shift : {0u, 1u, 2u, 3u, 4u, 17u, 28u, 29u, 900u}) {
@@ -364,6 +364,40 @@ TEST_F(PcapngTest, WriteErrorsThrow) {
         },
         std::runtime_error);
   }
+}
+
+// PcapngReader rejects blocks over 64 MiB, so the writer rejects a
+// snaplen whose Enhanced Packet Block (32 bytes of overhead) could be
+// longer, or whose block length would wrap in 32 bits, before it opens
+// the file.
+TEST_F(PcapngTest, WriterRejectsSnaplensTheReaderWouldNot) {
+  constexpr std::uint32_t kLargest = (1u << 26) - 32;
+  for (const std::uint32_t snaplen : {kLargest + 1, 0xfffffffdu, 0xffffffffu}) {
+    SCOPED_TRACE(snaplen);
+    EXPECT_THROW({ PcapngWriter writer(path_, snaplen); },
+                 std::invalid_argument);
+    EXPECT_FALSE(std::filesystem::exists(path_));
+  }
+  EXPECT_NO_THROW({ PcapngWriter writer(path_, kLargest); });
+
+  std::vector<CapturedFrame> frames(2);
+  frames[0].bytes = pattern_frame(1u << 20, 1);
+  frames[1].bytes = pattern_frame(61, 2);
+  {
+    PcapngWriter writer(path_, /*snaplen=*/1u << 20);
+    for (CapturedFrame& frame : frames) {
+      frame.original_length = static_cast<std::uint32_t>(frame.bytes.size());
+      writer.write(frame);
+    }
+  }
+  PcapngReader reader(path_);
+  for (const CapturedFrame& frame : frames) {
+    const auto loaded = reader.next();
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->bytes, frame.bytes);
+    EXPECT_EQ(loaded->original_length, frame.original_length);
+  }
+  EXPECT_FALSE(reader.next().has_value());
 }
 
 }  // namespace

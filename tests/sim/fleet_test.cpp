@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <utility>
 
 namespace cgctx::sim {
 namespace {
@@ -226,6 +229,78 @@ TEST(FleetReplay, WireDigestIsPinned) {
     EXPECT_EQ(replay.wire.size(), c.packets);
     EXPECT_EQ(wire_digest(replay), c.digest);
   }
+}
+
+/// A packet whose payload size tags where it came from.
+net::PacketRecord tagged(net::Timestamp t, std::uint32_t tag) {
+  net::PacketRecord pkt;
+  pkt.timestamp = t;
+  pkt.payload_size = tag;
+  return pkt;
+}
+
+/// (timestamp, tag) of each packet, in wire order.
+using Order = std::vector<std::pair<net::Timestamp, std::uint32_t>>;
+
+Order order(const std::vector<net::PacketRecord>& wire) {
+  Order out;
+  for (const net::PacketRecord& pkt : wire)
+    out.emplace_back(pkt.timestamp, pkt.payload_size);
+  return out;
+}
+
+TEST(MergeByTime, TiesAcrossRunsKeepRunOrder) {
+  std::vector<std::vector<net::PacketRecord>> runs = {
+      {tagged(5, 10), tagged(9, 11)},
+      {tagged(1, 20), tagged(5, 21), tagged(9, 22)},
+      {tagged(5, 30)}};
+  EXPECT_EQ(order(merge_by_time(std::move(runs))),
+            (Order{{1, 20}, {5, 10}, {5, 21}, {5, 30}, {9, 11}, {9, 22}}));
+}
+
+TEST(MergeByTime, TiesInsideARunKeepTheirOrder) {
+  std::vector<std::vector<net::PacketRecord>> runs = {
+      {tagged(2, 10), tagged(2, 11), tagged(2, 12), tagged(3, 13)},
+      {tagged(1, 20), tagged(2, 21), tagged(2, 22)}};
+  EXPECT_EQ(order(merge_by_time(std::move(runs))),
+            (Order{{1, 20}, {2, 10}, {2, 11}, {2, 12}, {2, 21}, {2, 22},
+                   {3, 13}}));
+}
+
+TEST(MergeByTime, EmptyAndSingleRuns) {
+  EXPECT_TRUE(merge_by_time({}).empty());
+  EXPECT_TRUE(merge_by_time({{}, {}}).empty());
+  std::vector<std::vector<net::PacketRecord>> runs = {
+      {}, {tagged(1, 10), tagged(1, 11), tagged(4, 12)}, {}};
+  EXPECT_EQ(order(merge_by_time(std::move(runs))),
+            (Order{{1, 10}, {1, 11}, {4, 12}}));
+}
+
+TEST(MergeByTime, MatchesAStableSortOfTheConcatenation) {
+  ml::Rng rng(11);
+  std::vector<std::vector<net::PacketRecord>> runs(9);
+  std::vector<net::PacketRecord> concatenated;
+  std::uint32_t tag = 0;
+  for (auto& run : runs) {
+    net::Timestamp t = static_cast<net::Timestamp>(rng.next_below(5));
+    const std::size_t n = rng.next_below(40);
+    for (std::size_t i = 0; i < n; ++i) {
+      t += static_cast<net::Timestamp>(rng.next_below(3));  // many ties
+      run.push_back(tagged(t, tag++));
+    }
+    concatenated.insert(concatenated.end(), run.begin(), run.end());
+  }
+  std::stable_sort(concatenated.begin(), concatenated.end(),
+                   [](const net::PacketRecord& a, const net::PacketRecord& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  EXPECT_EQ(order(merge_by_time(std::move(runs))), order(concatenated));
+}
+
+TEST(MergeByTime, UnsortedRunThrows) {
+  std::vector<std::vector<net::PacketRecord>> runs = {
+      {tagged(1, 10), tagged(2, 11)}, {tagged(3, 20), tagged(2, 21)}};
+  EXPECT_THROW((void)merge_by_time(std::move(runs)), std::logic_error);
 }
 
 }  // namespace
