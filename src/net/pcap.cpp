@@ -22,8 +22,8 @@ constexpr std::size_t kRecordHeaderSize = 16;
 /// bounds how far the read buffer can grow.
 constexpr std::uint32_t kMaxRecordLength = 1u << 20;
 
-/// Checked before the file is opened: a snaplen whose records PcapReader
-/// would reject.
+/// Returns `snaplen`, or throws std::invalid_argument when PcapReader
+/// would reject its records. Runs before the writer opens the file.
 std::uint32_t writable_snaplen(std::uint32_t snaplen) {
   if (snaplen > kMaxRecordLength)
     throw std::invalid_argument(
@@ -59,7 +59,7 @@ void PcapWriter::write(const CapturedFrame& frame) {
   if (!out_.is_open()) throw std::runtime_error("PcapWriter: write after close");
   const auto incl_len = static_cast<std::uint32_t>(
       std::min<std::size_t>(snaplen_, frame.bytes.size()));
-  std::array<std::uint8_t, kRecordHeaderSize> header;
+  std::array<std::uint8_t, kRecordHeaderSize> header{};
   store_u32_le(header, 0, static_cast<std::uint32_t>(frame.timestamp / kNanosPerSecond));
   store_u32_le(header, 4, static_cast<std::uint32_t>(frame.timestamp % kNanosPerSecond));
   store_u32_le(header, 8, incl_len);

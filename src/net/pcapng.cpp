@@ -42,8 +42,9 @@ Timestamp ticks_to_ns(std::uint64_t ticks, std::uint64_t ticks_per_second) {
   return static_cast<Timestamp>(ticks / ticks_per_second * kNs + rest_ns);
 }
 
-/// Checked before the file is opened: a snaplen whose Enhanced Packet
-/// Blocks PcapngReader would reject.
+/// Returns `snaplen`, or throws std::invalid_argument when PcapngReader
+/// would reject its Enhanced Packet Blocks. Runs before the writer opens
+/// the file.
 std::uint32_t writable_snaplen(std::uint32_t snaplen) {
   if (snaplen > kMaxBlockLength - kBlockOverhead - kEpbFixedSize)
     throw std::invalid_argument(
@@ -55,12 +56,12 @@ std::uint32_t writable_snaplen(std::uint32_t snaplen) {
 void write_block(WriteBuffer& out, std::uint32_t type,
                  std::span<const std::uint8_t> body) {
   const auto total = static_cast<std::uint32_t>(kBlockOverhead + body.size());
-  std::array<std::uint8_t, kBlockHeaderSize> head;
+  std::array<std::uint8_t, kBlockHeaderSize> head{};
   store_u32_le(head, 0, type);
   store_u32_le(head, 4, total);
   out.append(head);
   out.append(body);
-  std::array<std::uint8_t, 4> tail;
+  std::array<std::uint8_t, 4> tail{};
   store_u32_le(tail, 0, total);
   out.append(tail);
 }
@@ -73,7 +74,7 @@ PcapngWriter::PcapngWriter(const std::filesystem::path& path,
   if (!out_.is_open())
     throw std::runtime_error("PcapngWriter: cannot open " + path.string());
 
-  std::array<std::uint8_t, 16> shb;
+  std::array<std::uint8_t, 16> shb{};
   store_u32_le(shb, 0, kByteOrderMagic);
   store_u16_le(shb, 4, 1);            // major
   store_u16_le(shb, 6, 0);            // minor
@@ -111,7 +112,7 @@ void PcapngWriter::write(const CapturedFrame& frame) {
   const auto total = static_cast<std::uint32_t>(kBlockOverhead + kEpbFixedSize +
                                                 captured + padding);
   const auto ticks = static_cast<std::uint64_t>(frame.timestamp);
-  std::array<std::uint8_t, kBlockHeaderSize + kEpbFixedSize> head;
+  std::array<std::uint8_t, kBlockHeaderSize + kEpbFixedSize> head{};
   store_u32_le(head, 0, kEpbType);
   store_u32_le(head, 4, total);
   store_u32_le(head, 8, 0);  // interface id
