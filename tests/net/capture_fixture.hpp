@@ -1,6 +1,8 @@
 // Helpers shared by the pcap and pcapng writer/reader tests.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -9,6 +11,7 @@
 
 #include "ml/rng.hpp"
 #include "net/packet.hpp"
+#include "net/pcap.hpp"
 #include "sim/cross_traffic.hpp"
 #include "sim/session.hpp"
 
@@ -57,6 +60,27 @@ inline std::vector<std::uint8_t> pattern_frame(std::size_t size,
   for (std::size_t i = 0; i < size; ++i)
     bytes[i] = static_cast<std::uint8_t>((i * 131 + salt * 7919) >> 3);
   return bytes;
+}
+
+/// Writes `frames` through `Writer` and checks that `Reader` returns each
+/// one byte for byte, with its timestamp and original length.
+template <typename Writer, typename Reader>
+void expect_round_trip(const std::filesystem::path& path,
+                       const std::vector<CapturedFrame>& frames,
+                       std::uint32_t snaplen = 65535) {
+  {
+    Writer writer(path, snaplen);
+    for (const CapturedFrame& frame : frames) writer.write(frame);
+  }
+  Reader reader(path);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto loaded = reader.next();
+    ASSERT_TRUE(loaded.has_value()) << i;
+    EXPECT_EQ(loaded->timestamp, frames[i].timestamp) << i;
+    EXPECT_EQ(loaded->original_length, frames[i].original_length) << i;
+    EXPECT_EQ(loaded->bytes, frames[i].bytes) << i;
+  }
+  EXPECT_FALSE(reader.next().has_value());
 }
 
 }  // namespace cgctx::net

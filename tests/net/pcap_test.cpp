@@ -88,24 +88,11 @@ void write_raw_pcap(const std::filesystem::path& path, bool big_endian,
             static_cast<std::streamsize>(w.size()));
 }
 
-/// Writes `frames` through PcapWriter and checks PcapReader returns each
-/// one byte-for-byte with its timestamp and original length.
+/// Round trip through PcapWriter and PcapReader.
 void expect_round_trip(const std::filesystem::path& path,
                        const std::vector<CapturedFrame>& frames,
                        std::uint32_t snaplen = 65535) {
-  {
-    PcapWriter writer(path, snaplen);
-    for (const CapturedFrame& frame : frames) writer.write(frame);
-  }
-  PcapReader reader(path);
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    const auto loaded = reader.next();
-    ASSERT_TRUE(loaded.has_value()) << i;
-    EXPECT_EQ(loaded->timestamp, frames[i].timestamp) << i;
-    EXPECT_EQ(loaded->original_length, frames[i].original_length) << i;
-    EXPECT_EQ(loaded->bytes, frames[i].bytes) << i;
-  }
-  EXPECT_FALSE(reader.next().has_value());
+  net::expect_round_trip<PcapWriter, PcapReader>(path, frames, snaplen);
 }
 
 TEST_F(PcapTest, WriteReadRoundTripPreservesRecords) {

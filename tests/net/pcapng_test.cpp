@@ -325,24 +325,13 @@ TEST_F(PcapngTest, BlocksStraddlingTheWriteBufferRoundTrip) {
     frames[2].bytes = pattern_frame(kBuffer - 1204 - 2 * kEpbOverhead, 3);
     frames[3].bytes = pattern_frame(3 * kBuffer + 5, 4);
     frames[4].bytes = pattern_frame(61, 5);
-    {
-      PcapngWriter writer(path_, /*snaplen=*/1u << 20);
-      for (std::size_t i = 0; i < frames.size(); ++i) {
-        frames[i].timestamp = static_cast<Timestamp>(i) * kNanosPerSecond + 3;
-        frames[i].original_length =
-            static_cast<std::uint32_t>(frames[i].bytes.size());
-        writer.write(frames[i]);
-      }
-    }
-    PcapngReader reader(path_);
     for (std::size_t i = 0; i < frames.size(); ++i) {
-      const auto loaded = reader.next();
-      ASSERT_TRUE(loaded.has_value()) << i;
-      EXPECT_EQ(loaded->timestamp, frames[i].timestamp) << i;
-      EXPECT_EQ(loaded->original_length, frames[i].original_length) << i;
-      EXPECT_EQ(loaded->bytes, frames[i].bytes) << i;
+      frames[i].timestamp = static_cast<Timestamp>(i) * kNanosPerSecond + 3;
+      frames[i].original_length =
+          static_cast<std::uint32_t>(frames[i].bytes.size());
     }
-    EXPECT_FALSE(reader.next().has_value());
+    expect_round_trip<PcapngWriter, PcapngReader>(path_, frames,
+                                                  /*snaplen=*/1u << 20);
   }
 }
 
@@ -383,21 +372,10 @@ TEST_F(PcapngTest, WriterRejectsSnaplensTheReaderWouldNot) {
   std::vector<CapturedFrame> frames(2);
   frames[0].bytes = pattern_frame(1u << 20, 1);
   frames[1].bytes = pattern_frame(61, 2);
-  {
-    PcapngWriter writer(path_, /*snaplen=*/1u << 20);
-    for (CapturedFrame& frame : frames) {
-      frame.original_length = static_cast<std::uint32_t>(frame.bytes.size());
-      writer.write(frame);
-    }
-  }
-  PcapngReader reader(path_);
-  for (const CapturedFrame& frame : frames) {
-    const auto loaded = reader.next();
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->bytes, frame.bytes);
-    EXPECT_EQ(loaded->original_length, frame.original_length);
-  }
-  EXPECT_FALSE(reader.next().has_value());
+  for (CapturedFrame& frame : frames)
+    frame.original_length = static_cast<std::uint32_t>(frame.bytes.size());
+  expect_round_trip<PcapngWriter, PcapngReader>(path_, frames,
+                                                /*snaplen=*/1u << 20);
 }
 
 }  // namespace
