@@ -1,5 +1,6 @@
 #include "net/write_buffer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace cgctx::net {
@@ -39,11 +40,15 @@ void WriteBuffer::close() {
 }
 
 void WriteBuffer::write_out(std::span<const std::uint8_t> bytes) {
-  out_.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-  if (out_) return;
-  out_.close();
-  throw std::runtime_error("WriteBuffer: write failed");
+  for (std::size_t at = 0; at < bytes.size(); at += kWriteSize) {
+    const std::size_t size = std::min(kWriteSize, bytes.size() - at);
+    out_.write(reinterpret_cast<const char*>(bytes.data() + at),
+               static_cast<std::streamsize>(size));
+    if (!out_) {
+      out_.close();
+      throw std::runtime_error("WriteBuffer: write failed");
+    }
+  }
 }
 
 }  // namespace cgctx::net

@@ -1,12 +1,22 @@
 // Sequential binary-file output through one bounded buffer.
 //
 // The write-side twin of ReadBuffer: both capture writers (pcap, pcapng)
-// append their records into one 64 KiB buffer, which goes to the file in
-// whole-buffer writes of an unbuffered stream. A buffered std::ofstream
-// would not do: libstdc++'s filebuf hands every write of 1 KiB or more
-// straight to the kernel, so each ≈1.2 KB frame of a capture would cost
-// its own system call. A span larger than the buffer is written straight
-// out after the buffered bytes.
+// append their records into one 64 KiB buffer, which goes to the file
+// through an unbuffered stream. A buffered std::ofstream would not do:
+// libstdc++'s filebuf hands every write of 1 KiB or more straight to the
+// kernel, so each ≈1.2 KB frame of a capture would cost its own system
+// call. A span larger than the buffer is written straight out after the
+// buffered bytes.
+//
+// Every write to the file is at most one 4 KiB page (kWriteSize). The
+// kernel sizes the page-cache folios of a buffered write by the length of
+// the write: on file systems with large folios (ext4 on recent kernels) a
+// 64 KiB write is cached in up to 64 KiB folios, which read back faster
+// than 4 KiB pages, but only when the host has free blocks of that order
+// at write time. A capture read back from the page cache then ran at a
+// speed that moved with the host's memory fragmentation from one run to
+// the next; page-sized writes cache it in base pages every time, as a
+// writer that made one system call per frame did.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +32,8 @@ namespace cgctx::net {
 class WriteBuffer {
  public:
   static constexpr std::size_t kCapacity = 64 * 1024;
+  /// The most one write to the file carries: one page.
+  static constexpr std::size_t kWriteSize = 4 * 1024;
 
   /// Opens (truncates) `path` for writing; is_open() reports whether that
   /// worked.
@@ -54,7 +66,8 @@ class WriteBuffer {
   /// fill the buffer again.
   void append_past_end(std::span<const std::uint8_t> bytes);
 
-  /// Writes `bytes` to the file; on failure closes it and throws.
+  /// Writes `bytes` to the file, kWriteSize at a time; on failure closes
+  /// it and throws.
   void write_out(std::span<const std::uint8_t> bytes);
 
   std::ofstream out_;

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <string>
 
 #include "capture_fixture.hpp"
 #include "net/byte_io.hpp"
@@ -314,6 +316,49 @@ TEST_F(PcapTest, WrittenBytesArePinned) {
   EXPECT_EQ(write_pcap(path_, packets), packets.size());
   EXPECT_EQ(std::filesystem::file_size(path_), 8765649u);
   EXPECT_EQ(file_digest(path_), 0x73e897331b40ca31ULL);
+}
+
+// Write system calls this process has made so far, from Linux's
+// /proc/self/io; nullopt where the kernel does not report them.
+std::optional<std::uint64_t> write_calls() {
+  std::ifstream io("/proc/self/io");
+  std::string key;
+  std::uint64_t value = 0;
+  while (io >> key >> value)
+    if (key == "syscw:") return value;
+  return std::nullopt;
+}
+
+// The writers hand the file one 4 KiB page per system call, so the page
+// cache holds a capture in base pages whatever the host's free memory
+// (DESIGN.md §12), and the bytes of small frames still go out together.
+TEST_F(PcapTest, WritesGoOutOnePageAtATime) {
+  constexpr std::size_t kPage = 4096;
+  const auto pages = [](std::uintmax_t bytes) {
+    return (bytes + kPage - 1) / kPage;
+  };
+  const std::vector<PacketRecord> packets = pinned_capture_packets();
+  const auto before = write_calls();
+  if (!before) GTEST_SKIP() << "no /proc/self/io";
+  write_pcap(path_, packets);
+  const std::uint64_t small_frames = *write_calls() - *before;
+  EXPECT_EQ(small_frames, pages(std::filesystem::file_size(path_)));
+
+  // A frame larger than three buffers goes straight out, a page at a time.
+  std::vector<CapturedFrame> frames(3);
+  frames[0].bytes = pattern_frame(60, 1);
+  frames[1].bytes = pattern_frame(3 * WriteBuffer::kCapacity + 5, 2);
+  frames[2].bytes = pattern_frame(60, 3);
+  const std::uint64_t start = *write_calls();
+  {
+    PcapWriter writer(path_, /*snaplen=*/1u << 20);
+    for (const CapturedFrame& frame : frames) writer.write(frame);
+    writer.close();
+  }
+  const std::uint64_t large_frame = *write_calls() - start;
+  const std::uint64_t at_least = pages(std::filesystem::file_size(path_));
+  EXPECT_GE(large_frame, at_least);
+  EXPECT_LE(large_frame, at_least + 2);
 }
 
 // The writers buffer 64 KiB at a time. Records that straddle the first
